@@ -1,15 +1,25 @@
 """Element-allocation solvers.
 
-The continuous problem minimizes zeta = A/x_act + B/(x_act*x_pas^2) on the
-budget line W_act*x_act + W_pas*x_pas = M (active at the optimum). In log
-variables the objective is convex, so along the line it is unimodal in x_pas
-and a bracketed golden-section search finds the optimum; correctness is
-certified against a dense-grid oracle in the tests rather than assumed.
+The allocation problem minimizes zeta = A/x_act + B/(x_act*x_pas^2) (see
+snr.objective_constants) under the budget W_act*x_act + W_pas*x_pas <= M and
+an active amplitude >= 1.
+
+Continuous: the budget is active at the optimum. In log variables the
+objective is convex, so along the budget line it is unimodal in x_pas and a
+bracketed golden-section search finds the optimum; the tests certify it
+against a dense-grid oracle. The amplitude cap is ignored, so its rate
+bounds every integer allocation's rate from above.
+
+Integer ("optimal" and "exhaustive", one exact solver): for a fixed n_act,
+zeta strictly decreases in n_pas, while the active amplitude does not depend
+on n_pas (TAPR) or decreases in it (TPAR). Each n_act row is therefore best
+at the largest n_pas that both the budget and the amplitude cap allow, and
+the optimum is a vectorised scan over n_act.
 
 The closed-form split (M/(3*W_act), 2*M/(3*W_pas)) is optimal for the
-approximate objective (A dropped for the active-first order; the receiver
-noise cross-term dropped for the active-second order) and is the same for
-both deployment orders.
+approximate objective and is the same for both deployment orders; the
+"closed-form" integer method is its literal rounding: the scan row at
+n_act = max(1, round(M/(3*W_act))).
 """
 
 from __future__ import annotations
@@ -22,7 +32,11 @@ import numpy as np
 from .errors import InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import SystemParams, TAPR, Topology, check_scheme
-from .snr import rate_from_snr, snr_closed_form, snr_from_zeta, zeta_value
+from .snr import snr_closed_form, snr_from_zeta, zeta_value
+
+# most n_act rows one integer scan holds in memory; at this bound its
+# tracemalloc peak is about 50 MB (TPAR) and 32 MB (TAPR)
+MAX_SCAN_ROWS = 1_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -80,21 +94,6 @@ def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme=scheme, continuous=True)
 
 
-def objective_constants(params: SystemParams, topo: Topology,
-                        scheme: str) -> tuple[float, float]:
-    """(A, B) with zeta = A/x_act + B/(x_act*x_pas^2)."""
-    check_scheme(scheme)
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho = params.ref_gain
-    s02, sv2 = params.rx_noise_power, params.amp_noise_power
-    d1, d2, d3 = topo.d1, topo.d2, topo.d3
-    if scheme == TAPR:
-        return (pv * sv2 * rho ** 2 * d1 ** 2,
-                s02 * d2 ** 2 * d3 ** 2 * (rho * pt + sv2 * d1 ** 2))
-    return (pt * s02 * rho ** 2 * d3 ** 2,
-            sv2 * d1 ** 2 * d2 ** 2 * (rho * pv + s02 * d3 ** 2))
-
-
 def _golden_section(f, lo: float, hi: float, rel_tol: float) -> tuple[float, int]:
     """Minimize a unimodal f on [lo, hi]; returns (argmin, iterations)."""
     span = hi - lo
@@ -118,12 +117,12 @@ def _golden_section(f, lo: float, hi: float, rel_tol: float) -> tuple[float, int
 
 
 def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
-                     tol: float = 1e-12, objective: str = "full",
+                     tol: float = 1e-12, approx: bool = False,
                      budget: float | None = None) -> AllocationSolution:
     """Continuous optimum on the active budget line.
 
-    objective="approx" minimizes the dominant-term objective instead (whose
-    optimum is the closed-form split); tol is the relative width of the final
+    approx=True minimizes the dominant-term objective instead (whose optimum
+    is the closed-form split); tol is the relative width of the final
     golden-section bracket in x_pas.
     """
     check_scheme(scheme)
@@ -131,180 +130,85 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     wa, wp = params.cost_active, params.cost_passive
     if m < wa + wp:
         raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
-    a_const, b_const = objective_constants(params, topo, scheme)
-    if objective == "approx":
-        if scheme == TAPR:
-            a_const = 0.0
-        else:
-            a_const = 0.0
-            b_const = (params.amp_noise_power * topo.d1 ** 2 * topo.d2 ** 2
-                       * params.ref_gain * params.amp_power_budget)
-    elif objective != "full":
-        raise ValueError(f"unknown objective {objective!r}")
 
     def zeta_on_line(x_pas: float) -> float:
-        x_act = (m - wp * x_pas) / wa
-        return a_const / x_act + b_const / (x_act * x_pas ** 2)
+        return zeta_value(params, scheme, (m - wp * x_pas) / wa, x_pas,
+                          topo.d1, topo.d2, topo.d3, approx)
 
     hi = m / wp
     lo, hi = hi * 1e-12, hi * (1.0 - 1e-12)
     x_pas, iters = _golden_section(zeta_on_line, lo, hi, tol)
     x_act = (m - wp * x_pas) / wa
     alloc = Allocation(n_act=x_act, n_pas=x_pas, scheme=scheme, continuous=True)
-    diag = {"iterations": iters, "bracket_rel_width": tol, "objective": objective,
+    diag = {"iterations": iters, "bracket_rel_width": tol,
             "objective_value": zeta_on_line(x_pas)}
     return _solution(params, topo, alloc, method="optimal", diagnostics=diag)
 
 
-def _integer_feasible(params: SystemParams, topo: Topology, n_act: int, n_pas: int,
-                      scheme: str, budget: float) -> bool:
-    if n_act < 1 or n_pas < 1:
-        return False
-    if params.cost_active * n_act + params.cost_passive * n_pas > budget:
-        return False
+def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
+                          n_act: np.ndarray, budget: float) -> np.ndarray:
+    """Per n_act row, the largest n_pas (0 if none) within the budget whose
+    active amplitude is >= 1."""
+    wa, wp = params.cost_active, params.cost_passive
+    hi = np.floor((budget - wa * n_act) / wp)
+    # the floored quotient can miss the budget test by one either way
+    hi -= wa * n_act + wp * hi > budget
+    hi += wa * n_act + wp * (hi + 1.0) <= budget
+    hi = np.maximum(hi, 0.0)  # rows that cannot afford a passive element
     if scheme == TAPR:
-        amp = alpha_star(params, topo.d1, n_act)
-    else:
-        amp = beta_star(params, topo.d1, topo.d2, n_act, n_pas)
-    return amp >= 1.0
+        return np.where(alpha_star(params, topo.d1, n_act) >= 1.0, hi, 0.0)
+    # beta* decreases in n_pas: bisect for its last value >= 1, with lo = 0
+    # standing for "no feasible n_pas" and hi + 1 known to be infeasible
+    lo = np.zeros_like(hi)
+    while np.any(lo < hi):
+        mid = np.ceil((lo + hi) / 2.0)
+        ok = beta_star(params, topo.d1, topo.d2, n_act, mid) >= 1.0
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1.0)
+    return lo
 
 
-def round_to_integer(continuous: Allocation, params: SystemParams, topo: Topology,
-                     budget: float | None = None) -> AllocationSolution:
-    """Best feasible integer allocation near a continuous one.
-
-    Candidates: floor/ceil combinations, budget repairs (shrink n_pas, then
-    n_act) and slack spent on extra passive elements. Ties broken toward
-    larger n_pas, then larger n_act.
-    """
-    m = params.total_budget if budget is None else budget
-    wa, wp = params.cost_active, params.cost_passive
-    scheme = continuous.scheme
-
-    raw = set()
-    for na in (math.floor(continuous.n_act), math.ceil(continuous.n_act)):
-        for npas in (math.floor(continuous.n_pas), math.ceil(continuous.n_pas)):
-            raw.add((max(na, 1), max(npas, 1)))
-    candidates = set()
-    for na, npas in raw:
-        while npas > 1 and wa * na + wp * npas > m:
-            npas -= 1
-        while na > 1 and wa * na + wp * npas > m:
-            na -= 1
-        if wa * na + wp * npas > m:
-            continue
-        candidates.add((na, npas))
-        slack = m - (wa * na + wp * npas)
-        extra = math.floor(slack / wp)
-        if extra > 0:
-            candidates.add((na, npas + extra))
-
-    best = None
-    for na, npas in sorted(candidates):
-        if not _integer_feasible(params, topo, na, npas, scheme, m):
-            continue
-        snr = snr_from_zeta(params, zeta_value(params, scheme, na, npas,
-                                               topo.d1, topo.d2, topo.d3))
-        key = (snr, npas, na)
-        if best is None or key > best[0]:
-            best = (key, na, npas)
-    if best is None:
+def _best_row(params: SystemParams, topo: Topology, scheme: str, n_act: np.ndarray,
+              budget: float, method: str) -> AllocationSolution:
+    """Max-rate pair over the given n_act rows, each at its largest feasible
+    n_pas; exact ties go to the larger n_pas, then the larger n_act."""
+    n_pas = _largest_feasible_pas(params, topo, scheme, n_act, budget)
+    keep = n_pas >= 1.0
+    if not keep.any():
         raise InfeasibleBudget(
-            f"no feasible integer allocation near ({continuous.n_act:.3f}, "
-            f"{continuous.n_pas:.3f}) under budget {m}")
-    _, na, npas = best
-    alloc = Allocation(n_act=na, n_pas=npas, scheme=scheme)
-    return _solution(params, topo, alloc, method="rounded",
-                     diagnostics={"candidates": sorted(candidates)})
-
-
-def _round_nearest(continuous: Allocation, params: SystemParams, topo: Topology,
-                   budget: float) -> AllocationSolution:
-    """Literal nearest-integer rounding of a continuous split.
-
-    Unlike round_to_integer this keeps the rounded active count; only the
-    passive count is repaired to fit the budget, with any slack spent on
-    extra passive elements.
-    """
-    wa, wp = params.cost_active, params.cost_passive
-    scheme = continuous.scheme
-    na = max(1, round(continuous.n_act))
-    npas = max(1, round(continuous.n_pas))
-    while npas > 1 and wa * na + wp * npas > budget:
-        npas -= 1
-    while na > 1 and wa * na + wp * npas > budget:
-        na -= 1
-    slack = budget - (wa * na + wp * npas)
-    npas += max(0, math.floor(slack / wp))
-    if not _integer_feasible(params, topo, na, npas, scheme, budget):
-        return round_to_integer(continuous, params, topo, budget=budget)
-    alloc = Allocation(n_act=na, n_pas=npas, scheme=scheme)
-    return _solution(params, topo, alloc, method="rounded")
+            f"no integer allocation within budget {budget} has an active amplitude >= 1")
+    n_act, n_pas = n_act[keep], n_pas[keep]
+    snr = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas,
+                                           topo.d1, topo.d2, topo.d3))
+    tied = np.flatnonzero(snr == snr.max())
+    k = tied[np.lexsort((n_act[tied], n_pas[tied]))[-1]]
+    alloc = Allocation(n_act=int(n_act[k]), n_pas=int(n_pas[k]), scheme=scheme)
+    return _solution(params, topo, alloc, method=method)
 
 
 def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
-                      budget: float | None = None,
-                      guard: float = 1e7) -> AllocationSolution:
-    """Enumerate every feasible integer pair and return the max-rate one."""
+                      budget: float | None = None) -> AllocationSolution:
+    """Exact integer optimum: a scan over every affordable n_act."""
     check_scheme(scheme)
     m = params.total_budget if budget is None else budget
-    wa, wp = params.cost_active, params.cost_passive
-    na_max = math.floor((m - wp) / wa)
-    if na_max < 1:
-        raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
-
-    nas = np.arange(1, na_max + 1)
-    np_max = np.floor((m - wa * nas) / wp).astype(int)
-    total = int(np.sum(np_max))
-    if total > guard:
-        raise SearchSpaceTooLarge(f"{total} candidate pairs exceed the guard {guard:.3g}")
-
-    best = None
-    d1, d2, d3 = topo.d1, topo.d2, topo.d3
-    for na, npm in zip(nas, np_max):
-        if npm < 1:
-            continue
-        npas = np.arange(1, npm + 1)
-        if scheme == TAPR:
-            feasible = alpha_star(params, d1, float(na)) >= 1.0
-            if not feasible:
-                continue
-            mask = np.ones(npas.shape, dtype=bool)
-        else:
-            mask = beta_star(params, d1, d2, float(na), npas.astype(float)) >= 1.0
-            if not mask.any():
-                continue
-        snr = snr_from_zeta(params, zeta_value(params, scheme, float(na),
-                                               npas.astype(float), d1, d2, d3))
-        snr = np.where(mask, snr, -np.inf)
-        idx = int(np.argmax(snr))
-        # prefer the largest n_pas among exact ties within this row
-        ties = np.flatnonzero(snr == snr[idx])
-        idx = int(ties[-1])
-        key = (float(snr[idx]), int(npas[idx]), int(na))
-        if best is None or key > best:
-            best = key
-    if best is None:
-        raise InfeasibleBudget("no feasible integer allocation (amplitude >= 1) exists")
-    _, npas, na = best
-    alloc = Allocation(n_act=na, n_pas=npas, scheme=scheme)
-    return _solution(params, topo, alloc, method="exhaustive",
-                     diagnostics={"candidates_enumerated": total})
+    # one spare row covers rounding in the quotient; unaffordable rows drop out
+    rows = max(1, math.floor((m - params.cost_passive) / params.cost_active) + 1)
+    if rows > MAX_SCAN_ROWS:
+        raise SearchSpaceTooLarge(f"{rows} n_act rows exceed the scan bound {MAX_SCAN_ROWS}")
+    return _best_row(params, topo, scheme, np.arange(1.0, rows + 1.0), m,
+                     method="exhaustive")
 
 
 def solve_integer(params: SystemParams, topo: Topology, scheme: str,
                   method: str = "optimal", budget: float | None = None) -> AllocationSolution:
-    """Dispatch: continuous solve + rounding, closed-form split + rounding,
-    or exhaustive enumeration."""
+    """Integer allocation: the exact scan ("optimal" and "exhaustive") or the
+    literal rounding of the closed-form split ("closed-form")."""
     m = params.total_budget if budget is None else budget
-    if method == "optimal":
-        cont = solve_continuous(params, topo, scheme, budget=m)
-        sol = round_to_integer(cont.allocation, params, topo, budget=m)
-        return replace(sol, method="optimal", diagnostics=cont.diagnostics)
+    if method in ("optimal", "exhaustive"):
+        sol = exhaustive_search(params, topo, scheme, budget=m)
+        return replace(sol, method=method)
     if method == "closed-form":
         split = closed_form_split(m, params.cost_active, params.cost_passive, scheme)
-        sol = _round_nearest(split, params, topo, m)
-        return replace(sol, method="closed-form")
-    if method == "exhaustive":
-        return exhaustive_search(params, topo, scheme, budget=m)
+        row = np.array([max(1, round(split.n_act))], dtype=float)
+        return _best_row(params, topo, scheme, row, m, method="closed-form")
     raise ValueError(f"unknown allocation method {method!r}")

@@ -27,7 +27,7 @@ class InfeasibleBudget(IrsAllocError):
 
 
 class SearchSpaceTooLarge(IrsAllocError):
-    """Exhaustive enumeration would exceed the candidate-count guard."""
+    """The integer scan would exceed its bound on n_act rows."""
 
 
 class NoFeasiblePlacement(IrsAllocError):

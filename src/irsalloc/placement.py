@@ -1,24 +1,23 @@
 """Alternating optimization of IRS positions and element allocation.
 
 The placement step is a joint brute-force scan over both surfaces' grid
-positions (heights fixed); the allocation step reuses the continuous solver
-plus integer rounding. Each step maximizes its own block, so the rate trace
-is non-decreasing.
+positions (heights fixed); the allocation step is the exact integer solver.
+Each step maximizes its own block exactly, so the rate trace is
+non-decreasing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation, AllocationSolution, closed_form_split, \
-    round_to_integer, solve_integer
+from .allocation import Allocation, solve_integer
 from .errors import NoFeasiblePlacement
 from .reflection import alpha_star, beta_star
 from .scenario import SystemParams, TAPR, Topology, build_topology, check_scheme
-from .snr import rate_from_snr, snr_from_zeta, zeta_value
+from .snr import snr_from_zeta, zeta_value
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,8 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
     ya = grid.axis(grid.ya_bounds)
     xb = grid.axis(grid.xb_bounds)
     yb = grid.axis(grid.yb_bounds)
-    # flattened index order matches the tie-break priority
-    gxa, gxb, gya, gyb = np.meshgrid(xa, xb, ya, yb, indexing="ij")
-    gxa, gxb, gya, gyb = (g.ravel() for g in (gxa, gxb, gya, gyb))
+    # open grids; the C-order flat index matches the tie-break priority
+    gxa, gxb, gya, gyb = np.meshgrid(xa, xb, ya, yb, indexing="ij", sparse=True)
     h = grid.height
 
     d1 = np.sqrt((gxa - tx[0]) ** 2 + (gya - tx[1]) ** 2 + (h - tx[2]) ** 2)
@@ -105,8 +103,9 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
     snr = np.where(feasible, snr, -np.inf)
     best = float(np.max(snr))
     # first index among near-ties is the lexicographically smallest placement
-    idx = int(np.flatnonzero(snr >= best * (1.0 - 1e-12))[0])
-    return build_topology(tx, (gxa[idx], gya[idx], h), (gxb[idx], gyb[idx], h), rx,
+    ixa, ixb, iya, iyb = np.unravel_index(
+        np.flatnonzero(snr >= best * (1.0 - 1e-12))[0], snr.shape)
+    return build_topology(tx, (xa[ixa], ya[iya], h), (xb[ixb], yb[iyb], h), rx,
                           d_min=grid.d_min)
 
 
@@ -126,25 +125,20 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
                          max_iters: int = 20) -> AOTrace:
     """Alternate placement-given-allocation and allocation-given-placement.
 
-    Starts from the closed-form split at the grid-center placement; stops when
-    the rate improves by less than tol bps/Hz or after max_iters iterations.
+    Starts from the literal rounding of the closed-form split at the
+    grid-center placement; stops when the rate improves by less than tol
+    bps/Hz or after max_iters iterations.
     """
     check_scheme(scheme)
-    topo = _center_topology(grid, pos_tx, pos_rx)
-    split = closed_form_split(params.total_budget, params.cost_active,
-                              params.cost_passive, scheme)
-    sol = round_to_integer(split, params, topo)
+    sol = solve_integer(params, _center_topology(grid, pos_tx, pos_rx), scheme,
+                        method="closed-form")
     iterations: list[AOIteration] = []
     prev_rate = -math.inf
     converged = False
     for _ in range(max_iters):
         topo = optimize_placement_given_allocation(params, sol.allocation, grid,
                                                    pos_tx, pos_rx)
-        carried = round_to_integer(sol.allocation, params, topo)
         sol = solve_integer(params, topo, scheme, method="optimal")
-        if carried.rate > sol.rate:
-            # rounding is heuristic; never regress below the carried-over allocation
-            sol = carried
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
                                       amplitude=sol.amplitude, rate=sol.rate))
         if sol.rate - prev_rate < tol:

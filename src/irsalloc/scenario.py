@@ -94,7 +94,8 @@ def direction_angles(vec) -> tuple[float, float]:
     if r == 0.0:
         raise ValueError("zero-length displacement has no direction")
     azimuth = math.atan2(v[1], v[0])
-    elevation = math.acos(max(-1.0, min(1.0, v[2] / r)))
+    # atan2 keeps the small components that acos(z/r) loses near the poles
+    elevation = math.atan2(math.hypot(v[0], v[1]), v[2])
     return azimuth, elevation
 
 
@@ -128,12 +129,19 @@ class Topology:
     d_min: float = 1.0
 
 
+def _position(label: str, pos) -> np.ndarray:
+    p = np.asarray(pos, dtype=float)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise ConfigError(f"{label} must be three finite coordinates, got {pos!r}")
+    return p
+
+
 def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> Topology:
     """Derive link distances and angles from the four node positions."""
-    tx = np.asarray(pos_tx, dtype=float)
-    a = np.asarray(pos_irs_a, dtype=float)
-    b = np.asarray(pos_irs_b, dtype=float)
-    rx = np.asarray(pos_rx, dtype=float)
+    tx = _position("pos_tx", pos_tx)
+    a = _position("pos_irs_a", pos_irs_a)
+    b = _position("pos_irs_b", pos_irs_b)
+    rx = _position("pos_rx", pos_rx)
     d1 = float(np.linalg.norm(a - tx))
     d2 = float(np.linalg.norm(b - a))
     d3 = float(np.linalg.norm(rx - b))

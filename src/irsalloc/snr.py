@@ -3,15 +3,9 @@ large-inter-surface-distance approximations, scaling laws, the regime check
 enabling those approximations, the scheme comparator, and a Monte-Carlo
 signal-level power meter used as an independent oracle.
 
-Closed-form denominators (active surface amplitude at its optimum):
-
-  TAPR: zeta = Pv*sv2*rho^2*d1^2 / x_act
-             + s02*d2^2*d3^2*(rho*Pt + sv2*d1^2) / (x_act * x_pas^2)
-  TPAR: zeta = Pt*s02*rho^2*d3^2 / x_act
-             + sv2*d1^2*d2^2*(rho*Pv + s02*d3^2) / (x_act * x_pas^2)
-
-and snr = Pt*Pv*rho^3 / zeta in both cases.
-"""
+With the active surface's amplitude at its optimum, both orders share one
+closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
+constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta."""
 
 from __future__ import annotations
 
@@ -23,7 +17,7 @@ import numpy as np
 from .channel import ChannelTriple, build_channels
 from .errors import ConditionUndefined, DimensionMismatch
 from .reflection import ReflectionConfig, alpha_star, beta_star
-from .scenario import SystemParams, TAPR, TPAR, Topology, check_scheme
+from .scenario import SystemParams, TAPR, Topology, check_scheme
 
 
 @dataclass(frozen=True)
@@ -51,28 +45,32 @@ def rate_from_snr(snr):
     return np.log2(1.0 + snr) if np.ndim(snr) else float(np.log2(1.0 + snr))
 
 
-def zeta_value(params: SystemParams, scheme: str, x_act, x_pas, d1, d2, d3):
+def objective_constants(params: SystemParams, scheme: str, d1, d2, d3,
+                        approx: bool = False):
+    """(A, B) with zeta = A/x_act + B/(x_act*x_pas^2); array-friendly in the
+    distances.
+
+    approx=True keeps only the terms that dominate at a large inter-surface
+    distance: A vanishes, and for TPAR so does the receiver-noise part of B.
+    """
+    check_scheme(scheme)
+    pt, pv = params.transmit_power, params.amp_power_budget
+    rho = params.ref_gain
+    s02, sv2 = params.rx_noise_power, params.amp_noise_power
+    if scheme == TAPR:
+        a = pv * sv2 * rho ** 2 * d1 ** 2
+        b = s02 * d2 ** 2 * d3 ** 2 * (rho * pt + sv2 * d1 ** 2)
+    else:
+        a = pt * s02 * rho ** 2 * d3 ** 2
+        b = sv2 * d1 ** 2 * d2 ** 2 * (rho * pv + (0.0 if approx else s02 * d3 ** 2))
+    return (0.0 if approx else a), b
+
+
+def zeta_value(params: SystemParams, scheme: str, x_act, x_pas, d1, d2, d3,
+               approx: bool = False):
     """Closed-form SNR denominator; array-friendly in counts and distances."""
-    check_scheme(scheme)
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho = params.ref_gain
-    s02, sv2 = params.rx_noise_power, params.amp_noise_power
-    if scheme == TAPR:
-        return (pv * sv2 * rho ** 2 * d1 ** 2 / x_act
-                + s02 * d2 ** 2 * d3 ** 2 * (rho * pt + sv2 * d1 ** 2) / (x_act * x_pas ** 2))
-    return (pt * s02 * rho ** 2 * d3 ** 2 / x_act
-            + sv2 * d1 ** 2 * d2 ** 2 * (rho * pv + s02 * d3 ** 2) / (x_act * x_pas ** 2))
-
-
-def zeta_approx_value(params: SystemParams, scheme: str, x_act, x_pas, d1, d2, d3):
-    """Dominant zeta term when the inter-surface distance is large."""
-    check_scheme(scheme)
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho = params.ref_gain
-    s02, sv2 = params.rx_noise_power, params.amp_noise_power
-    if scheme == TAPR:
-        return s02 * d2 ** 2 * d3 ** 2 * (rho * pt + sv2 * d1 ** 2) / (x_act * x_pas ** 2)
-    return sv2 * d1 ** 2 * d2 ** 2 * rho * pv / (x_act * x_pas ** 2)
+    a, b = objective_constants(params, scheme, d1, d2, d3, approx)
+    return a / x_act + b / (x_act * x_pas ** 2)
 
 
 def snr_from_zeta(params: SystemParams, zeta):
@@ -128,8 +126,8 @@ def snr_exact_matrix(params: SystemParams, topo: Topology, alloc,
 
 def snr_approx(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
     """Dominant-term SNR, valid when the regime check passes."""
-    zeta = zeta_approx_value(params, alloc.scheme, alloc.n_act, alloc.n_pas,
-                             topo.d1, topo.d2, topo.d3)
+    zeta = zeta_value(params, alloc.scheme, alloc.n_act, alloc.n_pas,
+                      topo.d1, topo.d2, topo.d3, approx=True)
     snr = snr_from_zeta(params, zeta)
     return LinkBudget(scheme=alloc.scheme, snr=snr, rate=rate_from_snr(snr))
 
@@ -172,19 +170,12 @@ def check_lemma1(params: SystemParams, topo: Topology, x_pas: float,
 
 def approx_snr_suboptimal(params: SystemParams, topo: Topology, scheme: str,
                           budget: float) -> LinkBudget:
-    """Approximate SNR at the closed-form split: cubic in the total budget."""
-    check_scheme(scheme)
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho = params.ref_gain
-    s02, sv2 = params.rx_noise_power, params.amp_noise_power
-    d1, d2, d3 = topo.d1, topo.d2, topo.d3
-    wa, wp = params.cost_active, params.cost_passive
-    if scheme == TAPR:
-        snr = (4.0 * budget ** 3 * pt * pv * rho ** 3
-               / (27.0 * s02 * d2 ** 2 * d3 ** 2 * (rho * pt + sv2 * d1 ** 2) * wa * wp ** 2))
-    else:
-        snr = (4.0 * budget ** 3 * pt * rho ** 3
-               / (27.0 * d1 ** 2 * d2 ** 2 * sv2 * rho * wa * wp ** 2))
+    """Approximate SNR at the closed-form split (M/(3*W_act), 2*M/(3*W_pas)):
+    cubic in the total budget."""
+    zeta = zeta_value(params, scheme, budget / (3.0 * params.cost_active),
+                      2.0 * budget / (3.0 * params.cost_passive),
+                      topo.d1, topo.d2, topo.d3, approx=True)
+    snr = snr_from_zeta(params, zeta)
     return LinkBudget(scheme=scheme, snr=snr, rate=rate_from_snr(snr))
 
 

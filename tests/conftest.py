@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsalloc import SystemParams, build_topology, dbm_to_watts
+from irsalloc import (Allocation, SystemParams, build_topology, dbm_to_watts,
+                      snr_closed_form)
+from irsalloc.reflection import optimal_amplitude
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +58,28 @@ def random_scenario(rng: np.random.Generator, far_apart: bool = False):
         (xb + rng.uniform(5.0, 40.0), rng.uniform(0.0, 10.0), 0.0),
     )
     return params, topo
+
+
+def brute_force_allocation(params: SystemParams, topo, scheme: str,
+                           budget: float, n_act_rows=None):
+    """Max-rate integer (n_act, n_pas) by enumerating every affordable pair
+    whose active amplitude is >= 1; None if there is none.
+
+    n_act_rows restricts the enumeration to those active counts. Exact ties
+    go to the larger n_pas, then the larger n_act.
+    """
+    best = None
+    n_act = 1
+    while params.cost_active * n_act + params.cost_passive <= budget:
+        if n_act_rows is None or n_act in n_act_rows:
+            n_pas = 1
+            while (alloc := Allocation(n_act, n_pas, scheme)).cost(params) <= budget:
+                if optimal_amplitude(params, topo, alloc) >= 1.0:
+                    key = (snr_closed_form(params, topo, alloc).snr, n_pas, n_act)
+                    best = key if best is None else max(best, key)
+                n_pas += 1
+        n_act += 1
+    return None if best is None else (best[2], best[1])
 
 
 @pytest.fixture(scope="session")

@@ -78,7 +78,7 @@ def test_criterion_3_split_reproduction():
         params, topo = random_scenario(rng)
         m = float(rng.uniform(50.0, 5000.0))
         scheme = SCHEMES[int(rng.integers(0, 2))]
-        sol = solve_continuous(params, topo, scheme, objective="approx", budget=m)
+        sol = solve_continuous(params, topo, scheme, approx=True, budget=m)
         split = closed_form_split(m, params.cost_active, params.cost_passive,
                                   scheme)
         worst = max(worst,

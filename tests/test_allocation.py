@@ -1,18 +1,19 @@
-"""Allocation solvers: continuous optimum, closed-form split, rounding and
-the exhaustive integer oracle."""
+"""Allocation solvers: continuous optimum, closed-form split and its literal
+rounding, and the exact integer scan against a brute-force oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsalloc import (
-    Allocation, InfeasibleBudget, SearchSpaceTooLarge, closed_form_split,
-    exhaustive_search, round_to_integer, solve_continuous, solve_integer,
+    Allocation, InfeasibleBudget, SearchSpaceTooLarge, SystemParams,
+    build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
+    solve_continuous, solve_integer,
 )
-from irsalloc.allocation import objective_constants
-from irsalloc.snr import snr_from_zeta, zeta_value
-from conftest import baseline_params, random_scenario
+from irsalloc.snr import objective_constants
+from conftest import baseline_params, brute_force_allocation, random_scenario
 
 
 def test_closed_form_split_pins():
@@ -47,7 +48,7 @@ def test_allocation_validation(params):
 
 def test_solve_continuous_approx_objective_recovers_split(params, topo):
     for scheme in ("TAPR", "TPAR"):
-        sol = solve_continuous(params, topo, scheme, objective="approx")
+        sol = solve_continuous(params, topo, scheme, approx=True)
         split = closed_form_split(1500.0, 5.0, 1.0, scheme)
         assert sol.allocation.n_act == pytest.approx(split.n_act, rel=1e-6)
         assert sol.allocation.n_pas == pytest.approx(split.n_pas, rel=1e-6)
@@ -65,7 +66,8 @@ def test_solve_continuous_vs_dense_grid():
         params, topo = random_scenario(rng)
         for scheme in ("TAPR", "TPAR"):
             sol = solve_continuous(params, topo, scheme)
-            a_const, b_const = objective_constants(params, topo, scheme)
+            a_const, b_const = objective_constants(params, scheme, topo.d1,
+                                                   topo.d2, topo.d3)
             m, wa, wp = (params.total_budget, params.cost_active,
                          params.cost_passive)
             xp = np.linspace(m / wp * 1e-6, m / wp * (1 - 1e-6), 100_000)
@@ -79,7 +81,8 @@ def test_objective_midpoint_convexity(params, topo):
     # convexity in the log variables (x_act, x_pas) -> (exp(u), exp(v))
     rng = np.random.default_rng(19)
     for scheme in ("TAPR", "TPAR"):
-        a_const, b_const = objective_constants(params, topo, scheme)
+        a_const, b_const = objective_constants(params, scheme, topo.d1, topo.d2,
+                                               topo.d3)
 
         def f(u, v):
             return a_const * math.exp(-u) + b_const * math.exp(-u - 2.0 * v)
@@ -98,35 +101,84 @@ def test_baseline_continuous_optimum_near_split(params, topo):
     assert sol.allocation.n_pas == pytest.approx(944.55, rel=1e-3)
 
 
-def test_round_to_integer_exact_input(params, topo):
-    sol = round_to_integer(Allocation(100.0, 1000.0, "TAPR", continuous=True),
-                           params, topo)
-    assert (sol.allocation.n_act, sol.allocation.n_pas) == (100, 1000)
+def test_closed_form_row_matches_brute_force(params, topo):
+    # the literal rounding keeps n_act = round(M/(3*W_act)) and takes that
+    # row's best feasible n_pas; an integral split comes back unchanged
+    for scheme in ("TAPR", "TPAR"):
+        for m in (1500.0, 60.0, 37.0):
+            row = max(1, round(m / (3.0 * params.cost_active)))
+            sol = solve_integer(params, topo, scheme, method="closed-form", budget=m)
+            assert (sol.allocation.n_act, sol.allocation.n_pas) == \
+                brute_force_allocation(params, topo, scheme, m, n_act_rows={row})
 
 
-def test_round_to_integer_candidates(params, topo):
-    cont = Allocation(99.6, 1001.7, "TAPR", continuous=True)
-    sol = round_to_integer(cont, params, topo)
-    # best feasible candidate among floor/ceil combinations and repairs
-    candidates = [(99, 1001), (99, 1002), (100, 1000), (99, 1005), (100, 1001)]
-    best = None
-    for na, npas in candidates:
-        if 5 * na + npas > 1500:
-            continue
-        snr = snr_from_zeta(params, zeta_value(params, "TAPR", na, npas,
-                                               topo.d1, topo.d2, topo.d3))
-        if best is None or snr > best[0]:
-            best = (snr, na, npas)
-    assert (sol.allocation.n_act, sol.allocation.n_pas) == best[1:]
-    assert sol.allocation.cost(params) <= 1500.0
+def test_optimal_matches_brute_force_baseline(params, topo):
+    for scheme in ("TAPR", "TPAR"):
+        for m in (30.0, 60.0, 100.0):
+            for method in ("optimal", "exhaustive"):
+                sol = solve_integer(params, topo, scheme, method=method, budget=m)
+                assert sol.method == method
+                assert (sol.allocation.n_act, sol.allocation.n_pas) == \
+                    brute_force_allocation(params, topo, scheme, m)
+                assert sol.allocation.cost(params) <= m
 
 
 def test_minimal_budget_unique_point(params, topo):
-    cont = Allocation(1.2, 1.4, "TAPR", continuous=True)
-    sol = round_to_integer(cont, params, topo, budget=6.0)
-    assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 1)
-    ex = exhaustive_search(params, topo, "TAPR", budget=6.0)
-    assert (ex.allocation.n_act, ex.allocation.n_pas) == (1, 1)
+    assert brute_force_allocation(params, topo, "TAPR", 6.0) == (1, 1)
+    for method in ("optimal", "closed-form", "exhaustive"):
+        sol = solve_integer(params, topo, "TAPR", method=method, budget=6.0)
+        assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 1)
+
+
+def test_optimal_matches_brute_force_when_tpar_cap_binds():
+    # a strong, close transmitter drives the active-second amplitude to 1
+    # long before the budget runs out
+    params = SystemParams(transmit_power=1.0, amp_power_budget=1e-6,
+                          rx_noise_power=1e-11, amp_noise_power=1e-11,
+                          ref_gain=0.1, wavelength=0.1, cost_active=2.0,
+                          cost_passive=1.0, total_budget=60.0)
+    topo = build_topology((0, 0, 0), (3, 0, 4), (43, 0, 4), (50, 0, 0))
+    expected = brute_force_allocation(params, topo, "TPAR", 60.0)
+    n_act, n_pas = expected
+    assert 2.0 * n_act + (n_pas + 1) <= 60.0  # the budget would allow more
+    sol = solve_integer(params, topo, "TPAR", method="optimal")
+    assert (sol.allocation.n_act, sol.allocation.n_pas) == expected
+    assert sol.amplitude >= 1.0
+
+
+@st.composite
+def small_scenarios(draw):
+    """Budgets up to 60 units; the ranges reach scenarios where the TAPR
+    amplitude rules out whole n_act rows and where the TPAR amplitude caps
+    n_pas below the budget."""
+    wp = draw(st.floats(0.5, 2.0))
+    wa = draw(st.floats(wp, 8.0))
+    params = SystemParams(
+        transmit_power=dbm_to_watts(draw(st.floats(10.0, 30.0))),
+        amp_power_budget=dbm_to_watts(draw(st.floats(-40.0, 10.0))),
+        rx_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        amp_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        ref_gain=10.0 ** draw(st.floats(-3.0, -1.0)),
+        wavelength=0.1, cost_active=wa, cost_passive=wp,
+        total_budget=draw(st.floats(wa + wp, 60.0)))
+    xa, za = draw(st.floats(0.0, 20.0)), draw(st.floats(1.0, 10.0))
+    xb = xa + draw(st.floats(2.0, 40.0))
+    topo = build_topology((0.0, 0.0, 0.0), (xa, 0.0, za), (xb, 0.0, za),
+                          (xb + draw(st.floats(1.0, 30.0)), 0.0, 0.0))
+    return params, topo
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_scenarios(), st.sampled_from(("TAPR", "TPAR")))
+def test_optimal_matches_brute_force_property(scenario, scheme):
+    params, topo = scenario
+    expected = brute_force_allocation(params, topo, scheme, params.total_budget)
+    if expected is None:
+        with pytest.raises(InfeasibleBudget):
+            solve_integer(params, topo, scheme, method="optimal")
+        return
+    sol = solve_integer(params, topo, scheme, method="optimal")
+    assert (sol.allocation.n_act, sol.allocation.n_pas) == expected
 
 
 def test_exhaustive_oracle_and_rounding_gap(params, topo):
@@ -140,7 +192,9 @@ def test_exhaustive_oracle_and_rounding_gap(params, topo):
 
 def test_exhaustive_guard(params, topo):
     with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_search(params, topo, "TAPR", budget=1e6)
+        exhaustive_search(params, topo, "TAPR", budget=1e8)
+    # 2e5 rows are within the bound
+    assert solve_integer(params, topo, "TAPR", budget=1e6).allocation.n_act >= 1
 
 
 def test_infeasible_budget(params, topo):

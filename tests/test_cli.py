@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,13 +129,20 @@ def test_verify_default_seed_passes(params, topo):
     assert all(ok for _, ok, _ in report)
     names = [name for name, _, _ in report]
     assert names == ["matrix-vs-closed-form", "monte-carlo-agreement",
-                     "optimizer-vs-grid", "rounding-vs-exhaustive",
+                     "optimizer-vs-grid", "integer-vs-continuous",
                      "scaling-slopes"]
 
 
-def test_verify_mutation_hook_fails(params, topo):
-    report = dict((name, ok) for name, ok, _ in
-                  run_verify(params, topo, seed=0, zeta_perturb=1.001))
+def test_verify_mutation_hook_fails(params, topo, monkeypatch):
+    import irsalloc.cli as cli
+    closed_form = cli.snr_closed_form
+
+    def perturbed(*args):
+        budget = closed_form(*args)
+        return replace(budget, snr=budget.snr / 1.001)
+
+    monkeypatch.setattr(cli, "snr_closed_form", perturbed)
+    report = dict((name, ok) for name, ok, _ in run_verify(params, topo, seed=0))
     assert report["matrix-vs-closed-form"] is False
 
 
@@ -169,9 +177,20 @@ def test_main_allocate_methods_agree(baseline_config, tmp_path):
 def test_main_exhaustive_guard_exit_code(baseline_config, tmp_path):
     cfg = tmp_path / "huge.yaml"
     text = baseline_config.read_text().replace("total_budget: 1500",
-                                               "total_budget: 1000000")
+                                               "total_budget: 100000000")
     cfg.write_text(text)
-    assert main(["allocate", "--config", str(cfg), "--method", "exhaustive"]) == 2
+    for method in ("exhaustive", "optimal"):
+        assert main(["allocate", "--config", str(cfg), "--method", method]) == 2
+
+
+def test_main_nan_position_exit_code(baseline_config, tmp_path):
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text(baseline_config.read_text().replace(
+        "pos_irs_a: [15, 5, 10]", "pos_irs_a: [.nan, 5, 10]"))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    cfg.write_text(baseline_config.read_text().replace(
+        "pos_irs_a: [15, 5, 10]", "pos_irs_a: [15, 5]"))
+    assert main(["compare", "--config", str(cfg)]) == 1
 
 
 def test_main_config_error_exit_code(tmp_path):

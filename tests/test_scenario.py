@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from irsalloc import (
     ConfigError, DistanceTooSmall, SystemParams, build_topology,
@@ -64,6 +64,16 @@ def test_distance_too_small():
         build_topology((0, 0, 0), (15, 5, 10), (98, 5, 10), (100, 0, 0), d_min=20.0)
 
 
+def test_topology_rejects_bad_positions():
+    good = [(0, 0, 0), (15, 5, 10), (98, 5, 10), (100, 0, 0)]
+    for bad in ((math.nan, 5, 10), (math.inf, 5, 10), (15, 5), (15, 5, 10, 0)):
+        for slot in range(4):
+            nodes = list(good)
+            nodes[slot] = bad
+            with pytest.raises(ConfigError):
+                build_topology(*nodes)
+
+
 def test_triangle_inequality_random_geometry():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -78,6 +88,7 @@ def test_triangle_inequality_random_geometry():
 
 @given(st.lists(st.floats(min_value=-100.0, max_value=100.0),
                 min_size=3, max_size=3))
+@example([0.0, 1e-9, 1.0])
 def test_angle_consistency(vec):
     v = np.asarray(vec)
     r = np.linalg.norm(v)
