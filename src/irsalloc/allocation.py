@@ -4,11 +4,13 @@ The allocation problem minimizes zeta = A/x_act + B/(x_act*x_pas^2) (see
 snr.objective_constants) under the budget W_act*x_act + W_pas*x_pas <= M and
 an active amplitude >= 1.
 
-Continuous: the budget is active at the optimum. In log variables the
-objective is convex, so along the budget line it is unimodal in x_pas and a
-bracketed golden-section search finds the optimum; the tests certify it
-against a dense-grid oracle. The amplitude cap is ignored, so its rate
-bounds every integer allocation's rate from above.
+Continuous: the budget is active at the optimum. On the budget line
+x_act = (M - W_pas*x_pas)/W_act, and dzeta/dx_pas = 0 is the cubic
+c*x_pas^3 + x_pas = u0 with c = A/(3B) and u0 = 2M/(3*W_pas). Its left side
+increases strictly, so its one real root, in (0, u0], is the optimum:
+x_pas = (2/s)*sinh(asinh(1.5*u0*s)/3) with s = sqrt(A/B), and x_pas = u0
+when A = 0. The tests certify it against a dense-grid oracle. The amplitude
+cap is ignored, so its rate bounds every integer allocation's rate from above.
 
 Integer ("optimal" and "exhaustive", one exact solver): for a fixed n_act,
 zeta strictly decreases in n_pas, while the active amplitude does not depend
@@ -32,14 +34,11 @@ import numpy as np
 from .errors import InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import SystemParams, TAPR, Topology, check_scheme
-from .snr import snr_closed_form, snr_from_zeta, zeta_value
+from .snr import objective_constants, snr_closed_form, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
 # tracemalloc peak is about 50 MB (TPAR) and 32 MB (TAPR)
 MAX_SCAN_ROWS = 1_000_000
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -94,54 +93,30 @@ def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme=scheme, continuous=True)
 
 
-def _golden_section(f, lo: float, hi: float, rel_tol: float) -> tuple[float, int]:
-    """Minimize a unimodal f on [lo, hi]; returns (argmin, iterations)."""
-    span = hi - lo
-    c = lo + _INV_PHI_SQ * span
-    d = lo + _INV_PHI * span
-    fc, fd = f(c), f(d)
-    iters = 0
-    while span > rel_tol * max(abs(lo), abs(hi), 1e-300):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            span = hi - lo
-            c = lo + _INV_PHI_SQ * span
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            span = hi - lo
-            d = lo + _INV_PHI * span
-            fd = f(d)
-        iters += 1
-    return (lo + hi) / 2.0, iters
-
-
 def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
-                     tol: float = 1e-12, approx: bool = False,
+                     approx: bool = False,
                      budget: float | None = None) -> AllocationSolution:
-    """Continuous optimum on the active budget line.
+    """Continuous optimum on the active budget line: the root of
+    c*x_pas^3 + x_pas = 2M/(3*W_pas) with c = A/(3B).
 
-    approx=True minimizes the dominant-term objective instead (whose optimum
-    is the closed-form split); tol is the relative width of the final
-    golden-section bracket in x_pas.
+    approx=True minimizes the dominant-term objective instead (A = 0), whose
+    optimum is the closed-form split.
     """
     check_scheme(scheme)
     m = params.total_budget if budget is None else budget
     wa, wp = params.cost_active, params.cost_passive
     if m < wa + wp:
         raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
-
-    def zeta_on_line(x_pas: float) -> float:
-        return zeta_value(params, scheme, (m - wp * x_pas) / wa, x_pas,
-                          topo.d1, topo.d2, topo.d3, approx)
-
-    hi = m / wp
-    lo, hi = hi * 1e-12, hi * (1.0 - 1e-12)
-    x_pas, iters = _golden_section(zeta_on_line, lo, hi, tol)
+    a, b = objective_constants(params, scheme, topo.d1, topo.d2, topo.d3, approx)
+    u0 = 2.0 * m / (3.0 * wp)
+    # the hyperbolic form of the one real root; Cardano's form loses
+    # precision to cancellation when A/B is small (large d2)
+    s = math.sqrt(a / b)
+    x_pas = u0 if s == 0.0 else 2.0 / s * math.sinh(math.asinh(1.5 * u0 * s) / 3.0)
     x_act = (m - wp * x_pas) / wa
     alloc = Allocation(n_act=x_act, n_pas=x_pas, scheme=scheme, continuous=True)
-    diag = {"iterations": iters, "bracket_rel_width": tol,
-            "objective_value": zeta_on_line(x_pas)}
+    diag = {"objective_value": zeta_value(params, scheme, x_act, x_pas,
+                                          topo.d1, topo.d2, topo.d3, approx)}
     return _solution(params, topo, alloc, method="optimal", diagnostics=diag)
 
 
@@ -157,15 +132,16 @@ def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
     hi = np.maximum(hi, 0.0)  # rows that cannot afford a passive element
     if scheme == TAPR:
         return np.where(alpha_star(params, topo.d1, n_act) >= 1.0, hi, 0.0)
-    # beta* decreases in n_pas: bisect for its last value >= 1, with lo = 0
-    # standing for "no feasible n_pas" and hi + 1 known to be infeasible
-    lo = np.zeros_like(hi)
-    while np.any(lo < hi):
-        mid = np.ceil((lo + hi) / 2.0)
-        ok = beta_star(params, topo.d1, topo.d2, n_act, mid) >= 1.0
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid - 1.0)
-    return lo
+    # beta* >= 1 exactly when n_pas^2 <= q; beta* decreases in n_pas, so
+    # the floored root, corrected by beta* itself, is the last feasible n_pas
+    pt, pv = params.transmit_power, params.amp_power_budget
+    d1, d2 = topo.d1, topo.d2
+    q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
+        pt * params.ref_gain ** 2 * n_act)
+    cap = np.floor(np.sqrt(np.maximum(q, 0.0)))
+    cap -= beta_star(params, d1, d2, n_act, cap) < 1.0
+    cap += beta_star(params, d1, d2, n_act, cap + 1.0) >= 1.0
+    return np.maximum(np.minimum(hi, cap), 0.0)
 
 
 def _best_row(params: SystemParams, topo: Topology, scheme: str, n_act: np.ndarray,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reflection import alpha_star
 from .scenario import SystemParams, Topology
 from .snr import rate_from_snr
 
@@ -65,8 +66,7 @@ def _single_airs_snr(params: SystemParams, n: int, da: float, db: float) -> tupl
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     snr = (pt * pv * rho ** 2 * n
            / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
-    alpha = math.sqrt(pv * da ** 2 / ((pt * rho + sv2 * da ** 2) * n))
-    return snr, alpha
+    return snr, float(alpha_star(params, da, n))
 
 
 def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
@@ -85,20 +85,18 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Co-located hybrid surface: coherent combining of an amplified active
     sub-surface and a passive one; amplification noise through the active
     sub-path only. 1-D integer scan over the active count at each site."""
-    pt, pv = params.transmit_power, params.amp_power_budget
+    pt = params.transmit_power
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     m, wa, wp = params.total_budget, params.cost_active, params.cost_passive
     best = None
     for site, (da, db) in sorted(_site_distances(topo).items()):
-        na_max = math.floor(m / wa)
-        for na in range(1, na_max + 1):
+        alphas = alpha_star(params, da, np.arange(1.0, math.floor(m / wa) + 1.0))
+        for na, alpha in enumerate(alphas.tolist(), start=1):
             npas = math.floor((m - wa * na) / wp)
-            alpha_sq = pv * da ** 2 / ((pt * rho + sv2 * da ** 2) * na)
-            if alpha_sq < 1.0:
+            if alpha < 1.0:
                 continue
-            alpha = math.sqrt(alpha_sq)
             signal = pt * rho ** 2 * (alpha * na + npas) ** 2 / (da ** 2 * db ** 2)
-            noise = sv2 * alpha_sq * rho * na / db ** 2 + s02
+            noise = sv2 * alpha ** 2 * rho * na / db ** 2 + s02
             snr = signal / noise
             if best is None or snr > best[0]:
                 best = (snr, site, na, npas, alpha)

@@ -128,11 +128,6 @@ def write_csv(rows: list[dict], out, columns=CSV_COLUMNS):
     writer.writerows(rows)
 
 
-def run_allocate(params: SystemParams, topo: Topology, scheme: str, method: str):
-    sol = solve_integer(params, topo, scheme, method=method)
-    return sol
-
-
 def run_placement(params: SystemParams, topo: Topology, scheme: str,
                   grid_step: float, tol: float = 1e-6, max_iters: int = 20) -> list[dict]:
     """AO trace rows; grid boxes default to +/-15 m (x) and +/-5 m (y) around
@@ -328,7 +323,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "allocate":
-            sol = run_allocate(params, topo, args.scheme.upper(), args.method)
+            sol = solve_integer(params, topo, args.scheme.upper(), method=args.method)
             a = sol.allocation
             print(f"scheme={a.scheme} method={sol.method} "
                   f"n_act={a.n_act} n_pas={a.n_pas} amplitude={sol.amplitude:.6f} "

@@ -100,10 +100,6 @@ def validate_amplitude(value: float) -> float:
     return value
 
 
-def amplitude_feasible(value) -> bool:
-    return bool(np.all(np.asarray(value) >= 1.0))
-
-
 def configure(params: SystemParams, topo: Topology, alloc,
               channels: ChannelTriple | None = None) -> ReflectionConfig:
     """Optimal phases plus the optimal amplitude on the scheme's active surface."""

@@ -7,6 +7,7 @@ meters, dimensionless gains); dBm/dB appear only at the config boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,11 @@ class SystemParams:
                      "amp_noise_power", "ref_gain", "wavelength",
                      "cost_active", "cost_passive", "total_budget"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value) or value <= 0):
                 raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+            # numpy scalars would carry their own precision into the solvers
+            object.__setattr__(self, name, float(value))
         if self.ref_gain > 1.0:
             raise ConfigError("ref_gain must not exceed 1 (passive channel)")
         if self.cost_active < self.cost_passive:

@@ -1,6 +1,7 @@
 """Allocation solvers: continuous optimum, closed-form split and its literal
 rounding, and the exact integer scan against a brute-force oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -61,20 +62,35 @@ def test_solve_continuous_budget_active(params, topo):
 
 
 def test_solve_continuous_vs_dense_grid():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        params, topo = random_scenario(rng)
-        for scheme in ("TAPR", "TPAR"):
-            sol = solve_continuous(params, topo, scheme)
-            a_const, b_const = objective_constants(params, scheme, topo.d1,
-                                                   topo.d2, topo.d3)
-            m, wa, wp = (params.total_budget, params.cost_active,
-                         params.cost_passive)
-            xp = np.linspace(m / wp * 1e-6, m / wp * (1 - 1e-6), 100_000)
-            xa = (m - wp * xp) / wa
-            grid_best = np.min(a_const / xa + b_const / (xa * xp ** 2))
-            gap = (sol.diagnostics["objective_value"] - grid_best) / grid_best
-            assert gap <= 1e-8
+    # far_apart reaches the small-A/B end of the closed-form root, approx
+    # its A = 0 branch
+    for far_apart in (False, True):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            params, topo = random_scenario(rng, far_apart=far_apart)
+            for scheme, approx in itertools.product(("TAPR", "TPAR"), (False, True)):
+                sol = solve_continuous(params, topo, scheme, approx=approx)
+                a_const, b_const = objective_constants(params, scheme, topo.d1,
+                                                       topo.d2, topo.d3, approx)
+                m, wa, wp = (params.total_budget, params.cost_active,
+                             params.cost_passive)
+                xp = np.linspace(m / wp * 1e-6, m / wp * (1 - 1e-6), 100_000)
+                xa = (m - wp * xp) / wa
+                grid_best = np.min(a_const / xa + b_const / (xa * xp ** 2))
+                gap = (sol.diagnostics["objective_value"] - grid_best) / grid_best
+                assert gap <= 1e-8
+
+
+def test_solve_continuous_root_below_split_far_apart(params):
+    # at d2 ~ 1e6 m, A/B is so small that the root lies under 5e-10 relative
+    # below u0 = 2M/(3*W_pas); the computed root must stay below u0
+    topo = build_topology((0.0, 0.0, 0.0), (15.0, 5.0, 10.0),
+                          (1e6, 5.0, 10.0), (1e6 + 2.0, 0.0, 0.0))
+    u0 = 2.0 * params.total_budget / (3.0 * params.cost_passive)
+    for scheme in ("TAPR", "TPAR"):
+        n_pas = solve_continuous(params, topo, scheme).allocation.n_pas
+        assert n_pas < u0
+        assert n_pas == pytest.approx(u0, rel=1e-8)
 
 
 def test_objective_midpoint_convexity(params, topo):

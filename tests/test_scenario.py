@@ -123,6 +123,19 @@ def test_params_validation():
         baseline_params(rx_noise_power=0.0)
 
 
+def test_params_accept_real_scalars_only():
+    with pytest.raises(ConfigError):
+        baseline_params(transmit_power=True)
+    with pytest.raises(ConfigError):
+        baseline_params(transmit_power="1.0")
+    params = baseline_params(amp_power_budget=np.float32(0.05),
+                             cost_active=np.int64(3), total_budget=1500)
+    for name in ("amp_power_budget", "cost_active", "total_budget"):
+        assert type(getattr(params, name)) is float
+    assert params.amp_power_budget == float(np.float32(0.05))
+    assert params.cost_active == 3.0
+
+
 def test_load_scenario_matches_direct_construction(baseline_config):
     params, topo = load_scenario(baseline_config)
     ref = baseline_params()
