@@ -27,11 +27,12 @@ n_act = max(1, round(M/(3*W_act))).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasibleBudget, SearchSpaceTooLarge
+from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import SystemParams, TAPR, Topology, check_scheme
 from .snr import objective_constants, snr_closed_form, snr_from_zeta, zeta_value
@@ -84,6 +85,17 @@ def _solution(params: SystemParams, topo: Topology, alloc: Allocation,
                               diagnostics=diagnostics or {})
 
 
+def _budget(params: SystemParams, budget) -> float:
+    """The total budget, or the override after the real-number check that
+    SystemParams applies to total_budget; feasibility is left to the solver."""
+    if budget is None:
+        return params.total_budget
+    if (not isinstance(budget, numbers.Real) or isinstance(budget, bool)
+            or not math.isfinite(budget)):
+        raise ConfigError(f"budget must be a finite number, got {budget!r}")
+    return float(budget)
+
+
 def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme: str) -> Allocation:
     """Near-optimal continuous split: a third of the budget on active elements."""
@@ -103,7 +115,7 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     optimum is the closed-form split.
     """
     check_scheme(scheme)
-    m = params.total_budget if budget is None else budget
+    m = _budget(params, budget)
     wa, wp = params.cost_active, params.cost_passive
     if m < wa + wp:
         raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
@@ -166,7 +178,7 @@ def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
                       budget: float | None = None) -> AllocationSolution:
     """Exact integer optimum: a scan over every affordable n_act."""
     check_scheme(scheme)
-    m = params.total_budget if budget is None else budget
+    m = _budget(params, budget)
     # one spare row covers rounding in the quotient; unaffordable rows drop out
     rows = max(1, math.floor((m - params.cost_passive) / params.cost_active) + 1)
     if rows > MAX_SCAN_ROWS:
@@ -179,7 +191,7 @@ def solve_integer(params: SystemParams, topo: Topology, scheme: str,
                   method: str = "optimal", budget: float | None = None) -> AllocationSolution:
     """Integer allocation: the exact scan ("optimal" and "exhaustive") or the
     literal rounding of the closed-form split ("closed-form")."""
-    m = params.total_budget if budget is None else budget
+    m = _budget(params, budget)
     if method in ("optimal", "exhaustive"):
         sol = exhaustive_search(params, topo, scheme, budget=m)
         return replace(sol, method=method)

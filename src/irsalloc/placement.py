@@ -1,9 +1,15 @@
 """Alternating optimization of IRS positions and element allocation.
 
-The placement step is a joint brute-force scan over both surfaces' grid
-positions (heights fixed); the allocation step is the exact integer solver.
-Each step maximizes its own block exactly, so the rate trace is
-non-decreasing.
+The placement step is an exact grid argmax over both surfaces' (x, y)
+positions (heights fixed). With the allocation fixed, zeta rises with each of
+d1, d2 and d3, so the SNR of a block of candidates is bounded by its value
+at the block's smallest distances. Each grid axis is cut into blocks of
+BLOCK_POINTS points; block pairs (an A-block with a B-block) are visited in
+descending bound order, each evaluated exactly, until the next bound falls
+below the best SNR found. The scan holds one block pair's candidates, the
+per-surface distance grids and one bound per block pair, never the joint grid.
+The allocation step is the exact integer solver. Each step maximizes its own
+block exactly, so the rate trace is non-decreasing.
 """
 
 from __future__ import annotations
@@ -14,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, solve_integer
-from .errors import NoFeasiblePlacement
+from .errors import ConfigError, NoFeasiblePlacement
 from .reflection import alpha_star, beta_star
 from .scenario import SystemParams, TAPR, Topology, build_topology, check_scheme
 from .snr import snr_from_zeta, zeta_value
+
+# points per block along each grid axis; one block pair holds at most
+# BLOCK_POINTS**4 candidates
+BLOCK_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -33,11 +43,13 @@ class PlacementGrid:
     d_min: float = 1.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be > 0")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"grid step must be a finite number > 0, got {self.step!r}")
         for lo, hi in (self.xa_bounds, self.ya_bounds, self.xb_bounds, self.yb_bounds):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"grid bounds must be finite, got ({lo}, {hi})")
             if hi < lo:
-                raise ValueError(f"degenerate bounds ({lo}, {hi})")
+                raise ConfigError(f"degenerate bounds ({lo}, {hi})")
 
     def axis(self, bounds: tuple[float, float]) -> np.ndarray:
         lo, hi = bounds
@@ -70,43 +82,101 @@ class AOTrace:
 def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
                                         grid: PlacementGrid, pos_tx,
                                         pos_rx) -> Topology:
-    """Joint grid-argmax of the closed-form rate over both surface positions.
+    """Exact grid-argmax of the closed-form rate over both surface positions.
 
-    Ties (within 1e-12 relative) resolve to the smallest x_A, then smallest
-    x_B, then smallest y_A, y_B.
+    Branch and bound over block pairs (see the module docstring). Ties
+    (within 1e-12 relative) resolve to the smallest x_A, then smallest x_B,
+    then smallest y_A, y_B.
     """
     check_scheme(alloc.scheme)
+    scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
     tx = np.asarray(pos_tx, dtype=float)
     rx = np.asarray(pos_rx, dtype=float)
     xa = grid.axis(grid.xa_bounds)
     ya = grid.axis(grid.ya_bounds)
     xb = grid.axis(grid.xb_bounds)
     yb = grid.axis(grid.yb_bounds)
-    # open grids; the C-order flat index matches the tie-break priority
-    gxa, gxb, gya, gyb = np.meshgrid(xa, xb, ya, yb, indexing="ij", sparse=True)
-    h = grid.height
+    h, d_min = grid.height, grid.d_min
 
-    d1 = np.sqrt((gxa - tx[0]) ** 2 + (gya - tx[1]) ** 2 + (h - tx[2]) ** 2)
-    d2 = np.sqrt((gxb - gxa) ** 2 + (gyb - gya) ** 2)
-    d3 = np.sqrt((rx[0] - gxb) ** 2 + (rx[1] - gyb) ** 2 + (rx[2] - h) ** 2)
-    feasible = (d1 >= grid.d_min) & (d2 >= grid.d_min) & (d3 >= grid.d_min)
-    if alloc.scheme == TAPR:
-        feasible &= alpha_star(params, d1, alloc.n_act) >= 1.0
-    else:
-        feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
-    if not feasible.any():
+    # Candidates are indexed (ixa, ixb, iya, iyb); C order over that index
+    # is the tie-break priority. d1 is a grid over (ixa, iya), d3 over
+    # (ixb, iyb), and d2 is built per block pair from the squared axis gaps.
+    d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
+    d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
+    gap_x = (xb[None, :] - xa[:, None]) ** 2
+    gap_y = (yb[None, :] - ya[:, None]) ** 2
+    ok_a = d1 >= d_min
+    if scheme == TAPR:
+        ok_a &= alpha_star(params, d1, n_act) >= 1.0
+    ok_b = d3 >= d_min
+
+    # Bound of a block pair: the SNR at the pair's smallest d1, d2 and d3.
+    # Each is the minimum of the very float values the pair's candidates use;
+    # for d2, the smallest squared x gap plus the smallest squared y gap over
+    # the pair's grid values (never below the squared box-to-box gap
+    # max(0, lo_b - hi_a, lo_a - hi_b) on each axis). From there every step
+    # to the SNR is monotone under IEEE round-to-nearest: adding non-negative
+    # terms, sqrt, squaring a distance and multiplying positive factors never
+    # decrease, and snr = C/zeta never increases in zeta. A and B
+    # (objective_constants) are positive constants times squared distances,
+    # so a pair's bound is at or above each of its candidates' computed SNR
+    # bit for bit, not only in exact arithmetic. The d_min and amplitude
+    # tests only remove candidates, so they leave it a bound.
+    sxa, sya, sxb, syb = (np.arange(0, len(v), BLOCK_POINTS) for v in (xa, ya, xb, yb))
+    d1_lo = _block_min(d1, sxa, sya)
+    d3_lo = _block_min(d3, sxb, syb)
+    d2_lo = np.sqrt(_block_min(gap_x, sxa, sxb)[:, :, None, None]
+                    + _block_min(gap_y, sya, syb)[None, None, :, :])
+    with np.errstate(divide="ignore"):
+        bound = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas,
+                                                 d1_lo[:, None, :, None], d2_lo,
+                                                 d3_lo[None, :, None, :]))
+
+    near = 1.0 - 1e-12  # relative tie tolerance
+    best = -math.inf
+    hits = []  # (snr, ixa, ixb, iya, iyb) arrays of the near-ties seen so far
+    for k in np.argsort(-bound, axis=None, kind="stable"):
+        # the pairs left have no candidate within the tie tolerance of best;
+        # while best is -inf nothing is pruned
+        if bound.flat[k] < best * near:
+            break
+        bxa, bxb, bya, byb = np.unravel_index(k, bound.shape)
+        ia = slice(sxa[bxa], sxa[bxa] + BLOCK_POINTS)
+        ib = slice(sxb[bxb], sxb[bxb] + BLOCK_POINTS)
+        ja = slice(sya[bya], sya[bya] + BLOCK_POINTS)
+        jb = slice(syb[byb], syb[byb] + BLOCK_POINTS)
+        p1 = d1[ia, ja][:, None, :, None]
+        p2 = np.sqrt(gap_x[ia, ib][:, :, None, None] + gap_y[ja, jb][None, None, :, :])
+        p3 = d3[ib, jb][None, :, None, :]
+        feasible = ok_a[ia, ja][:, None, :, None] & ok_b[ib, jb][None, :, None, :] \
+            & (p2 >= d_min)
+        if scheme != TAPR:
+            feasible &= beta_star(params, p1, p2, n_act, n_pas) >= 1.0
+        if not feasible.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas, p1, p2, p3))
+        snr = np.where(feasible, snr, -np.inf)
+        top = float(snr.max())
+        if top < best * near:
+            continue
+        best = max(best, top)
+        idx = np.nonzero(snr >= best * near)
+        hits.append((snr[idx], idx[0] + ia.start, idx[1] + ib.start,
+                     idx[2] + ja.start, idx[3] + jb.start))
+    if best == -math.inf:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = snr_from_zeta(params, zeta_value(params, alloc.scheme,
-                                               alloc.n_act, alloc.n_pas, d1, d2, d3))
-    snr = np.where(feasible, snr, -np.inf)
-    best = float(np.max(snr))
-    # first index among near-ties is the lexicographically smallest placement
-    ixa, ixb, iya, iyb = np.unravel_index(
-        np.flatnonzero(snr >= best * (1.0 - 1e-12))[0], snr.shape)
+    snr, *index = (np.concatenate(col) for col in zip(*hits))
+    tied = snr >= best * near
+    ixa, ixb, iya, iyb = min(zip(*(i[tied] for i in index)))
     return build_topology(tx, (xa[ixa], ya[iya], h), (xb[ixb], yb[iyb], h), rx,
-                          d_min=grid.d_min)
+                          d_min=d_min)
+
+
+def _block_min(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Minimum of a 2-D array over each (row block, column block)."""
+    return np.minimum.reduceat(np.minimum.reduceat(values, rows, axis=0), cols, axis=1)
 
 
 def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsalloc import (Allocation, SystemParams, build_topology, dbm_to_watts,
-                      snr_closed_form)
-from irsalloc.reflection import optimal_amplitude
+from irsalloc import (Allocation, NoFeasiblePlacement, SystemParams, TAPR,
+                      build_topology, dbm_to_watts, snr_closed_form)
+from irsalloc.reflection import alpha_star, beta_star, optimal_amplitude
+from irsalloc.snr import snr_from_zeta, zeta_value
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +81,46 @@ def brute_force_allocation(params: SystemParams, topo, scheme: str,
                 n_pas += 1
         n_act += 1
     return None if best is None else (best[2], best[1])
+
+
+def full_grid_placement(params: SystemParams, alloc, grid, pos_tx, pos_rx):
+    """Joint grid-argmax of the closed-form rate over every candidate
+    placement at once; the oracle for the pruned placement scan.
+
+    Ties (within 1e-12 relative) resolve to the smallest x_A, then smallest
+    x_B, then smallest y_A, y_B. Memory grows as the grid step to the -4.
+    """
+    tx = np.asarray(pos_tx, dtype=float)
+    rx = np.asarray(pos_rx, dtype=float)
+    xa = grid.axis(grid.xa_bounds)
+    ya = grid.axis(grid.ya_bounds)
+    xb = grid.axis(grid.xb_bounds)
+    yb = grid.axis(grid.yb_bounds)
+    # open grids; the C-order flat index matches the tie-break priority
+    gxa, gxb, gya, gyb = np.meshgrid(xa, xb, ya, yb, indexing="ij", sparse=True)
+    h = grid.height
+
+    d1 = np.sqrt((gxa - tx[0]) ** 2 + (gya - tx[1]) ** 2 + (h - tx[2]) ** 2)
+    d2 = np.sqrt((gxb - gxa) ** 2 + (gyb - gya) ** 2)
+    d3 = np.sqrt((rx[0] - gxb) ** 2 + (rx[1] - gyb) ** 2 + (rx[2] - h) ** 2)
+    feasible = (d1 >= grid.d_min) & (d2 >= grid.d_min) & (d3 >= grid.d_min)
+    if alloc.scheme == TAPR:
+        feasible &= alpha_star(params, d1, alloc.n_act) >= 1.0
+    else:
+        feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
+    if not feasible.any():
+        raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = snr_from_zeta(params, zeta_value(params, alloc.scheme,
+                                               alloc.n_act, alloc.n_pas, d1, d2, d3))
+    snr = np.where(feasible, snr, -np.inf)
+    best = float(np.max(snr))
+    # first index among near-ties is the lexicographically smallest placement
+    ixa, ixb, iya, iyb = np.unravel_index(
+        np.flatnonzero(snr >= best * (1.0 - 1e-12))[0], snr.shape)
+    return build_topology(tx, (xa[ixa], ya[iya], h), (xb[ixb], yb[iyb], h), rx,
+                          d_min=grid.d_min)
 
 
 @pytest.fixture(scope="session")

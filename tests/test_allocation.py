@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irsalloc import (
-    Allocation, InfeasibleBudget, SearchSpaceTooLarge, SystemParams,
+    Allocation, ConfigError, InfeasibleBudget, SearchSpaceTooLarge, SystemParams,
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
@@ -211,6 +211,15 @@ def test_exhaustive_guard(params, topo):
         exhaustive_search(params, topo, "TAPR", budget=1e8)
     # 2e5 rows are within the bound
     assert solve_integer(params, topo, "TAPR", budget=1e6).allocation.n_act >= 1
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, True])
+def test_budget_override_must_be_finite_real(params, topo, budget):
+    with pytest.raises(ConfigError):
+        solve_continuous(params, topo, "TAPR", budget=budget)
+    for method in ("optimal", "closed-form"):
+        with pytest.raises(ConfigError):
+            solve_integer(params, topo, "TPAR", method=method, budget=budget)
 
 
 def test_infeasible_budget(params, topo):

@@ -215,6 +215,14 @@ def test_main_sweep_writes_csv(baseline_config, tmp_path):
         ("1500", "tapr"), ("1500", "double-pirs")]
 
 
+@pytest.mark.parametrize("step", ["0", "nan"])
+def test_main_placement_bad_grid_step(baseline_config, capsys, step):
+    assert main(["placement", "--config", str(baseline_config),
+                 "--grid-step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid step") and "Traceback" not in err
+
+
 def test_main_compare_and_verify(baseline_config, capsys):
     assert main(["compare", "--config", str(baseline_config)]) == 0
     out = capsys.readouterr().out
@@ -222,3 +230,5 @@ def test_main_compare_and_verify(baseline_config, capsys):
     assert main(["verify", "--config", str(baseline_config), "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+    # the solver beats every dense-grid point, so the signed gap is negative
+    assert "worst objective gap -" in out

@@ -1,13 +1,18 @@
 """Grid placement search and the alternating placement/allocation loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsalloc import (
     Allocation, NoFeasiblePlacement, PlacementGrid, alternating_optimize,
-    build_topology, optimize_placement_given_allocation, snr_closed_form,
+    build_topology, dbm_to_watts, optimize_placement_given_allocation,
+    snr_closed_form,
 )
-from conftest import baseline_params
+from irsalloc.reflection import alpha_star, beta_star
+from conftest import baseline_params, full_grid_placement
 
 TX = (0.0, 0.0, 0.0)
 RX = (100.0, 0.0, 0.0)
@@ -108,3 +113,114 @@ def test_ao_wider_box_no_worse(params):
                               step=2.0, height=10.0, d_min=1.0)
     wide = alternating_optimize(params, wide_grid, "TAPR", TX, RX)
     assert wide.iterations[-1].rate >= narrow.iterations[-1].rate - 1e-9
+
+
+# ---------------------------------------- pruned scan vs the full-grid oracle
+
+def same_placement(params, alloc, grid, tx, rx):
+    """Assert the pruned scan and the full-grid oracle agree, including on
+    NoFeasiblePlacement."""
+    try:
+        expected = full_grid_placement(params, alloc, grid, tx, rx)
+    except NoFeasiblePlacement:
+        with pytest.raises(NoFeasiblePlacement):
+            optimize_placement_given_allocation(params, alloc, grid, tx, rx)
+        return None
+    topo = optimize_placement_given_allocation(params, alloc, grid, tx, rx)
+    assert (topo.pos_irs_a, topo.pos_irs_b) == (expected.pos_irs_a, expected.pos_irs_b)
+    return topo
+
+
+@st.composite
+def placement_cases(draw):
+    """Boxes of up to 30 points per axis (several blocks each), with Pv low
+    enough for the amplitude test to remove most or all of the grid and
+    d_min large enough to remove every candidate."""
+    step = draw(st.floats(0.2, 3.0))
+
+    def box(lo, hi):
+        start = draw(st.floats(lo, hi))
+        return start, start + step * (draw(st.integers(1, 30)) - 1 + draw(st.floats(0.0, 0.9)))
+
+    params = baseline_params(amp_power_budget=dbm_to_watts(draw(st.floats(-50.0, 25.0))))
+    grid = PlacementGrid(xa_bounds=box(-10.0, 40.0), ya_bounds=box(-15.0, 10.0),
+                         xb_bounds=box(45.0, 120.0), yb_bounds=box(-15.0, 10.0),
+                         step=step, height=draw(st.floats(0.0, 15.0)),
+                         d_min=draw(st.sampled_from((0.5, 1.0, 10.0, 60.0))))
+    tx = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)), 0.0)
+    rx = (draw(st.floats(100.0, 160.0)), draw(st.floats(-10.0, 10.0)), 0.0)
+    alloc = Allocation(draw(st.integers(1, 300)), draw(st.integers(1, 3000)),
+                       draw(st.sampled_from(("TAPR", "TPAR"))))
+    return params, alloc, grid, tx, rx
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement_cases())
+def test_pruned_scan_matches_full_grid_property(case):
+    same_placement(*case)
+
+
+@pytest.mark.parametrize("scheme, pv_dbm", [("TAPR", -20.0), ("TPAR", -27.0)])
+def test_pruned_scan_matches_full_grid_when_amplitude_rules_out_most(scheme, pv_dbm):
+    params = baseline_params(amp_power_budget=dbm_to_watts(pv_dbm))
+    grid = PlacementGrid(xa_bounds=(0.0, 29.0), ya_bounds=(-14.0, 15.0),
+                         xb_bounds=(80.0, 109.0), yb_bounds=(-14.0, 15.0),
+                         step=1.0, height=10.0, d_min=1.0)
+    alloc = Allocation(100, 1000, scheme)
+    # TAPR: only A-positions far enough from Tx keep alpha* >= 1; TPAR:
+    # only placements with a long d1*d2 product keep beta* >= 1
+    xa, ya = grid.axis(grid.xa_bounds), grid.axis(grid.ya_bounds)
+    xb, yb = grid.axis(grid.xb_bounds), grid.axis(grid.yb_bounds)
+    d1 = np.sqrt(xa[:, None, None, None] ** 2 + ya[None, None, :, None] ** 2 + 100.0)
+    d2 = np.hypot(xb[None, :, None, None] - xa[:, None, None, None],
+                  yb[None, None, None, :] - ya[None, None, :, None])
+    amp = (alpha_star(params, d1, alloc.n_act) if scheme == "TAPR"
+           else beta_star(params, d1, d2, alloc.n_act, alloc.n_pas))
+    assert 0.0 < np.mean(np.broadcast_to(amp, (30,) * 4) >= 1.0) < 0.1
+    assert same_placement(params, alloc, grid, TX, RX) is not None
+
+
+def test_pruned_scan_nothing_feasible_across_blocks(params):
+    # 20 points per axis, so several block pairs; d_min exceeds every d2
+    grid = PlacementGrid(xa_bounds=(10.0, 29.0), ya_bounds=(0.0, 19.0),
+                         xb_bounds=(30.0, 49.0), yb_bounds=(0.0, 19.0),
+                         step=1.0, height=10.0, d_min=60.0)
+    for scheme in ("TAPR", "TPAR"):
+        with pytest.raises(NoFeasiblePlacement):
+            optimize_placement_given_allocation(
+                params, Allocation(100, 1000, scheme), grid, TX, RX)
+
+
+def test_tie_across_blocks_takes_smallest_placement(params):
+    # Tx, Rx and the only B-row lie on y = 0 and the surfaces at Tx height,
+    # so every distance depends on |y_A| alone. d_min = 5 on d1 = |y_A|
+    # leaves y_A = -5 and y_A = 5 as exact ties; they sit in different
+    # y-blocks (-10..-3 and -2..5), and the block holding y_A = 5 has the
+    # larger bound, so it is visited first.
+    grid = PlacementGrid(xa_bounds=(0.0, 0.0), ya_bounds=(-10.0, 10.0),
+                         xb_bounds=(90.0, 95.0), yb_bounds=(0.0, 0.0),
+                         step=1.0, height=0.0, d_min=5.0)
+    alloc = Allocation(100, 1000, "TAPR")
+    topo = same_placement(params, alloc, grid, TX, RX)
+    assert topo.pos_irs_a == (0.0, -5.0, 0.0)
+    mirror = build_topology(TX, (0.0, 5.0, 0.0), topo.pos_irs_b, RX, d_min=5.0)
+    assert snr_closed_form(params, mirror, alloc).snr == \
+        snr_closed_form(params, topo, alloc).snr
+
+
+def test_fine_step_memory_bounded(params, topo):
+    # the baseline +/-15 m x +/-5 m boxes at 0.2 m hold 58M candidates,
+    # about 2 GB for a scan that holds them all at once
+    xa, ya, h = topo.pos_irs_a
+    xb, yb, _ = topo.pos_irs_b
+    grid = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
+                         xb_bounds=(xb - 15.0, xb + 15.0), yb_bounds=(yb - 5.0, yb + 5.0),
+                         step=0.2, height=h, d_min=1.0)
+    tracemalloc.start()
+    try:
+        optimize_placement_given_allocation(params, Allocation(100, 1000, "TAPR"),
+                                            grid, topo.pos_tx, topo.pos_rx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
