@@ -148,8 +148,8 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
         p1 = d1[ia, ja][:, None, :, None]
         p2 = np.sqrt(gap_x[ia, ib][:, :, None, None] + gap_y[ja, jb][None, None, :, :])
         p3 = d3[ib, jb][None, :, None, :]
-        feasible = ok_a[ia, ja][:, None, :, None] & ok_b[ib, jb][None, :, None, :] \
-            & (p2 >= d_min)
+        feasible = (ok_a[ia, ja][:, None, :, None] & ok_b[ib, jb][None, :, None, :]
+                    & (p2 >= d_min))
         if scheme != TAPR:
             feasible &= beta_star(params, p1, p2, n_act, n_pas) >= 1.0
         if not feasible.any():
