@@ -5,13 +5,12 @@ from .allocation import Allocation, AllocationSolution, closed_form_split, \
     exhaustive_search, solve_continuous, solve_integer
 from .benchmarks import BenchmarkResult, run_benchmark
 from .channel import ChannelTriple, build_channels, steering, upa_response
-from .errors import (AmplitudeBelowOne, ConditionUndefined, ConfigError,
-                     DimensionMismatch, DistanceTooSmall, InfeasibleBudget,
-                     IrsAllocError, NoFeasiblePlacement, SearchSpaceTooLarge)
+from .errors import (ConditionUndefined, ConfigError, DimensionMismatch,
+                     DistanceTooSmall, InfeasibleBudget, IrsAllocError,
+                     NoFeasiblePlacement, SearchSpaceTooLarge)
 from .placement import AOTrace, PlacementGrid, alternating_optimize, \
     optimize_placement_given_allocation
-from .reflection import ReflectionConfig, configure, optimal_alpha_tapr, \
-    optimal_beta_tpar, optimal_phases, validate_amplitude
+from .reflection import ReflectionConfig, configure, optimal_phases
 from .scenario import (SCHEMES, TAPR, TPAR, SystemParams, Topology,
                        build_topology, db_to_linear, dbm_to_watts,
                        direction_angles, free_space_ref_gain, linear_to_db,

@@ -14,10 +14,6 @@ class DimensionMismatch(IrsAllocError):
     """Channel/reflection dimensions are inconsistent."""
 
 
-class AmplitudeBelowOne(IrsAllocError):
-    """Optimal amplification factor fell below 1 (infeasible operating point)."""
-
-
 class ConditionUndefined(IrsAllocError):
     """The large-distance regime condition is undefined for these parameters."""
 

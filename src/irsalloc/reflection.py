@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTriple, build_channels
-from .errors import AmplitudeBelowOne
 from .scenario import SystemParams, TAPR, Topology, check_scheme
 
 TWO_PI = 2.0 * np.pi
@@ -77,27 +76,13 @@ def beta_star(params: SystemParams, d1, d2, x_act, x_pas):
                    (pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2 + d2 ** 2 * sv2 * x_act))
 
 
-def optimal_alpha_tapr(params: SystemParams, topo: Topology, alloc) -> float:
-    return float(alpha_star(params, topo.d1, alloc.n_act))
-
-
-def optimal_beta_tpar(params: SystemParams, topo: Topology, alloc) -> float:
-    return float(beta_star(params, topo.d1, topo.d2, alloc.n_act, alloc.n_pas))
-
-
 def optimal_amplitude(params: SystemParams, topo: Topology, alloc) -> float:
+    """The active surface's amplification factor: alpha* for TAPR, beta* for
+    TPAR."""
     check_scheme(alloc.scheme)
     if alloc.scheme == TAPR:
-        return optimal_alpha_tapr(params, topo, alloc)
-    return optimal_beta_tpar(params, topo, alloc)
-
-
-def validate_amplitude(value: float) -> float:
-    """Return the amplitude, raising AmplitudeBelowOne for values < 1."""
-    if value < 1.0:
-        raise AmplitudeBelowOne(
-            f"amplification factor {value:.6g} < 1: budget too small for the active count")
-    return value
+        return float(alpha_star(params, topo.d1, alloc.n_act))
+    return float(beta_star(params, topo.d1, topo.d2, alloc.n_act, alloc.n_pas))
 
 
 def configure(params: SystemParams, topo: Topology, alloc,

@@ -5,17 +5,25 @@ signal-level power meter used as an independent oracle.
 
 With the active surface's amplitude at its optimum, both orders share one
 closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
-constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta."""
+constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta.
+
+The Monte-Carlo meter draws every sample's noise explicitly, in fixed blocks
+that each own a seed stream spawned from the caller's seed. The blocks run on
+a thread pool and their sums are combined in block order, so a seed gives
+the same number for any worker count."""
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelTriple, build_channels
-from .errors import ConditionUndefined, DimensionMismatch
+from .errors import ConditionUndefined, ConfigError, DimensionMismatch
 from .reflection import ReflectionConfig, alpha_star, beta_star
 from .scenario import SystemParams, TAPR, Topology, check_scheme
 
@@ -200,19 +208,40 @@ def compare_schemes(params: SystemParams, topo: Topology) -> SchemeComparison:
 
 # ----------------------------------------------------------------- simulation
 
+# Samples per block. Part of the mapping from seed to number: changing it
+# changes every Monte-Carlo result.
+_MC_BLOCK = 8192
+# Threads that run the blocks, one per CPU this process may use
+# (sched_getaffinity is missing on macOS and Windows). Any value gives the
+# same result.
+_MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
 def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
                            reflection: ReflectionConfig, num_samples: int,
-                           seed: int, block_size: int = 100_000) -> LinkBudget:
+                           seed: int) -> LinkBudget:
     """Sample-level SNR estimate from the received-signal model.
 
     Unit-modulus symbols, per-element circular complex Gaussian amplification
     noise (variance sigma_v^2) and receiver noise (sigma_0^2) are drawn
     explicitly; signal and noise parts are tracked separately and the SNR is
-    the ratio of their sample powers. Deterministic for a given seed (fixed
-    block partitioning of the sample index space).
+    the ratio of their sample powers.
+
+    The samples are cut into blocks of _MC_BLOCK. Block k draws from its own
+    stream, SeedSequence(seed).spawn(n_blocks)[k], and the blocks run on a
+    pool of _MC_WORKERS threads. The per-block sums are combined in block
+    order with math.fsum, so the result depends on the seed alone: the same
+    number for any worker count and any order in which blocks finish.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    if (not isinstance(num_samples, numbers.Integral) or isinstance(num_samples, bool)
+            or num_samples < 1):
+        raise ConfigError(f"num_samples must be an integer >= 1, got {num_samples!r}")
+    # imported here, not at the top: concurrent.futures pulls in logging,
+    # which would add about 12 ms to every start of the library and CLI
+    from concurrent.futures import ThreadPoolExecutor
+
+    num_samples = int(num_samples)
     channels = build_channels(params, topo, alloc)
     psi = reflection.first_matrix()
     phi = reflection.second_matrix()
@@ -220,25 +249,34 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     through_both = through_second @ channels.s @ psi
     cascade = through_both @ channels.g
     noise_weights = through_both if alloc.scheme == TAPR else through_second
-    n_elem = noise_weights.shape[0]
+    # one complex weight per column of a sample row: the elements'
+    # amplification noise, then the receiver noise in the last column
+    weights = np.append(math.sqrt(params.amp_noise_power / 2.0) * noise_weights,
+                        math.sqrt(params.rx_noise_power / 2.0))
+    n_cols = weights.shape[0]
 
-    sv = math.sqrt(params.amp_noise_power / 2.0)
-    s0 = math.sqrt(params.rx_noise_power / 2.0)
-    rng = np.random.default_rng(seed)
-    signal_acc = 0.0
-    noise_acc = 0.0
-    done = 0
-    while done < num_samples:
-        m = min(block_size, num_samples - done)
+    n_blocks = -(-num_samples // _MC_BLOCK)
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    buffers = threading.local()
+
+    def block_sums(k: int) -> tuple[float, float]:
+        m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
+        buf = getattr(buffers, "buf", None)
+        if buf is None:
+            buf = buffers.buf = np.empty((_MC_BLOCK, 2 * n_cols))
+        rng = np.random.default_rng(streams[k])
         symbols = np.exp(2j * math.pi * rng.random(m))
-        v = sv * (rng.standard_normal((m, n_elem)) + 1j * rng.standard_normal((m, n_elem)))
-        n0 = s0 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        signal_acc += float(np.sum(np.abs(cascade * symbols) ** 2))
-        noise_acc += float(np.sum(np.abs(v @ noise_weights + n0) ** 2))
-        done += m
+        rng.standard_normal(out=buf[:m])
+        # einsum, not @: BLAS threads would spin against the pool's threads
+        received = np.einsum("ij,j->i", buf[:m].view(np.complex128), weights)
+        return (float(np.sum(np.abs(cascade * symbols) ** 2)),
+                float(np.sum(np.abs(received) ** 2)))
 
-    signal = signal_acc / num_samples * params.transmit_power
-    noise = noise_acc / num_samples
+    with ThreadPoolExecutor(max_workers=_MC_WORKERS) as pool:
+        sums = list(pool.map(block_sums, range(n_blocks)))
+
+    signal = math.fsum(s for s, _ in sums) / num_samples * params.transmit_power
+    noise = math.fsum(n for _, n in sums) / num_samples
     snr = math.inf if noise == 0.0 else signal / noise
     return LinkBudget(scheme=alloc.scheme, snr=snr, rate=rate_from_snr(snr),
                       signal_power=signal, amp_noise_power_at_rx=None,

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irsalloc import (
-    Allocation, AmplitudeBelowOne, build_channels, build_topology,
-    optimal_alpha_tapr, optimal_beta_tpar, optimal_phases, validate_amplitude,
-)
-from irsalloc.reflection import alpha_star, beta_star, configure
+from irsalloc import Allocation, build_channels, build_topology, optimal_phases
+from irsalloc.reflection import alpha_star, beta_star, configure, optimal_amplitude
 from conftest import baseline_params, random_scenario
 
 
@@ -63,7 +60,7 @@ def test_alpha_star_pin(topo):
     params = baseline_params()
     pv = params.amp_power_budget
     expected = math.sqrt(pv * 350.0 / ((0.1 * 1e-3 + 350.0 * 1e-11) * 100.0))
-    assert optimal_alpha_tapr(params, topo, Allocation(100, 1000, "TAPR")) \
+    assert optimal_amplitude(params, topo, Allocation(100, 1000, "TAPR")) \
         == pytest.approx(expected, rel=1e-12)
 
 
@@ -71,8 +68,8 @@ def test_alpha_scales_with_sqrt_power(topo):
     params = baseline_params()
     quad = baseline_params(amp_power_budget=4.0 * params.amp_power_budget)
     alloc = Allocation(50, 500, "TAPR")
-    assert optimal_alpha_tapr(quad, topo, alloc) == pytest.approx(
-        2.0 * optimal_alpha_tapr(params, topo, alloc), rel=1e-12)
+    assert optimal_amplitude(quad, topo, alloc) == pytest.approx(
+        2.0 * optimal_amplitude(params, topo, alloc), rel=1e-12)
 
 
 def test_beta_star_pin():
@@ -83,7 +80,7 @@ def test_beta_star_pin():
     pt = pv = sv2 = 0.01
     rho = params.ref_gain
     expected = math.sqrt(pv * 100.0 / (pt * rho ** 2 / 100.0 + 100.0 * sv2))
-    got = optimal_beta_tpar(params, topo, Allocation(1, 1, "TPAR"))
+    got = optimal_amplitude(params, topo, Allocation(1, 1, "TPAR"))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -123,13 +120,6 @@ def test_passive_surface_amplitude_is_one(params, topo):
     assert pa.amp_first == 1.0 and pa.amp_second >= 1.0
 
 
-def test_validate_amplitude():
-    assert validate_amplitude(3.2) == 3.2
-    assert validate_amplitude(1.0) == 1.0
-    with pytest.raises(AmplitudeBelowOne):
-        validate_amplitude(0.4)
-
-
 def test_carrier_phase_independence(params, topo):
     # the same geometry at a different wavelength shifts every carrier
     # phase but leaves the co-phased cascade magnitude unchanged
@@ -144,6 +134,10 @@ def test_carrier_phase_independence(params, topo):
 
 
 def test_alpha_below_one_possible(topo):
-    # a huge active count starves the per-element power budget
+    # a huge active count starves the per-element power budget, and for TPAR
+    # so does a huge passive gain ahead of the active surface; the amplitude
+    # is reported below 1, neither clamped nor raised
     params = baseline_params(total_budget=1e7)
     assert alpha_star(params, topo.d1, 1e6) < 1.0
+    assert optimal_amplitude(params, topo, Allocation(1e6, 10, "TAPR")) < 1.0
+    assert optimal_amplitude(params, topo, Allocation(1e3, 1e6, "TPAR")) < 1.0

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from irsalloc import (
-    Allocation, ConditionUndefined, approx_snr_suboptimal, build_channels,
+    Allocation, ConditionUndefined, ConfigError, approx_snr_suboptimal, build_channels,
     build_topology, check_lemma1, compare_schemes, simulate_empirical_snr,
     snr_approx, snr_closed_form, snr_exact_matrix,
 )
 from irsalloc.allocation import closed_form_split
 from irsalloc.reflection import ReflectionConfig, configure, optimal_phases
-from irsalloc.snr import rate_from_snr, snr_from_zeta, zeta_value
+from irsalloc import snr as snr_module
+from irsalloc.snr import _MC_BLOCK, rate_from_snr, snr_from_zeta, zeta_value
 from conftest import baseline_params, random_scenario
 
 
@@ -266,6 +267,62 @@ def test_monte_carlo_deterministic(params, topo):
     assert a.snr == b.snr
     c = simulate_empirical_snr(params, topo, alloc, refl, 50_000, seed=6)
     assert c.snr != a.snr
+
+
+def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
+    """Serial reference for simulate_empirical_snr: the same per-block
+    streams and draws, with the amplification and receiver noise assembled
+    term by term; returns (signal power, noise power)."""
+    ch = build_channels(params, topo, alloc)
+    through_second = ch.h.conj() @ refl.second_matrix()
+    through_both = through_second @ ch.s @ refl.first_matrix()
+    cascade = through_both @ ch.g
+    weights = through_both if alloc.scheme == "TAPR" else through_second
+    n = weights.shape[0]
+    n_blocks = math.ceil(num_samples / _MC_BLOCK)
+    signal = noise = 0.0
+    for k, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
+        rng = np.random.default_rng(stream)
+        symbols = np.exp(2j * math.pi * rng.random(m))
+        g = rng.standard_normal((m, 2 * (n + 1)))
+        v = math.sqrt(params.amp_noise_power / 2) * (g[:, 0:2 * n:2] + 1j * g[:, 1:2 * n:2])
+        n0 = math.sqrt(params.rx_noise_power / 2) * (g[:, 2 * n] + 1j * g[:, 2 * n + 1])
+        signal += float(np.sum(np.abs(cascade * symbols) ** 2))
+        noise += float(np.sum(np.abs(v @ weights + n0) ** 2))
+    return signal / num_samples * params.transmit_power, noise / num_samples
+
+
+@pytest.mark.parametrize("num_samples", [1, 1000, 2 * _MC_BLOCK + 17])
+def test_monte_carlo_matches_serial_oracle(params, topo, num_samples):
+    # one partial block, and whole blocks followed by a partial one
+    for scheme in ("TAPR", "TPAR"):
+        alloc = Allocation(12, 30, scheme)
+        refl = configure(params, topo, alloc)
+        got = simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=9)
+        signal, noise = monte_carlo_oracle(params, topo, alloc, refl, num_samples, 9)
+        assert got.signal_power == pytest.approx(signal, rel=1e-12)
+        assert got.snr == pytest.approx(signal / noise, rel=1e-12)
+        assert got.rate == rate_from_snr(got.snr)
+
+
+def test_monte_carlo_same_for_any_worker_count(params, topo, monkeypatch):
+    alloc = Allocation(20, 200, "TPAR")
+    refl = configure(params, topo, alloc)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(snr_module, "_MC_WORKERS", workers)
+        results.append(simulate_empirical_snr(params, topo, alloc, refl,
+                                              5 * _MC_BLOCK + 3, seed=11))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("num_samples", [0, -3, 1.5, 1000.0, True, "1000", None])
+def test_monte_carlo_rejects_bad_sample_count(params, topo, num_samples):
+    alloc = Allocation(4, 9, "TAPR")
+    refl = configure(params, topo, alloc)
+    with pytest.raises(ConfigError):
+        simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=0)
 
 
 def test_monte_carlo_converges(params, topo):
