@@ -25,7 +25,7 @@ from .placement import PlacementGrid, alternating_optimize
 from .reflection import configure
 from .scenario import SCHEMES, SystemParams, TAPR, Topology, \
     build_topology, dbm_to_watts, linear_to_db, load_scenario
-from .snr import check_lemma1, compare_schemes, rate_from_snr, \
+from .snr import check_lemma1, check_seed, compare_schemes, rate_from_snr, \
     simulate_empirical_snr, snr_closed_form, snr_exact_matrix, \
     approx_snr_suboptimal, zeta_value
 
@@ -188,6 +188,7 @@ def _slope(budgets, snrs) -> float:
 def run_verify(params: SystemParams, topo: Topology,
                seed: int = 0) -> list[tuple[str, bool, str]]:
     """Cross-module consistency suite, deterministic for a given seed."""
+    seed = check_seed(seed)
     report = []
     rng = np.random.default_rng(seed)
 

@@ -1,15 +1,24 @@
 """Alternating optimization of IRS positions and element allocation.
 
 The placement step is an exact grid argmax over both surfaces' (x, y)
-positions (heights fixed). With the allocation fixed, zeta rises with each of
-d1, d2 and d3, so the SNR of a block of candidates is bounded by its value
-at the block's smallest distances. Each grid axis is cut into blocks of
-BLOCK_POINTS points; block pairs (an A-block with a B-block) are visited in
-descending bound order, each evaluated exactly, until the next bound falls
-below the best SNR found. The scan holds one block pair's candidates, the
-per-surface distance grids and one bound per block pair, never the joint grid.
+positions (heights fixed). snr = C/zeta, so it is worked out as the argmin
+of zeta. With the allocation fixed, zeta = P + Q*d2^2*R, where P, Q and R are
+grids over one surface each, built once per scan: for TAPR, P and Q are
+functions of d1 on the A-surface and R = d3^2; for TPAR, Q = d1^2 and P and R
+are functions of d3 on the B-surface. Each grid axis is cut into blocks of
+BLOCK_POINTS points. The zeta of a block pair (an A-block with a B-block) is
+bounded below by the same expression at the block minima of P, Q, d2^2 and
+R. Pairs are visited in ascending bound order, each evaluated exactly, until
+the next bound exceeds the best zeta found. Feasibility is decided once per
+pair where it can be: the d2 >= d_min test runs per candidate only on pairs
+whose smallest d2 is below d_min, the TPAR beta* >= 1 test only on pairs
+where beta* at the pair's smallest d1 and d2 is below 1 (plus _SLACK), and
+each surface's per-point tests only on blocks that hold a failing point.
+The scan holds one block pair's candidates, the per-surface grids and one
+bound per block pair, never the joint grid.
 The allocation step is the exact integer solver. Each step maximizes its own
-block exactly, so the rate trace is non-decreasing.
+block exactly, so the rate trace is non-decreasing. An allocation equal to
+the one scanned last reuses that scan's placement.
 """
 
 from __future__ import annotations
@@ -23,11 +32,15 @@ from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement
 from .reflection import alpha_star, beta_star
 from .scenario import SystemParams, TAPR, Topology, build_topology, check_scheme
-from .snr import snr_from_zeta, zeta_value
+from .snr import objective_constants
 
 # points per block along each grid axis; one block pair holds at most
 # BLOCK_POINTS**4 candidates
 BLOCK_POINTS = 8
+# relative margin by which beta* at a block pair's smallest distances must
+# exceed 1 before the pair is taken as amplitude-feasible throughout; it covers
+# the rounding of beta_star, which rises with d1 and d2 only in exact arithmetic
+_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,9 +97,9 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
                                         pos_rx) -> Topology:
     """Exact grid-argmax of the closed-form rate over both surface positions.
 
-    Branch and bound over block pairs (see the module docstring). Ties
-    (within 1e-12 relative) resolve to the smallest x_A, then smallest x_B,
-    then smallest y_A, y_B.
+    Branch and bound over block pairs in zeta space (see the module
+    docstring). Ties (within 1e-12 relative) resolve to the smallest x_A,
+    then smallest x_B, then smallest y_A, y_B.
     """
     check_scheme(alloc.scheme)
     scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
@@ -98,9 +111,8 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
     yb = grid.axis(grid.yb_bounds)
     h, d_min = grid.height, grid.d_min
 
-    # Candidates are indexed (ixa, ixb, iya, iyb); C order over that index
-    # is the tie-break priority. d1 is a grid over (ixa, iya), d3 over
-    # (ixb, iyb), and d2 is built per block pair from the squared axis gaps.
+    # d1 is a grid over (ixa, iya) and d3 over (ixb, iyb); a candidate's
+    # d2^2 is its squared x gap plus its squared y gap.
     d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
     gap_x = (xb[None, :] - xa[:, None]) ** 2
@@ -110,73 +122,111 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
         ok_a &= alpha_star(params, d1, n_act) >= 1.0
     ok_b = d3 >= d_min
 
-    # Bound of a block pair: the SNR at the pair's smallest d1, d2 and d3.
-    # Each is the minimum of the very float values the pair's candidates use;
-    # for d2, the smallest squared x gap plus the smallest squared y gap over
-    # the pair's grid values (never below the squared box-to-box gap
-    # max(0, lo_b - hi_a, lo_a - hi_b) on each axis). From there every step
-    # to the SNR is monotone under IEEE round-to-nearest: adding non-negative
-    # terms, sqrt, squaring a distance and multiplying positive factors never
-    # decrease, and snr = C/zeta never increases in zeta. A and B
-    # (objective_constants) are positive constants times squared distances,
-    # so a pair's bound is at or above each of its candidates' computed SNR
-    # bit for bit, not only in exact arithmetic. The d_min and amplitude
-    # tests only remove candidates, so they leave it a bound.
+    # zeta = P + Q*d2^2*R with each factor on one surface: objective_constants
+    # gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR, A(d3) and
+    # B = d1^2*d2^2*B'(d3) for TPAR.
+    if scheme == TAPR:
+        a, b = objective_constants(params, scheme, d1, 1.0, 1.0)
+        p, q, r = a / n_act, b / (n_act * n_pas ** 2), d3 ** 2
+    else:
+        a, b = objective_constants(params, scheme, 1.0, 1.0, d3)
+        p, q, r = a / n_act, d1 ** 2, b / (n_act * n_pas ** 2)
+    p_on_a = scheme == TAPR
+
+    # Block pairs and, within one, candidates are indexed (xa, ya, xb, yb):
+    # an A-surface block broadcasts as [:, :, None, None], a B-surface one as
+    # it is. A pair's bound is zeta at the block minima of P, Q, d2^2 and R,
+    # each the minimum of the very float values the pair's candidates use
+    # (for d2^2, the smallest squared x gap plus the smallest squared y gap).
+    # Adding and multiplying non-negative floats never decreases under IEEE
+    # round-to-nearest, and the bound is evaluated in the candidates' order,
+    # so it is at or below each candidate's computed zeta bit for bit, not
+    # only in exact arithmetic. The feasibility tests only remove candidates,
+    # so they leave it a bound.
+    def on_a(v, ufunc=np.minimum):
+        return _block_reduce(ufunc, v, sxa, sya)[:, :, None, None]
+
+    def on_b(v, ufunc=np.minimum):
+        return _block_reduce(ufunc, v, sxb, syb)
+
     sxa, sya, sxb, syb = (np.arange(0, len(v), BLOCK_POINTS) for v in (xa, ya, xb, yb))
-    d1_lo = _block_min(d1, sxa, sya)
-    d3_lo = _block_min(d3, sxb, syb)
-    d2_lo = np.sqrt(_block_min(gap_x, sxa, sxb)[:, :, None, None]
-                    + _block_min(gap_y, sya, syb)[None, None, :, :])
-    with np.errstate(divide="ignore"):
-        bound = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas,
-                                                 d1_lo[:, None, :, None], d2_lo,
-                                                 d3_lo[None, :, None, :]))
+    g_lo = (_block_reduce(np.minimum, gap_x, sxa, sxb)[:, None, :, None]
+            + _block_reduce(np.minimum, gap_y, sya, syb)[None, :, None, :])
+    bound = (on_a(p) if p_on_a else on_b(p)) + on_a(q) * g_lo * on_b(r)
+
+    # Feasibility decided per pair where it can be. The d2 test can fail only
+    # where the pair's smallest d2 is below d_min. beta* rises with d1 and d2,
+    # so beta* >= 1 holds on the whole pair when it holds, with _SLACK to
+    # spare, at the pair's smallest d1 and d2.
+    d2_lo = np.sqrt(g_lo)
+    may_cross = d2_lo < d_min
+    if scheme != TAPR:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            may_cross |= ~(beta_star(params, on_a(d1), d2_lo, n_act, n_pas) >= 1.0 + _SLACK)
+    # the per-point tests on one surface are broadcast only on blocks that
+    # hold a failing point, and pairs with no passing point on one of their
+    # blocks are never visited
+    all_a = _block_reduce(np.logical_and, ok_a, sxa, sya).tolist()
+    all_b = _block_reduce(np.logical_and, ok_b, sxb, syb).tolist()
+    order = np.argsort(bound, axis=None, kind="stable")
+    order = order[(on_a(ok_a, np.logical_or) & on_b(ok_b, np.logical_or)).flat[order]]
 
     near = 1.0 - 1e-12  # relative tie tolerance
-    best = -math.inf
-    hits = []  # (snr, ixa, ixb, iya, iyb) arrays of the near-ties seen so far
-    for k in np.argsort(-bound, axis=None, kind="stable"):
-        # the pairs left have no candidate within the tie tolerance of best;
-        # while best is -inf nothing is pruned
-        if bound.flat[k] < best * near:
+    best = math.inf
+    cut = math.inf  # largest zeta within the tie tolerance of best
+    hits = []  # (zeta, ixa, ixb, iya, iyb) arrays of the near-ties seen so far
+    for lo, cross, bxa, bya, bxb, byb in zip(
+            bound.flat[order].tolist(), may_cross.flat[order].tolist(),
+            *(c.tolist() for c in np.unravel_index(order, bound.shape))):
+        # the pairs left have no candidate within the tie tolerance of best
+        if lo > cut:
             break
-        bxa, bxb, bya, byb = np.unravel_index(k, bound.shape)
-        ia = slice(sxa[bxa], sxa[bxa] + BLOCK_POINTS)
-        ib = slice(sxb[bxb], sxb[bxb] + BLOCK_POINTS)
-        ja = slice(sya[bya], sya[bya] + BLOCK_POINTS)
-        jb = slice(syb[byb], syb[byb] + BLOCK_POINTS)
-        p1 = d1[ia, ja][:, None, :, None]
-        p2 = np.sqrt(gap_x[ia, ib][:, :, None, None] + gap_y[ja, jb][None, None, :, :])
-        p3 = d3[ib, jb][None, :, None, :]
-        feasible = (ok_a[ia, ja][:, None, :, None] & ok_b[ib, jb][None, :, None, :]
-                    & (p2 >= d_min))
-        if scheme != TAPR:
-            feasible &= beta_star(params, p1, p2, n_act, n_pas) >= 1.0
-        if not feasible.any():
+        ia = slice(bxa * BLOCK_POINTS, (bxa + 1) * BLOCK_POINTS)
+        ja = slice(bya * BLOCK_POINTS, (bya + 1) * BLOCK_POINTS)
+        ib = slice(bxb * BLOCK_POINTS, (bxb + 1) * BLOCK_POINTS)
+        jb = slice(byb * BLOCK_POINTS, (byb + 1) * BLOCK_POINTS)
+        g = gap_x[ia, ib][:, None, :, None] + gap_y[ja, jb][None, :, None, :]
+        feasible = None
+        if not all_a[bxa][bya]:
+            feasible = ok_a[ia, ja][:, :, None, None]
+        if not all_b[bxb][byb]:
+            feasible = ok_b[ib, jb] if feasible is None else feasible & ok_b[ib, jb]
+        if cross:
+            d2 = np.sqrt(g)
+            ok = d2 >= d_min
+            if scheme != TAPR:
+                ok &= beta_star(params, d1[ia, ja][:, :, None, None], d2, n_act, n_pas) >= 1.0
+            feasible = ok if feasible is None else feasible & ok
+        zeta = q[ia, ja][:, :, None, None] * g * r[ib, jb]
+        zeta += p[ia, ja][:, :, None, None] if p_on_a else p[ib, jb]
+        if feasible is not None:
+            if not feasible.any():
+                continue
+            zeta = np.where(feasible, zeta, np.inf)
+        top = float(zeta.min())
+        if top > cut:
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snr = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas, p1, p2, p3))
-        snr = np.where(feasible, snr, -np.inf)
-        top = float(snr.max())
-        if top < best * near:
-            continue
-        best = max(best, top)
-        idx = np.nonzero(snr >= best * near)
-        hits.append((snr[idx], idx[0] + ia.start, idx[1] + ib.start,
-                     idx[2] + ja.start, idx[3] + jb.start))
-    if best == -math.inf:
+        best = min(best, top)
+        cut = best / near
+        tied = zeta <= cut
+        if feasible is not None:
+            tied &= feasible  # only matters while best is +inf
+        i_xa, i_ya, i_xb, i_yb = np.nonzero(tied)
+        hits.append((zeta[i_xa, i_ya, i_xb, i_yb], i_xa + ia.start, i_xb + ib.start,
+                     i_ya + ja.start, i_yb + jb.start))
+    if not hits:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
 
-    snr, *index = (np.concatenate(col) for col in zip(*hits))
-    tied = snr >= best * near
+    zeta, *index = (np.concatenate(col) for col in zip(*hits))
+    tied = zeta <= cut
     ixa, ixb, iya, iyb = min(zip(*(i[tied] for i in index)))
     return build_topology(tx, (xa[ixa], ya[iya], h), (xb[ixb], yb[iyb], h), rx,
                           d_min=d_min)
 
 
-def _block_min(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Minimum of a 2-D array over each (row block, column block)."""
-    return np.minimum.reduceat(np.minimum.reduceat(values, rows, axis=0), cols, axis=1)
+def _block_reduce(ufunc, values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ufunc reduced over each (row block, column block) of a 2-D array."""
+    return ufunc.reduceat(ufunc.reduceat(values, rows, axis=0), cols, axis=1)
 
 
 def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:
@@ -205,9 +255,14 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     iterations: list[AOIteration] = []
     prev_rate = -math.inf
     converged = False
+    scanned = None  # (allocation, topology) of the last placement scan
     for _ in range(max_iters):
-        topo = optimize_placement_given_allocation(params, sol.allocation, grid,
-                                                   pos_tx, pos_rx)
+        # the scan is deterministic, so an allocation scanned last time gets
+        # the same placement again
+        if scanned is None or scanned[0] != sol.allocation:
+            scanned = (sol.allocation, optimize_placement_given_allocation(
+                params, sol.allocation, grid, pos_tx, pos_rx))
+        topo = scanned[1]
         sol = solve_integer(params, topo, scheme, method="optimal")
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
                                       amplitude=sol.amplitude, rate=sol.rate))

@@ -218,6 +218,14 @@ _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
+def check_seed(seed) -> int:
+    """The seed as an int; ConfigError unless it is an integer >= 0 (None,
+    which numpy would fill from OS entropy, is refused)."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
                            reflection: ReflectionConfig, num_samples: int,
                            seed: int) -> LinkBudget:
@@ -237,6 +245,7 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     if (not isinstance(num_samples, numbers.Integral) or isinstance(num_samples, bool)
             or num_samples < 1):
         raise ConfigError(f"num_samples must be an integer >= 1, got {num_samples!r}")
+    seed = check_seed(seed)
     # imported here, not at the top: concurrent.futures pulls in logging,
     # which would add about 12 ms to every start of the library and CLI
     from concurrent.futures import ThreadPoolExecutor

@@ -150,6 +150,18 @@ def test_verify_deterministic(params, topo):
     assert run_verify(params, topo, seed=3) == run_verify(params, topo, seed=3)
 
 
+@pytest.mark.parametrize("seed", [-1, None, 0.5, False])
+def test_verify_rejects_bad_seed(params, topo, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        run_verify(params, topo, seed=seed)
+
+
+def test_main_verify_negative_seed(baseline_config, capsys):
+    assert main(["verify", "--config", str(baseline_config), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be an integer >= 0") and "Traceback" not in err
+
+
 def test_main_allocate_closed_form(baseline_config, capsys):
     code = main(["allocate", "--config", str(baseline_config),
                  "--scheme", "tapr", "--method", "closed-form"])

@@ -1,17 +1,21 @@
 """Grid placement search and the alternating placement/allocation loop."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import irsalloc.placement as placement
 from irsalloc import (
-    Allocation, NoFeasiblePlacement, PlacementGrid, alternating_optimize,
+    AOTrace, Allocation, NoFeasiblePlacement, PlacementGrid, alternating_optimize,
     build_topology, dbm_to_watts, optimize_placement_given_allocation,
-    snr_closed_form,
+    snr_closed_form, solve_integer,
 )
+from irsalloc.placement import BLOCK_POINTS, AOIteration, _center_topology
 from irsalloc.reflection import alpha_star, beta_star
+from irsalloc.snr import zeta_value
 from conftest import baseline_params, full_grid_placement
 
 TX = (0.0, 0.0, 0.0)
@@ -113,6 +117,45 @@ def test_ao_wider_box_no_worse(params):
                               step=2.0, height=10.0, d_min=1.0)
     wide = alternating_optimize(params, wide_grid, "TAPR", TX, RX)
     assert wide.iterations[-1].rate >= narrow.iterations[-1].rate - 1e-9
+
+
+def ao_scanning_every_iteration(params, grid, scheme, tx, rx, tol=1e-6, max_iters=20):
+    """alternating_optimize with one placement scan per iteration, never
+    reusing the last one."""
+    sol = solve_integer(params, _center_topology(grid, tx, rx), scheme, method="closed-form")
+    iterations, prev_rate = [], -math.inf
+    for _ in range(max_iters):
+        topo = optimize_placement_given_allocation(params, sol.allocation, grid, tx, rx)
+        sol = solve_integer(params, topo, scheme, method="optimal")
+        iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
+                                      amplitude=sol.amplitude, rate=sol.rate))
+        if sol.rate - prev_rate < tol:
+            return AOTrace(iterations=iterations, converged=True)
+        prev_rate = sol.rate
+    return AOTrace(iterations=iterations, converged=False)
+
+
+def test_ao_reuses_scan_of_repeated_allocation(params, monkeypatch):
+    # the second iteration returns the allocation it scanned, with a rate
+    # still above the first's by more than tol, so the third iteration has
+    # the same allocation to scan
+    grid = PlacementGrid(xa_bounds=(0.0, 30.0), ya_bounds=(0.0, 10.0),
+                         xb_bounds=(83.0, 113.0), yb_bounds=(0.0, 10.0),
+                         step=0.5, height=10.0, d_min=1.0)
+    expected = ao_scanning_every_iteration(params, grid, "TPAR", TX, RX)
+    scanned = []
+    scan = placement.optimize_placement_given_allocation
+
+    def counting_scan(params, alloc, *args):
+        scanned.append(alloc)
+        return scan(params, alloc, *args)
+
+    monkeypatch.setattr(placement, "optimize_placement_given_allocation", counting_scan)
+    trace = alternating_optimize(params, grid, "TPAR", TX, RX)
+    assert trace == expected
+    assert len(trace.iterations) == 3
+    assert trace.iterations[1].allocation == trace.iterations[2].allocation
+    assert len(scanned) == 2
 
 
 # ---------------------------------------- pruned scan vs the full-grid oracle
@@ -224,3 +267,59 @@ def test_fine_step_memory_bounded(params, topo):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def joint_grids(params, alloc, grid, tx, rx):
+    """d2, the amplitude test and zeta over the joint grid, indexed
+    (xa, xb, ya, yb)."""
+    xa, ya = grid.axis(grid.xa_bounds), grid.axis(grid.ya_bounds)
+    xb, yb = grid.axis(grid.xb_bounds), grid.axis(grid.yb_bounds)
+    gxa, gxb, gya, gyb = np.meshgrid(xa, xb, ya, yb, indexing="ij")
+    h = grid.height
+    d1 = np.sqrt((gxa - tx[0]) ** 2 + (gya - tx[1]) ** 2 + (h - tx[2]) ** 2)
+    d2 = np.hypot(gxb - gxa, gyb - gya)
+    d3 = np.sqrt((rx[0] - gxb) ** 2 + (rx[1] - gyb) ** 2 + (rx[2] - h) ** 2)
+    amp = (alpha_star(params, d1, alloc.n_act) if alloc.scheme == "TAPR"
+           else beta_star(params, d1, d2, alloc.n_act, alloc.n_pas))
+    zeta = zeta_value(params, alloc.scheme, alloc.n_act, alloc.n_pas, d1, d2, d3)
+    return d2, amp >= 1.0, zeta
+
+
+def mixed_block_pairs(ok):
+    """Block pairs of the scan that hold both a passing and a failing point."""
+    n = BLOCK_POINTS
+    blocks = [ok[i:i + n, j:j + n, k:k + n, m:m + n]
+              for i in range(0, ok.shape[0], n) for j in range(0, ok.shape[1], n)
+              for k in range(0, ok.shape[2], n) for m in range(0, ok.shape[3], n)]
+    return sum(bool(b.any() and not b.all()) for b in blocks)
+
+
+def test_amplitude_boundary_through_block_pairs():
+    # TPAR: beta* = 1 cuts through most block pairs, and the smallest zeta
+    # of the grid fails the amplitude test, so the per-candidate beta* test
+    # decides the answer
+    params = baseline_params(amp_power_budget=dbm_to_watts(-22.0))
+    grid = PlacementGrid(xa_bounds=(0.0, 23.0), ya_bounds=(-12.0, 11.0),
+                         xb_bounds=(60.0, 83.0), yb_bounds=(-12.0, 11.0),
+                         step=1.0, height=10.0, d_min=1.0)
+    alloc = Allocation(100, 1000, "TPAR")
+    _, amp_ok, zeta = joint_grids(params, alloc, grid, TX, RX)
+    assert mixed_block_pairs(amp_ok) >= 30
+    assert not amp_ok.flat[np.argmin(zeta)]
+    topo = same_placement(params, alloc, grid, TX, RX)
+    assert topo is not None
+    assert beta_star(params, topo.d1, topo.d2, alloc.n_act, alloc.n_pas) >= 1.0
+
+
+def test_min_distance_boundary_through_block_pairs(params):
+    # overlapping x boxes at one height: d2 = d_min cuts through block pairs
+    # and the smallest zeta of the grid lies closer than d_min
+    grid = PlacementGrid(xa_bounds=(20.0, 43.0), ya_bounds=(-12.0, 11.0),
+                         xb_bounds=(30.0, 53.0), yb_bounds=(-12.0, 11.0),
+                         step=1.0, height=10.0, d_min=5.0)
+    alloc = Allocation(100, 1000, "TAPR")
+    d2, _, zeta = joint_grids(params, alloc, grid, TX, RX)
+    assert mixed_block_pairs(d2 >= grid.d_min) >= 30
+    assert d2.flat[np.argmin(zeta)] < grid.d_min
+    topo = same_placement(params, alloc, grid, TX, RX)
+    assert topo is not None and topo.d2 >= grid.d_min

@@ -325,6 +325,22 @@ def test_monte_carlo_rejects_bad_sample_count(params, topo, num_samples):
         simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_monte_carlo_rejects_bad_seed(params, topo, seed):
+    # None would draw fresh OS entropy: a different number on every call
+    alloc = Allocation(4, 9, "TAPR")
+    refl = configure(params, topo, alloc)
+    with pytest.raises(ConfigError, match="seed"):
+        simulate_empirical_snr(params, topo, alloc, refl, 100, seed=seed)
+
+
+def test_monte_carlo_accepts_numpy_integer_seed(params, topo):
+    alloc = Allocation(4, 9, "TAPR")
+    refl = configure(params, topo, alloc)
+    assert simulate_empirical_snr(params, topo, alloc, refl, 100, seed=np.int64(7)) == \
+        simulate_empirical_snr(params, topo, alloc, refl, 100, seed=7)
+
+
 def test_monte_carlo_converges(params, topo):
     for scheme in ("TAPR", "TPAR"):
         alloc = Allocation(100, 1000, scheme)
