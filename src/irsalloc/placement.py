@@ -3,19 +3,42 @@
 The placement step is an exact grid argmax over both surfaces' (x, y)
 positions (heights fixed). snr = C/zeta, so it is worked out as the argmin
 of zeta. With the allocation fixed, zeta = P + Q*d2^2*R, where P, Q and R are
-grids over one surface each, built once per scan: for TAPR, P and Q are
-functions of d1 on the A-surface and R = d3^2; for TPAR, Q = d1^2 and P and R
-are functions of d3 on the B-surface. Each grid axis is cut into blocks of
-BLOCK_POINTS points. The zeta of a block pair (an A-block with a B-block) is
-bounded below by the same expression at the block minima of P, Q, d2^2 and
-R. Pairs are visited in ascending bound order, each evaluated exactly, until
-the next bound exceeds the best zeta found. Feasibility is decided once per
-pair where it can be: the d2 >= d_min test runs per candidate only on pairs
-whose smallest d2 is below d_min, the TPAR beta* >= 1 test only on pairs
-where beta* at the pair's smallest d1 and d2 is below 1 (plus _SLACK), and
-each surface's per-point tests only on blocks that hold a failing point.
-The scan holds one block pair's candidates, the per-surface grids and one
-bound per block pair, never the joint grid.
+grids over one surface each: for TAPR, P and Q are functions of d1 on the
+A-surface and R = d3^2; for TPAR, Q = d1^2 and P and R are functions of d3 on
+the B-surface.
+
+A scan has two parts. The geometry depends only on the grid and the Tx and
+Rx positions; alternating_optimize builds it once per run. Each grid axis is
+padded to whole blocks of BLOCK_POINTS points by repeating its last
+coordinate. A padded point ties with the real point it repeats and has the
+larger index, so the tie rule never picks it. The geometry holds d1, d3, the
+squared x and y gaps between the surfaces, the d_min masks, the smallest
+d1 and d2 of each block or block pair, and each point's smallest squared gap
+to every block of the other surface, all as minima over reshaped arrays.
+
+The per-allocation part builds P, Q and R and visits block pairs (an A-block
+with a B-block) in ascending order of a coarse bound: zeta at the block
+minima of P, Q, d2^2 and R. Once a feasible candidate is found, the pairs
+whose coarse bound still reaches it get, in one vectorised step, a refined
+bound max(L_A, L_B). L_A is the smallest over the pair's A-block of
+Q*g*R_lo + P, where g is the A-point's smallest squared gap to the B-block,
+R_lo the B-block's smallest R, and P is taken at the A-point for TAPR and at
+its B-block minimum for TPAR; L_B is the same with the surfaces swapped. Only
+pairs whose refined bound reaches the best zeta are evaluated, in coarse
+order, until the next coarse bound exceeds it. Every bound is built from the
+very float values its candidates use, each replaced by one no larger, and
+combined in the candidates' order. Adding and multiplying non-negative
+floats never decreases under IEEE round-to-nearest, so each bound is at or
+below each candidate's computed zeta bit for bit, not only in exact
+arithmetic. The feasibility tests only remove candidates, so they leave it a
+bound, and the answer equals that of a scan of every pair.
+
+Feasibility is decided once per pair where it can be: the d2 >= d_min test
+runs per candidate only on pairs whose smallest d2 is below d_min, the TPAR
+beta* >= 1 test only on pairs where beta* at the pair's smallest d1 and d2
+is below 1 (plus _SLACK), and each surface's per-point tests only on blocks
+that hold a failing point. The scan holds one block pair's candidates, the
+per-surface grids and one bound per block pair, never the joint grid.
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
 the one scanned last reuses that scan's placement.
@@ -31,7 +54,8 @@ import numpy as np
 from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement
 from .reflection import alpha_star, beta_star
-from .scenario import SystemParams, TAPR, Topology, build_topology, check_scheme
+from .scenario import (SystemParams, TAPR, Topology, build_topology,
+                       check_min_distance, check_scheme)
 from .snr import objective_constants
 
 # points per block along each grid axis; one block pair holds at most
@@ -58,6 +82,9 @@ class PlacementGrid:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"grid step must be a finite number > 0, got {self.step!r}")
+        if not math.isfinite(self.height):
+            raise ConfigError(f"grid height must be finite, got {self.height!r}")
+        check_min_distance(self.d_min)
         for lo, hi in (self.xa_bounds, self.ya_bounds, self.xb_bounds, self.yb_bounds):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"grid bounds must be finite, got ({lo}, {hi})")
@@ -102,85 +129,163 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
     then smallest x_B, then smallest y_A, y_B.
     """
     check_scheme(alloc.scheme)
-    scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
+    return _scan(params, alloc, _geometry(grid, pos_tx, pos_rx))
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """The allocation-free arrays of a placement scan, on axes padded to
+    whole blocks. Per-surface grids are indexed (x, y), gaps (A-point,
+    B-point) and block-pair grids (xa, ya, xb, yb) in blocks."""
+
+    grid: PlacementGrid
+    tx: np.ndarray
+    rx: np.ndarray
+    xa: np.ndarray
+    ya: np.ndarray
+    xb: np.ndarray
+    yb: np.ndarray
+    d1: np.ndarray
+    d3: np.ndarray
+    gap_x: np.ndarray  # squared x gaps
+    gap_y: np.ndarray  # squared y gaps
+    far_a: np.ndarray  # d1 >= d_min
+    far_b: np.ndarray  # d3 >= d_min
+    d1_lo: np.ndarray  # block minima of d1
+    g_lo: np.ndarray  # smallest d2^2 of each block pair
+    d2_lo: np.ndarray  # sqrt(g_lo)
+    # each point's smallest squared gap to every block of the other surface:
+    # (A-block, point in block, B-block) and (A-block, B-block, point in block)
+    gx_to_b: np.ndarray
+    gy_to_b: np.ndarray
+    gx_to_a: np.ndarray
+    gy_to_a: np.ndarray
+
+
+def _blocks(v: np.ndarray) -> np.ndarray:
+    """A 2-D array over whole blocks, viewed as (row block, row in block,
+    column block, column in block)."""
+    n, m = v.shape
+    return v.reshape(n // BLOCK_POINTS, BLOCK_POINTS, m // BLOCK_POINTS, BLOCK_POINTS)
+
+
+def _geometry(grid: PlacementGrid, pos_tx, pos_rx) -> _Geometry:
+    """The allocation-free part of a scan over grid for these Tx and Rx."""
     tx = np.asarray(pos_tx, dtype=float)
     rx = np.asarray(pos_rx, dtype=float)
-    xa = grid.axis(grid.xa_bounds)
-    ya = grid.axis(grid.ya_bounds)
-    xb = grid.axis(grid.xb_bounds)
-    yb = grid.axis(grid.yb_bounds)
-    h, d_min = grid.height, grid.d_min
-
-    # d1 is a grid over (ixa, iya) and d3 over (ixb, iyb); a candidate's
-    # d2^2 is its squared x gap plus its squared y gap.
+    # a padded point repeats the last coordinate: it ties with that point and
+    # has the larger index, so the tie rule never picks it
+    xa, ya, xb, yb = (np.pad(v, (0, -len(v) % BLOCK_POINTS), mode="edge") for v in (
+        grid.axis(grid.xa_bounds), grid.axis(grid.ya_bounds),
+        grid.axis(grid.xb_bounds), grid.axis(grid.yb_bounds)))
+    h = grid.height
     d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
     gap_x = (xb[None, :] - xa[:, None]) ** 2
     gap_y = (yb[None, :] - ya[:, None]) ** 2
-    ok_a = d1 >= d_min
-    if scheme == TAPR:
-        ok_a &= alpha_star(params, d1, n_act) >= 1.0
-    ok_b = d3 >= d_min
+    bx, by = _blocks(gap_x), _blocks(gap_y)
+    g_lo = (bx.min(axis=(1, 3))[:, None, :, None] + by.min(axis=(1, 3))[None, :, None, :])
+    return _Geometry(
+        grid=grid, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, d1=d1, d3=d3,
+        gap_x=gap_x, gap_y=gap_y, far_a=d1 >= grid.d_min, far_b=d3 >= grid.d_min,
+        d1_lo=_blocks(d1).min(axis=(1, 3)), g_lo=g_lo, d2_lo=np.sqrt(g_lo),
+        gx_to_b=bx.min(axis=3), gy_to_b=by.min(axis=3),
+        gx_to_a=bx.min(axis=1), gy_to_a=by.min(axis=1))
 
-    # zeta = P + Q*d2^2*R with each factor on one surface: objective_constants
-    # gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR, A(d3) and
-    # B = d1^2*d2^2*B'(d3) for TPAR.
+
+def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):
+    """(P, Q, R) with zeta = P + Q*d2^2*R: P on the A-surface for TAPR and on
+    the B-surface for TPAR, Q on the A-surface, R on the B-surface."""
+    # objective_constants gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR,
+    # A(d3) and B = d1^2*d2^2*B'(d3) for TPAR
+    n_act, n_pas = alloc.n_act, alloc.n_pas
+    if alloc.scheme == TAPR:
+        a, b = objective_constants(params, alloc.scheme, geo.d1, 1.0, 1.0)
+        return a / n_act, b / (n_act * n_pas ** 2), geo.d3 ** 2
+    a, b = objective_constants(params, alloc.scheme, 1.0, 1.0, geo.d3)
+    return a / n_act, geo.d1 ** 2, b / (n_act * n_pas ** 2)
+
+
+def _refined_bounds(geo: _Geometry, p_on_a: bool, p, q, r, bxa, bya, bxb, byb) -> np.ndarray:
+    """max(L_A, L_B) for the block pairs (bxa[k], bya[k], bxb[k], byb[k]).
+
+    L_A is the smallest over the pair's A-block of zeta at that A-point with
+    each B-side value (its gap to the B-block, R, and P if on B) at its
+    minimum over the B-block; L_B swaps the surfaces.
+    """
+    def on_a(v):
+        return _blocks(v)[bxa, :, bya, :]
+
+    def on_b(v):
+        return _blocks(v)[bxb, :, byb, :]
+
+    def lo(v):
+        return v.min(axis=(1, 2))[:, None, None]
+
+    q_a, r_b = on_a(q), on_b(r)
+    p_a = on_a(p) if p_on_a else on_b(p)
+    g_b = geo.gx_to_b[bxa, :, bxb][:, :, None] + geo.gy_to_b[bya, :, byb][:, None, :]
+    g_a = geo.gx_to_a[bxa, bxb][:, :, None] + geo.gy_to_a[bya, byb][:, None, :]
+    l_a = q_a * g_b * lo(r_b) + (p_a if p_on_a else lo(p_a))
+    l_b = lo(q_a) * g_a * r_b + (lo(p_a) if p_on_a else p_a)
+    return np.maximum(l_a.min(axis=(1, 2)), l_b.min(axis=(1, 2)))
+
+
+def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
+    """The placement scan for one allocation over a built geometry."""
+    scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
+    d_min = geo.grid.d_min
+    d1, gap_x, gap_y = geo.d1, geo.gap_x, geo.gap_y
+    ok_a, ok_b = geo.far_a, geo.far_b
     if scheme == TAPR:
-        a, b = objective_constants(params, scheme, d1, 1.0, 1.0)
-        p, q, r = a / n_act, b / (n_act * n_pas ** 2), d3 ** 2
-    else:
-        a, b = objective_constants(params, scheme, 1.0, 1.0, d3)
-        p, q, r = a / n_act, d1 ** 2, b / (n_act * n_pas ** 2)
+        ok_a = ok_a & (alpha_star(params, d1, n_act) >= 1.0)
+    p, q, r = _zeta_factors(params, alloc, geo)
     p_on_a = scheme == TAPR
 
     # Block pairs and, within one, candidates are indexed (xa, ya, xb, yb):
     # an A-surface block broadcasts as [:, :, None, None], a B-surface one as
-    # it is. A pair's bound is zeta at the block minima of P, Q, d2^2 and R,
-    # each the minimum of the very float values the pair's candidates use
-    # (for d2^2, the smallest squared x gap plus the smallest squared y gap).
-    # Adding and multiplying non-negative floats never decreases under IEEE
-    # round-to-nearest, and the bound is evaluated in the candidates' order,
-    # so it is at or below each candidate's computed zeta bit for bit, not
-    # only in exact arithmetic. The feasibility tests only remove candidates,
-    # so they leave it a bound.
-    def on_a(v, ufunc=np.minimum):
-        return _block_reduce(ufunc, v, sxa, sya)[:, :, None, None]
+    # it is. The coarse bound is zeta at the block minima of P, Q, d2^2 and R.
+    def on_a(v):
+        return v[:, :, None, None]
 
-    def on_b(v, ufunc=np.minimum):
-        return _block_reduce(ufunc, v, sxb, syb)
+    def block_min(v):
+        return _blocks(v).min(axis=(1, 3))
 
-    sxa, sya, sxb, syb = (np.arange(0, len(v), BLOCK_POINTS) for v in (xa, ya, xb, yb))
-    g_lo = (_block_reduce(np.minimum, gap_x, sxa, sxb)[:, None, :, None]
-            + _block_reduce(np.minimum, gap_y, sya, syb)[None, :, None, :])
-    bound = (on_a(p) if p_on_a else on_b(p)) + on_a(q) * g_lo * on_b(r)
+    bound = ((on_a(block_min(p)) if p_on_a else block_min(p))
+             + on_a(block_min(q)) * geo.g_lo * block_min(r))
 
     # Feasibility decided per pair where it can be. The d2 test can fail only
     # where the pair's smallest d2 is below d_min. beta* rises with d1 and d2,
     # so beta* >= 1 holds on the whole pair when it holds, with _SLACK to
     # spare, at the pair's smallest d1 and d2.
-    d2_lo = np.sqrt(g_lo)
-    may_cross = d2_lo < d_min
+    may_cross = geo.d2_lo < d_min
     if scheme != TAPR:
         with np.errstate(divide="ignore", invalid="ignore"):
-            may_cross |= ~(beta_star(params, on_a(d1), d2_lo, n_act, n_pas) >= 1.0 + _SLACK)
+            may_cross |= ~(beta_star(params, on_a(geo.d1_lo), geo.d2_lo, n_act, n_pas)
+                           >= 1.0 + _SLACK)
     # the per-point tests on one surface are broadcast only on blocks that
     # hold a failing point, and pairs with no passing point on one of their
     # blocks are never visited
-    all_a = _block_reduce(np.logical_and, ok_a, sxa, sya).tolist()
-    all_b = _block_reduce(np.logical_and, ok_b, sxb, syb).tolist()
+    all_a = _blocks(ok_a).all(axis=(1, 3)).tolist()
+    all_b = _blocks(ok_b).all(axis=(1, 3)).tolist()
     order = np.argsort(bound, axis=None, kind="stable")
-    order = order[(on_a(ok_a, np.logical_or) & on_b(ok_b, np.logical_or)).flat[order]]
+    order = order[(on_a(_blocks(ok_a).any(axis=(1, 3)))
+                   & _blocks(ok_b).any(axis=(1, 3))).flat[order]]
+    lows = bound.flat[order]
+    pairs = np.unravel_index(order, bound.shape)
 
     near = 1.0 - 1e-12  # relative tie tolerance
     best = math.inf
     cut = math.inf  # largest zeta within the tie tolerance of best
+    refined = None  # refined bound of each pair in order, once best is finite
     hits = []  # (zeta, ixa, ixb, iya, iyb) arrays of the near-ties seen so far
-    for lo, cross, bxa, bya, bxb, byb in zip(
-            bound.flat[order].tolist(), may_cross.flat[order].tolist(),
-            *(c.tolist() for c in np.unravel_index(order, bound.shape))):
+    for k, (lo, cross, bxa, bya, bxb, byb) in enumerate(zip(
+            lows.tolist(), may_cross.flat[order].tolist(), *(c.tolist() for c in pairs))):
         # the pairs left have no candidate within the tie tolerance of best
         if lo > cut:
             break
+        if refined is not None and refined[k] > cut:
+            continue
         ia = slice(bxa * BLOCK_POINTS, (bxa + 1) * BLOCK_POINTS)
         ja = slice(bya * BLOCK_POINTS, (bya + 1) * BLOCK_POINTS)
         ib = slice(bxb * BLOCK_POINTS, (bxb + 1) * BLOCK_POINTS)
@@ -214,19 +319,22 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
         i_xa, i_ya, i_xb, i_yb = np.nonzero(tied)
         hits.append((zeta[i_xa, i_ya, i_xb, i_yb], i_xa + ia.start, i_xb + ib.start,
                      i_ya + ja.start, i_yb + jb.start))
+        if refined is None and best < math.inf:
+            # refine, in one step, the bounds of the pairs left whose coarse
+            # bound reaches best; the pairs after them are never visited
+            rest = slice(k + 1, k + 1 + int(np.searchsorted(lows[k + 1:], cut, side="right")))
+            refined = np.full(len(order), math.inf)
+            refined[rest] = _refined_bounds(geo, p_on_a, p, q, r, *(c[rest] for c in pairs))
+            refined = refined.tolist()
     if not hits:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
 
     zeta, *index = (np.concatenate(col) for col in zip(*hits))
     tied = zeta <= cut
     ixa, ixb, iya, iyb = min(zip(*(i[tied] for i in index)))
-    return build_topology(tx, (xa[ixa], ya[iya], h), (xb[ixb], yb[iyb], h), rx,
-                          d_min=d_min)
-
-
-def _block_reduce(ufunc, values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """ufunc reduced over each (row block, column block) of a 2-D array."""
-    return ufunc.reduceat(ufunc.reduceat(values, rows, axis=0), cols, axis=1)
+    h = geo.grid.height
+    return build_topology(geo.tx, (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h),
+                          geo.rx, d_min=d_min)
 
 
 def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:
@@ -252,6 +360,7 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     check_scheme(scheme)
     sol = solve_integer(params, _center_topology(grid, pos_tx, pos_rx), scheme,
                         method="closed-form")
+    geo = _geometry(grid, pos_tx, pos_rx)
     iterations: list[AOIteration] = []
     prev_rate = -math.inf
     converged = False
@@ -260,8 +369,7 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
         # the scan is deterministic, so an allocation scanned last time gets
         # the same placement again
         if scanned is None or scanned[0] != sol.allocation:
-            scanned = (sol.allocation, optimize_placement_given_allocation(
-                params, sol.allocation, grid, pos_tx, pos_rx))
+            scanned = (sol.allocation, _scan(params, sol.allocation, geo))
         topo = scanned[1]
         sol = solve_integer(params, topo, scheme, method="optimal")
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,

@@ -140,8 +140,16 @@ def _position(label: str, pos) -> np.ndarray:
     return p
 
 
+def check_min_distance(d_min) -> None:
+    """Raise ConfigError unless d_min is a finite number >= 0."""
+    if (not isinstance(d_min, numbers.Real) or isinstance(d_min, bool)
+            or not math.isfinite(d_min) or d_min < 0):
+        raise ConfigError(f"d_min must be a finite number >= 0, got {d_min!r}")
+
+
 def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> Topology:
     """Derive link distances and angles from the four node positions."""
+    check_min_distance(d_min)
     tx = _position("pos_tx", pos_tx)
     a = _position("pos_irs_a", pos_irs_a)
     b = _position("pos_irs_b", pos_irs_b)

@@ -205,6 +205,15 @@ def test_main_nan_position_exit_code(baseline_config, tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 1
 
 
+def test_main_placement_nan_min_distance(baseline_config, tmp_path, capsys):
+    # a bad d_min is a config error, caught when the config is loaded
+    cfg = tmp_path / "nan_dmin.yaml"
+    cfg.write_text(baseline_config.read_text().replace("d_min_m: 1.0", "d_min_m: .nan"))
+    assert main(["placement", "--config", str(cfg), "--grid-step", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "d_min" in err and "Traceback" not in err
+
+
 def test_main_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("pt_dbm: 20\n")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import irsalloc.placement as placement
 from irsalloc import (
-    AOTrace, Allocation, NoFeasiblePlacement, PlacementGrid, alternating_optimize,
-    build_topology, dbm_to_watts, optimize_placement_given_allocation,
+    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid,
+    alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
 from irsalloc.placement import BLOCK_POINTS, AOIteration, _center_topology
@@ -82,6 +82,17 @@ def test_tie_break_lexicographic(params):
     assert topo.pos_irs_a[1] == -1.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d_min", math.nan), ("d_min", math.inf), ("d_min", -3.0),
+    ("height", math.nan), ("height", math.inf), ("height", -math.inf)])
+def test_grid_rejects_bad_height_and_min_distance(field, value):
+    kw = dict(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0), xb_bounds=(90.0, 100.0),
+              yb_bounds=(0.0, 4.0), step=2.0, height=10.0, d_min=1.0)
+    kw[field] = value
+    with pytest.raises(ConfigError, match="d_min" if field == "d_min" else "height"):
+        PlacementGrid(**kw)
+
+
 def test_no_feasible_placement(params):
     grid = PlacementGrid(xa_bounds=(0.0, 0.0), ya_bounds=(0.0, 0.0),
                          xb_bounds=(0.0, 0.0), yb_bounds=(0.0, 0.0),
@@ -144,18 +155,45 @@ def test_ao_reuses_scan_of_repeated_allocation(params, monkeypatch):
                          step=0.5, height=10.0, d_min=1.0)
     expected = ao_scanning_every_iteration(params, grid, "TPAR", TX, RX)
     scanned = []
-    scan = placement.optimize_placement_given_allocation
+    scan = placement._scan
 
     def counting_scan(params, alloc, *args):
         scanned.append(alloc)
         return scan(params, alloc, *args)
 
-    monkeypatch.setattr(placement, "optimize_placement_given_allocation", counting_scan)
+    monkeypatch.setattr(placement, "_scan", counting_scan)
     trace = alternating_optimize(params, grid, "TPAR", TX, RX)
     assert trace == expected
     assert len(trace.iterations) == 3
     assert trace.iterations[1].allocation == trace.iterations[2].allocation
     assert len(scanned) == 2
+
+
+def test_ao_builds_geometry_once(params, monkeypatch):
+    grid = PlacementGrid(xa_bounds=(0.0, 30.0), ya_bounds=(0.0, 10.0),
+                         xb_bounds=(83.0, 113.0), yb_bounds=(0.0, 10.0),
+                         step=0.5, height=10.0, d_min=1.0)
+    for scheme in ("TAPR", "TPAR"):
+        expected = ao_scanning_every_iteration(params, grid, scheme, TX, RX)
+        built, scanned = [], []
+        geometry, scan = placement._geometry, placement._scan
+
+        def counting_geometry(*args):
+            built.append(args)
+            return geometry(*args)
+
+        def counting_scan(*args):
+            scanned.append(args)
+            return scan(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(placement, "_geometry", counting_geometry)
+            m.setattr(placement, "_scan", counting_scan)
+            trace = alternating_optimize(params, grid, scheme, TX, RX)
+        assert trace == expected
+        assert len(built) == 1
+        assert len(scanned) >= 2
+        assert all(args[2] is scanned[0][2] for args in scanned)
 
 
 # ---------------------------------------- pruned scan vs the full-grid oracle
@@ -201,6 +239,62 @@ def placement_cases(draw):
 @given(placement_cases())
 def test_pruned_scan_matches_full_grid_property(case):
     same_placement(*case)
+
+
+def pair_minima(params, alloc, geo):
+    """The smallest candidate zeta of every block pair, each candidate
+    computed as the scan computes it, indexed (xa, ya, xb, yb) in blocks."""
+    p, q, r = placement._zeta_factors(params, alloc, geo)
+    g = geo.gap_x[:, None, :, None] + geo.gap_y[None, :, None, :]
+    zeta = q[:, :, None, None] * g * r
+    zeta += p[:, :, None, None] if alloc.scheme == "TAPR" else p
+    n = BLOCK_POINTS
+    return zeta.reshape(zeta.shape[0] // n, n, zeta.shape[1] // n, n,
+                        zeta.shape[2] // n, n, zeta.shape[3] // n, n).min(axis=(1, 3, 5, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(placement_cases())
+def test_refined_bound_below_every_candidate_property(case):
+    params, alloc, grid, tx, rx = case
+    geo = placement._geometry(grid, tx, rx)
+    lowest = pair_minima(params, alloc, geo)
+    p, q, r = placement._zeta_factors(params, alloc, geo)
+    pairs = np.indices(lowest.shape).reshape(4, -1)
+    refined = placement._refined_bounds(geo, alloc.scheme == "TAPR", p, q, r, *pairs)
+    assert np.all(refined <= lowest.ravel())
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+@pytest.mark.parametrize("points", [(1, 1, 1, 1), (7, 7, 7, 7), (8, 8, 8, 8), (9, 9, 9, 9),
+                                    (17, 17, 17, 17), (1, 7, 9, 17), (17, 9, 7, 1)])
+def test_padded_axes_match_full_grid(params, scheme, points):
+    # (xa, ya, xb, yb) points per axis; every size but 8 is padded
+    nxa, nya, nxb, nyb = points
+    grid = PlacementGrid(xa_bounds=(10.0, 10.0 + nxa - 1), ya_bounds=(-3.0, nya - 4.0),
+                         xb_bounds=(85.0, 85.0 + nxb - 1), yb_bounds=(-4.0, nyb - 5.0),
+                         step=1.0, height=10.0, d_min=1.0)
+    geo = placement._geometry(grid, TX, RX)
+    assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == \
+        [-(-n // BLOCK_POINTS) * BLOCK_POINTS for n in points]
+    assert same_placement(params, Allocation(100, 1000, scheme), grid, TX, RX) is not None
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_tie_on_last_point_of_padded_axes(params, scheme):
+    # 9 points per axis, padded to 16 by 7 copies of the last; Tx beyond the
+    # A-box and Rx beyond the B-box put the optimum on the last real point
+    # of every axis, where it ties exactly with its copies
+    grid = PlacementGrid(xa_bounds=(10.0, 18.0), ya_bounds=(-8.0, 0.0),
+                         xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
+                         step=1.0, height=10.0, d_min=1.0)
+    tx, rx = (40.0, 0.0, 10.0), (120.0, 0.0, 10.0)
+    geo = placement._geometry(grid, tx, rx)
+    for axis in (geo.xa, geo.ya, geo.xb, geo.yb):
+        assert len(axis) == 16 and np.all(axis[8:] == axis[8])
+    topo = same_placement(params, Allocation(100, 1000, scheme), grid, tx, rx)
+    assert topo.pos_irs_a == (18.0, 0.0, 10.0)
+    assert topo.pos_irs_b == (98.0, 0.0, 10.0)
 
 
 @pytest.mark.parametrize("scheme, pv_dbm", [("TAPR", -20.0), ("TPAR", -27.0)])

@@ -74,6 +74,17 @@ def test_topology_rejects_bad_positions():
                 build_topology(*nodes)
 
 
+@pytest.mark.parametrize("d_min", [math.nan, math.inf, -3.0, True, "1"])
+def test_topology_rejects_bad_min_distance(d_min):
+    with pytest.raises(ConfigError, match="d_min"):
+        build_topology((0, 0, 0), (15, 5, 10), (98, 5, 10), (100, 0, 0), d_min=d_min)
+
+
+def test_topology_accepts_zero_min_distance():
+    topo = build_topology((0, 0, 0), (0, 0, 1e-9), (98, 5, 10), (100, 0, 0), d_min=0)
+    assert topo.d1 == 1e-9 and topo.d_min == 0
+
+
 def test_triangle_inequality_random_geometry():
     rng = np.random.default_rng(7)
     for _ in range(100):
