@@ -15,9 +15,8 @@ from .scenario import (SCHEMES, TAPR, TPAR, SystemParams, Topology,
                        build_topology, db_to_linear, dbm_to_watts,
                        direction_angles, free_space_ref_gain, linear_to_db,
                        load_scenario, unit_from_angles, watts_to_dbm)
-from .snr import (LinkBudget, RegimeReport, SchemeComparison,
-                  approx_snr_suboptimal, check_lemma1, compare_schemes,
-                  simulate_empirical_snr, snr_approx, snr_closed_form,
-                  snr_exact_matrix)
+from .snr import (LinkBudget, RegimeReport, SchemeComparison, check_lemma1,
+                  compare_schemes, simulate_empirical_snr, snr_approx,
+                  snr_closed_form, snr_exact_matrix)
 
 __version__ = "0.1.0"

@@ -37,12 +37,11 @@ def grid_shape(n: int) -> tuple[int, int]:
     return nx, n // nx
 
 
-def upa_response(azimuth: float, elevation: float, n: int,
-                 spacing_factor: float = SPACING_FACTOR) -> np.ndarray:
+def upa_response(azimuth: float, elevation: float, n: int) -> np.ndarray:
     """Planar-array response: x-axis steering (sin(az)sin(el)) kron y-axis (cos(el))."""
     nx, ny = grid_shape(n)
-    wx = spacing_factor * math.sin(azimuth) * math.sin(elevation)
-    wy = spacing_factor * math.cos(elevation)
+    wx = SPACING_FACTOR * math.sin(azimuth) * math.sin(elevation)
+    wy = SPACING_FACTOR * math.cos(elevation)
     return np.kron(steering(wx, nx), steering(wy, ny))
 
 

@@ -26,8 +26,8 @@ from .reflection import configure
 from .scenario import SCHEMES, SystemParams, TAPR, Topology, \
     build_topology, dbm_to_watts, linear_to_db, load_scenario
 from .snr import check_lemma1, check_seed, compare_schemes, rate_from_snr, \
-    simulate_empirical_snr, snr_closed_form, snr_exact_matrix, \
-    approx_snr_suboptimal, zeta_value
+    simulate_empirical_snr, snr_approx, snr_closed_form, snr_exact_matrix, \
+    zeta_value
 
 SCHEME_SYSTEMS = ("tapr", "tpar")
 ALL_SYSTEMS = SCHEME_SYSTEMS + benchmarks.BENCHMARK_SYSTEMS
@@ -46,6 +46,9 @@ class SweepSpec:
     method: str               # optimal | closed-form | exhaustive
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+            raise ConfigError(f"sweep from/to/step must be finite numbers, got "
+                              f"{self.start!r}/{self.stop!r}/{self.step!r}")
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
         if self.start > self.stop:
@@ -245,8 +248,8 @@ def run_verify(params: SystemParams, topo: Topology,
     ok = True
     details = []
     for scheme in SCHEMES:
-        s_approx = _slope(budgets, [approx_snr_suboptimal(params, topo, scheme, m).snr
-                                    for m in budgets])
+        s_approx = _slope(budgets, [snr_approx(params, topo, closed_form_split(
+            m, params.cost_active, params.cost_passive, scheme)).snr for m in budgets])
         cont = [solve_continuous(params, topo, scheme, budget=m).snr for m in budgets]
         s_full = _slope(budgets, cont)
         # the full closed form only approaches cubic growth when the

@@ -300,7 +300,8 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
             d2 = np.sqrt(g)
             ok = d2 >= d_min
             if scheme != TAPR:
-                ok &= beta_star(params, d1[ia, ja][:, :, None, None], d2, n_act, n_pas) >= 1.0
+                with np.errstate(divide="ignore"):  # beta* = 0 where d1 = 0 (d_min = 0)
+                    ok &= beta_star(params, d1[ia, ja][:, :, None, None], d2, n_act, n_pas) >= 1.0
             feasible = ok if feasible is None else feasible & ok
         zeta = q[ia, ja][:, :, None, None] * g * r[ib, jb]
         zeta += p[ia, ja][:, :, None, None] if p_on_a else p[ib, jb]

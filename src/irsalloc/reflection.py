@@ -5,6 +5,9 @@ h^H * Phi * S * Psi * g, so its magnitude becomes
 amp * n_first * n_second * rho^{3/2} / (d1*d2*d3) regardless of angles.
 The active surface's common amplitude is set so its output-power constraint
 holds with equality; values below 1 are reported, never clamped.
+
+ReflectionConfig holds phases and amplitudes only; the SNR oracles apply each
+diagonal reflection, e.g. Psi = amp_first*diag(e^{j*phases_first}), as a gain vector.
 """
 
 from __future__ import annotations
@@ -32,12 +35,6 @@ class ReflectionConfig:
     amp_first: float
     amp_second: float
     scheme: str
-
-    def first_matrix(self) -> np.ndarray:
-        return np.diag(self.amp_first * np.exp(1j * self.phases_first))
-
-    def second_matrix(self) -> np.ndarray:
-        return np.diag(self.amp_second * np.exp(1j * self.phases_second))
 
     @property
     def active_amplitude(self) -> float:

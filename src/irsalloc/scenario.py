@@ -160,6 +160,9 @@ def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> 
     for label, d in (("Tx<->A-IRS", d1), ("A-IRS<->B-IRS", d2), ("B-IRS<->Rx", d3)):
         if d < d_min:
             raise DistanceTooSmall(f"{label} distance {d:.6g} m < d_min {d_min:.6g} m")
+        if d == 0.0:
+            # only reachable with d_min = 0: coincident nodes have no link direction
+            raise DistanceTooSmall(f"{label} distance is 0 m: the nodes coincide")
     return Topology(
         pos_tx=tuple(tx), pos_irs_a=tuple(a), pos_irs_b=tuple(b), pos_rx=tuple(rx),
         d1=d1, d2=d2, d3=d3,
@@ -207,6 +210,6 @@ def load_scenario(path) -> tuple[SystemParams, Topology]:
             raw["pos_tx"], raw["pos_irs_a"], raw["pos_irs_b"], raw["pos_rx"],
             d_min=float(raw["d_min_m"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DistanceTooSmall) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     return params, topo

@@ -1,11 +1,15 @@
-"""SNR and rate for both deployment orders: exact matrix form, closed form,
-large-inter-surface-distance approximations, scaling laws, the regime check
-enabling those approximations, the scheme comparator, and a Monte-Carlo
-signal-level power meter used as an independent oracle.
+"""SNR and rate for both deployment orders: the exact cascade, the closed
+form, the large-inter-surface-distance approximation, the regime check
+enabling it, the scheme comparator, and a Monte-Carlo signal-level power
+meter used as an independent oracle.
 
 With the active surface's amplitude at its optimum, both orders share one
 closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
 constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta.
+
+Both oracles, snr_exact_matrix and the Monte-Carlo meter, take the cascade
+h^H*Phi*S*Psi*g from _cascade, which checks sizes and scheme tags and applies
+each diagonal reflection as its gain vector amp*e^{j*theta}.
 
 The Monte-Carlo meter draws every sample's noise explicitly, in fixed blocks
 that each own a seed stream spawned from the caller's seed. The blocks run on
@@ -106,34 +110,37 @@ def snr_closed_form(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
     return _budget_from_powers(alloc.scheme, signal, amp_noise, s02)
 
 
-def snr_exact_matrix(params: SystemParams, topo: Topology, alloc,
-                     channels: ChannelTriple, reflection: ReflectionConfig) -> LinkBudget:
-    """Link budget from the full matrix cascade; works for any phases/amplitudes."""
+def _cascade(channels: ChannelTriple, reflection: ReflectionConfig, scheme: str):
+    """h^H*Phi, h^H*Phi*S*Psi and the cascade h^H*Phi*S*Psi*g, each surface
+    applied as its gain vector amp*e^{j*theta}; DimensionMismatch unless the
+    channels, the reflection and the scheme agree."""
     channels.check_dims()
     if (reflection.phases_first.shape[0] != channels.n_first
             or reflection.phases_second.shape[0] != channels.n_second):
         raise DimensionMismatch("reflection phase vectors do not match channel dimensions")
-    if reflection.scheme != channels.scheme or reflection.scheme != alloc.scheme:
+    if reflection.scheme != channels.scheme or reflection.scheme != scheme:
         raise DimensionMismatch("scheme tags disagree between channels/reflection/allocation")
+    through_second = channels.h.conj() * (reflection.amp_second
+                                          * np.exp(1j * reflection.phases_second))
+    through_both = (through_second @ channels.s) * (reflection.amp_first
+                                                    * np.exp(1j * reflection.phases_first))
+    return through_second, through_both, through_both @ channels.g
 
-    psi = reflection.first_matrix()
-    phi = reflection.second_matrix()
-    h_row = channels.h.conj()                       # h^H
-    through_second = h_row @ phi                    # h^H * Phi
-    through_both = through_second @ channels.s @ psi  # h^H * Phi * S * Psi
-    cascade = through_both @ channels.g
 
+def snr_exact_matrix(params: SystemParams, topo: Topology, alloc,
+                     channels: ChannelTriple, reflection: ReflectionConfig) -> LinkBudget:
+    """Link budget from the full cascade; works for any phases/amplitudes."""
+    through_second, through_both, cascade = _cascade(channels, reflection, alloc.scheme)
     signal = params.transmit_power * abs(cascade) ** 2
-    if alloc.scheme == TAPR:
-        # amplification noise enters at the first surface and traverses both hops
-        amp_noise = params.amp_noise_power * float(np.linalg.norm(through_both) ** 2)
-    else:
-        amp_noise = params.amp_noise_power * float(np.linalg.norm(through_second) ** 2)
+    # amplification noise enters at the active surface, the first in TAPR
+    noise_weights = through_both if alloc.scheme == TAPR else through_second
+    amp_noise = params.amp_noise_power * float(np.linalg.norm(noise_weights) ** 2)
     return _budget_from_powers(alloc.scheme, signal, amp_noise, params.rx_noise_power)
 
 
 def snr_approx(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
-    """Dominant-term SNR, valid when the regime check passes."""
+    """Dominant-term SNR, valid when the regime check passes. At
+    closed_form_split(M, W_act, W_pas, scheme) it is cubic in the budget M."""
     zeta = zeta_value(params, alloc.scheme, alloc.n_act, alloc.n_pas,
                       topo.d1, topo.d2, topo.d3, approx=True)
     snr = snr_from_zeta(params, zeta)
@@ -174,18 +181,7 @@ def check_lemma1(params: SystemParams, topo: Topology, x_pas: float,
                         satisfied=ratio <= epsilon, epsilon=epsilon)
 
 
-# ------------------------------------------------- scaling law and comparator
-
-def approx_snr_suboptimal(params: SystemParams, topo: Topology, scheme: str,
-                          budget: float) -> LinkBudget:
-    """Approximate SNR at the closed-form split (M/(3*W_act), 2*M/(3*W_pas)):
-    cubic in the total budget."""
-    zeta = zeta_value(params, scheme, budget / (3.0 * params.cost_active),
-                      2.0 * budget / (3.0 * params.cost_passive),
-                      topo.d1, topo.d2, topo.d3, approx=True)
-    snr = snr_from_zeta(params, zeta)
-    return LinkBudget(scheme=scheme, snr=snr, rate=rate_from_snr(snr))
-
+# ---------------------------------------------------------------- comparator
 
 @dataclass(frozen=True)
 class SchemeComparison:
@@ -251,12 +247,8 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     from concurrent.futures import ThreadPoolExecutor
 
     num_samples = int(num_samples)
-    channels = build_channels(params, topo, alloc)
-    psi = reflection.first_matrix()
-    phi = reflection.second_matrix()
-    through_second = channels.h.conj() @ phi
-    through_both = through_second @ channels.s @ psi
-    cascade = through_both @ channels.g
+    through_second, through_both, cascade = _cascade(
+        build_channels(params, topo, alloc), reflection, alloc.scheme)
     noise_weights = through_both if alloc.scheme == TAPR else through_second
     # one complex weight per column of a sample row: the elements'
     # amplification noise, then the receiver noise in the last column

@@ -83,6 +83,13 @@ def brute_force_allocation(params: SystemParams, topo, scheme: str,
     return None if best is None else (best[2], best[1])
 
 
+def reflection_matrices(refl):
+    """(Psi, Phi): the literal diagonal reflection matrices of the first and
+    second surface, for tests that check the cascade as a matrix product."""
+    return (np.diag(refl.amp_first * np.exp(1j * refl.phases_first)),
+            np.diag(refl.amp_second * np.exp(1j * refl.phases_second)))
+
+
 def full_grid_placement(params: SystemParams, alloc, grid, pos_tx, pos_rx):
     """Joint grid-argmax of the closed-form rate over every candidate
     placement at once; the oracle for the pruned placement scan.

@@ -21,9 +21,9 @@ import pytest
 
 from irsalloc import (
     Allocation, ConditionUndefined, PlacementGrid, alternating_optimize,
-    approx_snr_suboptimal, build_channels, build_topology, check_lemma1,
-    closed_form_split, compare_schemes, dbm_to_watts, exhaustive_search,
-    simulate_empirical_snr, snr_closed_form, snr_exact_matrix, solve_continuous,
+    build_channels, build_topology, check_lemma1, closed_form_split,
+    compare_schemes, dbm_to_watts, exhaustive_search, simulate_empirical_snr,
+    snr_approx, snr_closed_form, snr_exact_matrix, solve_continuous,
     solve_integer,
 )
 from irsalloc.benchmarks import (
@@ -118,8 +118,9 @@ BUDGETS = np.array([500.0, 1000.0, 2000.0, 4000.0])
 def test_criterion_4a_cubic_scaling_approx():
     start = time.perf_counter()
     params, topo = baseline_params(), baseline_topology()
-    slopes = {s: _slope(BUDGETS, [approx_snr_suboptimal(params, topo, s, m).snr
-                                  for m in BUDGETS]) for s in SCHEMES}
+    slopes = {s: _slope(BUDGETS, [snr_approx(params, topo, closed_form_split(
+        m, params.cost_active, params.cost_passive, s)).snr for m in BUDGETS])
+        for s in SCHEMES}
     elapsed = time.perf_counter() - start
     ok = all(abs(v - 3.0) <= 1e-9 for v in slopes.values()) and elapsed < 5.0
     assert emit("4a cubic-scaling-approx", ok,
@@ -199,8 +200,9 @@ def test_criterion_5_scheme_comparator():
                 continue
         except ConditionUndefined:
             continue
-        g_ap = approx_snr_suboptimal(p, t, "TAPR", p.total_budget).snr
-        g_pa = approx_snr_suboptimal(p, t, "TPAR", p.total_budget).snr
+        g_ap = snr_approx(p, t, split).snr
+        g_pa = snr_approx(p, t, closed_form_split(p.total_budget, p.cost_active,
+                                                  p.cost_passive, "TPAR")).snr
         agree &= compare_schemes(p, t).tapr_at_least_tpar == (g_ap >= g_pa)
         checked += 1
     elapsed = time.perf_counter() - start

@@ -196,9 +196,10 @@ def test_growth_orders(params, topo):
         slope = np.polyfit(np.log(budgets), np.log(snrs), 1)[0]
         assert slope == pytest.approx(target, abs=0.05)
     # the two-surface schemes grow cubically in the dominant-term regime
-    from irsalloc import approx_snr_suboptimal
+    from irsalloc import closed_form_split, snr_approx
     for scheme in ("TAPR", "TPAR"):
-        snrs = [approx_snr_suboptimal(params, topo, scheme, m).snr for m in budgets]
+        snrs = [snr_approx(params, topo, closed_form_split(
+            m, params.cost_active, params.cost_passive, scheme)).snr for m in budgets]
         slope = np.polyfit(np.log(budgets), np.log(snrs), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.05)
 

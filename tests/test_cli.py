@@ -205,6 +205,17 @@ def test_main_nan_position_exit_code(baseline_config, tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("pos_a, d_min", [("[0, 0, 0.5]", "1.0"), ("[0, 0, 0]", "0")])
+def test_main_nodes_too_close_exit_code(baseline_config, tmp_path, capsys, pos_a, d_min):
+    cfg = tmp_path / "close.yaml"
+    cfg.write_text(baseline_config.read_text()
+                   .replace("pos_irs_a: [15, 5, 10]", f"pos_irs_a: {pos_a}")
+                   .replace("d_min_m: 1.0", f"d_min_m: {d_min}"))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Tx<->A-IRS distance" in err
+
+
 def test_main_placement_nan_min_distance(baseline_config, tmp_path, capsys):
     # a bad d_min is a config error, caught when the config is loaded
     cfg = tmp_path / "nan_dmin.yaml"
@@ -242,6 +253,15 @@ def test_main_placement_bad_grid_step(baseline_config, capsys, step):
                  "--grid-step", step]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid step") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("start, stop, step", [("500", "1000", "nan"), ("nan", "1000", "500"),
+                                              ("500", "inf", "500"), ("500", "1000", "inf")])
+def test_main_sweep_non_finite_bounds(baseline_config, capsys, start, stop, step):
+    assert main(["sweep", "--config", str(baseline_config), "--param", "total-budget",
+                 "--from", start, "--to", stop, "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep from/to/step") and "Traceback" not in err
 
 
 def test_main_compare_and_verify(baseline_config, capsys):

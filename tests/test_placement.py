@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import irsalloc.placement as placement
 from irsalloc import (
-    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid,
+    AOTrace, Allocation, ConfigError, DistanceTooSmall, NoFeasiblePlacement, PlacementGrid,
     alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
@@ -417,3 +418,29 @@ def test_min_distance_boundary_through_block_pairs(params):
     assert d2.flat[np.argmin(zeta)] < grid.d_min
     topo = same_placement(params, alloc, grid, TX, RX)
     assert topo is not None and topo.d2 >= grid.d_min
+
+
+def test_tapr_overlapping_boxes_without_min_distance(params):
+    # with d_min = 0 the best TAPR placement puts both surfaces on one point
+    grid = PlacementGrid(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0),
+                         xb_bounds=(15.0, 30.0), yb_bounds=(0.0, 4.0),
+                         step=1.0, height=10.0, d_min=0.0)
+    with pytest.raises(DistanceTooSmall, match="coincide"):
+        optimize_placement_given_allocation(params, Allocation(20, 200, "TAPR"), grid, TX, RX)
+
+
+def test_tpar_grid_point_on_tx_without_min_distance(params):
+    # d1 = 0 at the A-grid origin: beta* = 0 there, an infeasible point, and
+    # no warning escapes the scan
+    grid = PlacementGrid(xa_bounds=(0.0, 4.0), ya_bounds=(0.0, 4.0),
+                         xb_bounds=(90.0, 96.0), yb_bounds=(0.0, 4.0),
+                         step=1.0, height=0.0, d_min=0.0)
+    alloc, rx = Allocation(20, 200, "TPAR"), (100.0, 0.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = full_grid_placement(params, alloc, grid, TX, rx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimize_placement_given_allocation(params, alloc, grid, TX, rx)
+    assert got == expected
+    assert got.d1 > 0.0

@@ -85,6 +85,17 @@ def test_topology_accepts_zero_min_distance():
     assert topo.d1 == 1e-9 and topo.d_min == 0
 
 
+@pytest.mark.parametrize("positions", [
+    ((0, 0, 0), (0, 0, 0), (98, 5, 10), (100, 0, 0)),
+    ((0, 0, 0), (15, 5, 10), (15, 5, 10), (100, 0, 0)),
+    ((0, 0, 0), (15, 5, 10), (98, 5, 10), (98, 5, 10)),
+])
+def test_topology_rejects_coincident_nodes(positions):
+    # d_min = 0 lets a zero distance past the d_min test
+    with pytest.raises(DistanceTooSmall, match="coincide"):
+        build_topology(*positions, d_min=0)
+
+
 def test_triangle_inequality_random_geometry():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -2,21 +2,22 @@
 scheme comparator and the Monte-Carlo power meter."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irsalloc import (
-    Allocation, ConditionUndefined, ConfigError, approx_snr_suboptimal, build_channels,
-    build_topology, check_lemma1, compare_schemes, simulate_empirical_snr,
-    snr_approx, snr_closed_form, snr_exact_matrix,
+    Allocation, ConditionUndefined, ConfigError, build_channels, build_topology,
+    check_lemma1, compare_schemes, simulate_empirical_snr, snr_approx,
+    snr_closed_form, snr_exact_matrix,
 )
 from irsalloc.allocation import closed_form_split
 from irsalloc.reflection import ReflectionConfig, configure, optimal_phases
 from irsalloc import snr as snr_module
 from irsalloc.snr import _MC_BLOCK, rate_from_snr, snr_from_zeta, zeta_value
-from conftest import baseline_params, random_scenario
+from conftest import baseline_params, random_scenario, reflection_matrices
 
 
 def zeta_oracle(params, scheme, x_act, x_pas, d1, d2, d3):
@@ -200,26 +201,17 @@ def test_lemma1_undefined_branch(topo):
 
 def test_suboptimal_scaling_is_cubic(params, topo):
     for scheme in ("TAPR", "TPAR"):
-        g1 = approx_snr_suboptimal(params, topo, scheme, 700.0).snr
-        g2 = approx_snr_suboptimal(params, topo, scheme, 1400.0).snr
+        g1, g2 = (snr_approx(params, topo, closed_form_split(
+            m, params.cost_active, params.cost_passive, scheme)).snr for m in (700.0, 1400.0))
         assert g2 / g1 == pytest.approx(8.0, rel=1e-12)
 
 
-def test_suboptimal_equals_approx_at_split(params, topo):
-    for scheme in ("TAPR", "TPAR"):
-        split = closed_form_split(1500.0, params.cost_active,
-                                  params.cost_passive, scheme)
-        direct = snr_approx(params, topo, split).snr
-        prop = approx_snr_suboptimal(params, topo, scheme, 1500.0).snr
-        assert prop == pytest.approx(direct, rel=1e-12)
-
-
 def test_tpar_suboptimal_independent_of_pv_and_rx_noise(params, topo):
-    base = approx_snr_suboptimal(params, topo, "TPAR", 1500.0).snr
+    split = closed_form_split(1500.0, params.cost_active, params.cost_passive, "TPAR")
+    base = snr_approx(params, topo, split).snr
     moved = replace(params, amp_power_budget=10.0 * params.amp_power_budget,
                     rx_noise_power=3.0 * params.rx_noise_power)
-    assert approx_snr_suboptimal(moved, topo, "TPAR", 1500.0).snr == \
-        pytest.approx(base, rel=1e-15)
+    assert snr_approx(moved, topo, split).snr == pytest.approx(base, rel=1e-15)
 
 
 def test_comparator_baseline(params, topo):
@@ -253,8 +245,9 @@ def test_comparator_agrees_with_approx_ordering():
         if not report.satisfied:
             continue
         cmp = compare_schemes(params, topo)
-        g_ap = approx_snr_suboptimal(params, topo, "TAPR", params.total_budget).snr
-        g_pa = approx_snr_suboptimal(params, topo, "TPAR", params.total_budget).snr
+        g_ap = snr_approx(params, topo, split).snr
+        g_pa = snr_approx(params, topo, closed_form_split(
+            params.total_budget, params.cost_active, params.cost_passive, "TPAR")).snr
         assert cmp.tapr_at_least_tpar == (g_ap >= g_pa)
         checked += 1
 
@@ -274,8 +267,9 @@ def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
     streams and draws, with the amplification and receiver noise assembled
     term by term; returns (signal power, noise power)."""
     ch = build_channels(params, topo, alloc)
-    through_second = ch.h.conj() @ refl.second_matrix()
-    through_both = through_second @ ch.s @ refl.first_matrix()
+    psi, phi = reflection_matrices(refl)
+    through_second = ch.h.conj() @ phi
+    through_both = through_second @ ch.s @ psi
     cascade = through_both @ ch.g
     weights = through_both if alloc.scheme == "TAPR" else through_second
     n = weights.shape[0]
@@ -369,3 +363,30 @@ def test_exact_matrix_rejects_mismatched_reflection(params, topo):
                            amp_first=1.5, amp_second=1.0, scheme="TAPR")
     with pytest.raises(DimensionMismatch):
         snr_exact_matrix(params, topo, alloc, ch, bad)
+
+
+# TPAR's first surface is its passive one, so Allocation(9, 4, "TPAR") has the
+# surface sizes (4, 9) of Allocation(4, 9, "TAPR") under the other scheme
+@pytest.mark.parametrize("other", [Allocation(4, 10, "TAPR"), Allocation(9, 4, "TPAR")])
+def test_monte_carlo_rejects_mismatched_reflection(params, topo, other):
+    from irsalloc.errors import DimensionMismatch
+    refl = configure(params, topo, other)
+    with pytest.raises(DimensionMismatch):
+        simulate_empirical_snr(params, topo, Allocation(4, 9, "TAPR"), refl, 100, seed=0)
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_oracles_never_form_a_dense_reflection(params, topo, scheme):
+    # 3000 passive elements: an n-by-n diagonal reflection alone is 144 MB
+    alloc = Allocation(1, 3000, scheme)
+    ch = build_channels(params, topo, alloc)
+    refl = configure(params, topo, alloc, ch)
+    for run in (lambda: snr_exact_matrix(params, topo, alloc, ch, refl),
+                lambda: simulate_empirical_snr(params, topo, alloc, refl, 1000, seed=0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
