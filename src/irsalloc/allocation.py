@@ -132,16 +132,21 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     return _solution(params, topo, alloc, method="optimal", diagnostics=diag)
 
 
+def affordable(budget: float, spent, cost: float):
+    """The largest whole count k >= 0 with spent + cost*k <= budget, as a
+    float; elementwise over an array of spent."""
+    k = np.floor((budget - spent) / cost)
+    # the floored quotient can miss the budget test by one either way
+    k -= spent + cost * k > budget
+    k += spent + cost * (k + 1.0) <= budget
+    return np.maximum(k, 0.0)
+
+
 def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
                           n_act: np.ndarray, budget: float) -> np.ndarray:
     """Per n_act row, the largest n_pas (0 if none) within the budget whose
     active amplitude is >= 1."""
-    wa, wp = params.cost_active, params.cost_passive
-    hi = np.floor((budget - wa * n_act) / wp)
-    # the floored quotient can miss the budget test by one either way
-    hi -= wa * n_act + wp * hi > budget
-    hi += wa * n_act + wp * (hi + 1.0) <= budget
-    hi = np.maximum(hi, 0.0)  # rows that cannot afford a passive element
+    hi = affordable(budget, params.cost_active * n_act, params.cost_passive)
     if scheme == TAPR:
         return np.where(alpha_star(params, topo.d1, n_act) >= 1.0, hi, 0.0)
     # beta* >= 1 exactly when n_pas^2 <= q; beta* decreases in n_pas, so

@@ -3,15 +3,16 @@
 Fair-power convention: systems with no active surface transmit with Pt + Pv;
 systems with an active surface keep (Pt, Pv) separate. Single-surface systems
 are evaluated at both existing IRS sites and the better one is reported.
+Every element count is the largest the budget affords (allocation.affordable).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import affordable
 from .reflection import alpha_star
 from .scenario import SystemParams, Topology
 from .snr import rate_from_snr
@@ -47,7 +48,7 @@ def _site_distances(topo: Topology) -> dict[str, tuple[float, float]]:
 
 def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One passive surface at the better site, transmit power Pt + Pv."""
-    n = math.floor(params.total_budget / params.cost_passive)
+    n = int(affordable(params.total_budget, 0.0, params.cost_passive))
     p_total = params.transmit_power + params.amp_power_budget
     rho, s02 = params.ref_gain, params.rx_noise_power
     best = None
@@ -70,7 +71,7 @@ def _single_airs_snr(params: SystemParams, n: int, da: float, db: float) -> tupl
 
 
 def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
-    n = math.floor(params.total_budget / params.cost_active)
+    n = int(affordable(params.total_budget, 0.0, params.cost_active))
     best = None
     for site, (da, db) in sorted(_site_distances(topo).items()):
         snr, alpha = _single_airs_snr(params, n, da, db)
@@ -88,11 +89,12 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     pt = params.transmit_power
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     m, wa, wp = params.total_budget, params.cost_active, params.cost_passive
+    n_act = np.arange(1.0, affordable(m, 0.0, wa) + 1.0)
+    n_pas = affordable(m, wa * n_act, wp).astype(int).tolist()
     best = None
     for site, (da, db) in sorted(_site_distances(topo).items()):
-        alphas = alpha_star(params, da, np.arange(1.0, math.floor(m / wa) + 1.0))
-        for na, alpha in enumerate(alphas.tolist(), start=1):
-            npas = math.floor((m - wa * na) / wp)
+        alphas = alpha_star(params, da, n_act)
+        for na, (npas, alpha) in enumerate(zip(n_pas, alphas.tolist()), start=1):
             if alpha < 1.0:
                 continue
             signal = pt * rho ** 2 * (alpha * na + npas) ** 2 / (da ** 2 * db ** 2)
@@ -110,7 +112,7 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
 
 def rate_double_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Two equal passive surfaces at the existing sites, transmit power Pt + Pv."""
-    n = math.floor(params.total_budget / (2.0 * params.cost_passive))
+    n = int(affordable(params.total_budget, 0.0, 2.0 * params.cost_passive))
     p_total = params.transmit_power + params.amp_power_budget
     rho, s02 = params.ref_gain, params.rx_noise_power
     snr = (p_total * rho ** 3 * n ** 4

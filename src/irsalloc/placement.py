@@ -12,7 +12,7 @@ Rx positions; alternating_optimize builds it once per run. Each grid axis is
 padded to whole blocks of BLOCK_POINTS points by repeating its last
 coordinate. A padded point ties with the real point it repeats and has the
 larger index, so the tie rule never picks it. The geometry holds d1, d3, the
-squared x and y gaps between the surfaces, the d_min masks, the smallest
+squared x and y gaps between the surfaces, the distance masks, the smallest
 d1 and d2 of each block or block pair, and each point's smallest squared gap
 to every block of the other surface, all as minima over reshaped arrays.
 
@@ -33,12 +33,15 @@ below each candidate's computed zeta bit for bit, not only in exact
 arithmetic. The feasibility tests only remove candidates, so they leave it a
 bound, and the answer equals that of a scan of every pair.
 
-Feasibility is decided once per pair where it can be: the d2 >= d_min test
-runs per candidate only on pairs whose smallest d2 is below d_min, the TPAR
-beta* >= 1 test only on pairs where beta* at the pair's smallest d1 and d2
-is below 1 (plus _SLACK), and each surface's per-point tests only on blocks
-that hold a failing point. The scan holds one block pair's candidates, the
-per-surface grids and one bound per block pair, never the joint grid.
+Every link distance must be at least d_min and above 0, as build_topology
+requires; with d_min = 0 the scan would otherwise pick coincident surfaces
+for TAPR, where zeta falls to P. Feasibility is decided once per pair where
+it can be: the d2 test runs per candidate only on pairs whose smallest d2 is
+below that floor, the TPAR beta* >= 1 test only on pairs where beta* at the
+pair's smallest d1 and d2 is below 1 (plus _SLACK), and each surface's
+per-point tests only on blocks that hold a failing point. The scan holds
+one block pair's candidates, the per-surface grids and one bound per block
+pair, never the joint grid.
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
 the one scanned last reuses that scan's placement.
@@ -149,8 +152,9 @@ class _Geometry:
     d3: np.ndarray
     gap_x: np.ndarray  # squared x gaps
     gap_y: np.ndarray  # squared y gaps
-    far_a: np.ndarray  # d1 >= d_min
-    far_b: np.ndarray  # d3 >= d_min
+    least: float  # smallest admissible link distance: d_min, and never 0
+    far_a: np.ndarray  # d1 >= least
+    far_b: np.ndarray  # d3 >= least
     d1_lo: np.ndarray  # block minima of d1
     g_lo: np.ndarray  # smallest d2^2 of each block pair
     d2_lo: np.ndarray  # sqrt(g_lo)
@@ -185,9 +189,13 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx) -> _Geometry:
     gap_y = (yb[None, :] - ya[:, None]) ** 2
     bx, by = _blocks(gap_x), _blocks(gap_y)
     g_lo = (bx.min(axis=(1, 3))[:, None, :, None] + by.min(axis=(1, 3))[None, :, None, :])
+    # build_topology refuses a zero link distance even at d_min = 0, and
+    # math.ulp(0.0) is the smallest positive float, so d >= least is d >= d_min
+    # and d > 0
+    least = max(grid.d_min, math.ulp(0.0))
     return _Geometry(
         grid=grid, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, d1=d1, d3=d3,
-        gap_x=gap_x, gap_y=gap_y, far_a=d1 >= grid.d_min, far_b=d3 >= grid.d_min,
+        gap_x=gap_x, gap_y=gap_y, least=least, far_a=d1 >= least, far_b=d3 >= least,
         d1_lo=_blocks(d1).min(axis=(1, 3)), g_lo=g_lo, d2_lo=np.sqrt(g_lo),
         gx_to_b=bx.min(axis=3), gy_to_b=by.min(axis=3),
         gx_to_a=bx.min(axis=1), gy_to_a=by.min(axis=1))
@@ -234,7 +242,7 @@ def _refined_bounds(geo: _Geometry, p_on_a: bool, p, q, r, bxa, bya, bxb, byb) -
 def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     """The placement scan for one allocation over a built geometry."""
     scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
-    d_min = geo.grid.d_min
+    least = geo.least
     d1, gap_x, gap_y = geo.d1, geo.gap_x, geo.gap_y
     ok_a, ok_b = geo.far_a, geo.far_b
     if scheme == TAPR:
@@ -255,10 +263,10 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
              + on_a(block_min(q)) * geo.g_lo * block_min(r))
 
     # Feasibility decided per pair where it can be. The d2 test can fail only
-    # where the pair's smallest d2 is below d_min. beta* rises with d1 and d2,
+    # where the pair's smallest d2 is below least. beta* rises with d1 and d2,
     # so beta* >= 1 holds on the whole pair when it holds, with _SLACK to
     # spare, at the pair's smallest d1 and d2.
-    may_cross = geo.d2_lo < d_min
+    may_cross = geo.d2_lo < least
     if scheme != TAPR:
         with np.errstate(divide="ignore", invalid="ignore"):
             may_cross |= ~(beta_star(params, on_a(geo.d1_lo), geo.d2_lo, n_act, n_pas)
@@ -298,7 +306,7 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
             feasible = ok_b[ib, jb] if feasible is None else feasible & ok_b[ib, jb]
         if cross:
             d2 = np.sqrt(g)
-            ok = d2 >= d_min
+            ok = d2 >= least
             if scheme != TAPR:
                 with np.errstate(divide="ignore"):  # beta* = 0 where d1 = 0 (d_min = 0)
                     ok &= beta_star(params, d1[ia, ja][:, :, None, None], d2, n_act, n_pas) >= 1.0
@@ -335,7 +343,7 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     ixa, ixb, iya, iyb = min(zip(*(i[tied] for i in index)))
     h = geo.grid.height
     return build_topology(geo.tx, (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h),
-                          geo.rx, d_min=d_min)
+                          geo.rx, d_min=geo.grid.d_min)
 
 
 def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:

@@ -14,14 +14,17 @@ each diagonal reflection as its gain vector amp*e^{j*theta}.
 The Monte-Carlo meter draws every sample's noise explicitly, in fixed blocks
 that each own a seed stream spawned from the caller's seed. The blocks run on
 a thread pool and their sums are combined in block order, so a seed gives
-the same number for any worker count."""
+the same number for any worker count. A block draws its noise rows in
+sub-chunks of at most _MC_CHUNK floats (or one row, if a row is wider), one
+after another from its own generator, so a thread holds a bounded buffer
+whatever the element count, and the draws are the ones a single fill of
+the whole block would give."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +210,12 @@ def compare_schemes(params: SystemParams, topo: Topology) -> SchemeComparison:
 # Samples per block. Part of the mapping from seed to number: changing it
 # changes every Monte-Carlo result.
 _MC_BLOCK = 8192
+# Floats per noise sub-chunk (2 MB). A block's rows are drawn in order from
+# its own generator however they are cut, so this bounds memory and leaves
+# every draw unchanged. Each sub-chunk hands the interpreter lock between the
+# pool's threads twice; at 2**16 that cost about 12% of the wall time on two
+# threads for the same CPU time, and at 2**18 it is no longer measurable.
+_MC_CHUNK = 2 ** 18
 # Threads that run the blocks, one per CPU this process may use
 # (sched_getaffinity is missing on macOS and Windows). Any value gives the
 # same result.
@@ -234,9 +243,19 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
 
     The samples are cut into blocks of _MC_BLOCK. Block k draws from its own
     stream, SeedSequence(seed).spawn(n_blocks)[k], and the blocks run on a
-    pool of _MC_WORKERS threads. The per-block sums are combined in block
-    order with math.fsum, so the result depends on the seed alone: the same
-    number for any worker count and any order in which blocks finish.
+    pool of min(_MC_WORKERS, n_blocks) threads. The per-block sums are
+    combined in block order with math.fsum, so the result depends on the seed
+    alone: the same number for any worker count and any order in which
+    blocks finish.
+
+    Each block fills its noise rows in sub-chunks of at most _MC_CHUNK floats
+    (one row if a row is wider), drawn in order from the block's generator,
+    and projects them into one block-length received vector. A thread so
+    holds at most max(_MC_CHUNK, 2*(n+1)) floats of noise, with n the
+    elements whose noise reaches the receiver, plus a few block-length
+    vectors. The sub-chunk size changes no draw; only where a one-row
+    sub-chunk is wider than about 8192 complex columns does einsum sum that
+    row in another order, which can move the last digits of the estimate.
     """
     if (not isinstance(num_samples, numbers.Integral) or isinstance(num_samples, bool)
             or num_samples < 1):
@@ -254,26 +273,29 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     # amplification noise, then the receiver noise in the last column
     weights = np.append(math.sqrt(params.amp_noise_power / 2.0) * noise_weights,
                         math.sqrt(params.rx_noise_power / 2.0))
-    n_cols = weights.shape[0]
+    # noise rows per sub-chunk: a row holds a real and an imaginary draw per
+    # column
+    row_floats = 2 * weights.shape[0]
+    rows = min(max(1, _MC_CHUNK // row_floats), _MC_BLOCK, num_samples)
 
     n_blocks = -(-num_samples // _MC_BLOCK)
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    buffers = threading.local()
 
     def block_sums(k: int) -> tuple[float, float]:
         m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
-        buf = getattr(buffers, "buf", None)
-        if buf is None:
-            buf = buffers.buf = np.empty((_MC_BLOCK, 2 * n_cols))
         rng = np.random.default_rng(streams[k])
         symbols = np.exp(2j * math.pi * rng.random(m))
-        rng.standard_normal(out=buf[:m])
-        # einsum, not @: BLAS threads would spin against the pool's threads
-        received = np.einsum("ij,j->i", buf[:m].view(np.complex128), weights)
+        buf = np.empty((rows, row_floats))
+        received = np.empty(m, dtype=np.complex128)
+        for s in range(0, m, rows):
+            c = min(rows, m - s)
+            rng.standard_normal(out=buf[:c])
+            # einsum, not @: BLAS threads would spin against the pool's threads
+            np.einsum("ij,j->i", buf[:c].view(np.complex128), weights, out=received[s:s + c])
         return (float(np.sum(np.abs(cascade * symbols) ** 2)),
                 float(np.sum(np.abs(received) ** 2)))
 
-    with ThreadPoolExecutor(max_workers=_MC_WORKERS) as pool:
+    with ThreadPoolExecutor(max_workers=min(_MC_WORKERS, n_blocks)) as pool:
         sums = list(pool.map(block_sums, range(n_blocks)))
 
     signal = math.fsum(s for s, _ in sums) / num_samples * params.transmit_power

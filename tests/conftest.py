@@ -1,5 +1,6 @@
 """Shared fixtures: the baseline desk-scale scenario and random generators."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,16 @@ def brute_force_allocation(params: SystemParams, topo, scheme: str,
     return None if best is None else (best[2], best[1])
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reflection_matrices(refl):
     """(Psi, Phi): the literal diagonal reflection matrices of the first and
     second surface, for tests that check the cascade as a matrix product."""
@@ -110,7 +121,9 @@ def full_grid_placement(params: SystemParams, alloc, grid, pos_tx, pos_rx):
     d1 = np.sqrt((gxa - tx[0]) ** 2 + (gya - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d2 = np.sqrt((gxb - gxa) ** 2 + (gyb - gya) ** 2)
     d3 = np.sqrt((rx[0] - gxb) ** 2 + (rx[1] - gyb) ** 2 + (rx[2] - h) ** 2)
-    feasible = (d1 >= grid.d_min) & (d2 >= grid.d_min) & (d3 >= grid.d_min)
+    # every link distance at least d_min and, as build_topology requires, > 0
+    feasible = ((d1 >= grid.d_min) & (d2 >= grid.d_min) & (d3 >= grid.d_min)
+                & (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0))
     if alloc.scheme == TAPR:
         feasible &= alpha_star(params, d1, alloc.n_act) >= 1.0
     else:

@@ -13,6 +13,7 @@ from irsalloc import (
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
+from irsalloc.allocation import affordable
 from irsalloc.snr import objective_constants
 from conftest import baseline_params, brute_force_allocation, random_scenario
 
@@ -257,3 +258,13 @@ def test_rounding_never_infeasible_random():
             assert a.n_act >= 1 and a.n_pas >= 1
             assert a.cost(params) <= params.total_budget + 1e-9
             assert sol.amplitude >= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget=st.floats(1.0, 1e6), spent=st.floats(0.0, 1e6), cost=st.floats(0.01, 100.0))
+def test_affordable_is_largest_count_within_budget(budget, spent, cost):
+    k = affordable(budget, spent, cost)
+    assert k == math.floor(k) >= 0.0
+    if k > 0.0:
+        assert spent + cost * k <= budget
+    assert spent + cost * (k + 1.0) > budget

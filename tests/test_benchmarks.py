@@ -211,3 +211,20 @@ def test_run_benchmark_dispatch(params, topo):
         assert res.rate == pytest.approx(math.log2(1.0 + res.snr), rel=1e-12)
     with pytest.raises(ValueError):
         run_benchmark("triple-pirs", params, topo)
+
+
+# budgets whose floored quotient overshoots by one ulp: 972/6.48 floors to 150
+# but 150*6.48 = 972.0000000000001, and 2735.2/1.3 floors to 2104 but
+# 2104*1.3 = 2735.2000000000003
+@pytest.mark.parametrize("system, overrides, n_act, n_pas", [
+    (SINGLE_AIRS, dict(total_budget=972.0, cost_active=6.48), 149, 0),
+    (SINGLE_PIRS, dict(total_budget=2735.2, cost_passive=1.3), 0, 2103),
+    (DOUBLE_PIRS, dict(total_budget=2735.2, cost_passive=1.3), 0, 2102),
+    (HYBRID_IRS, dict(total_budget=972.0, cost_active=6.48), 149, 6),
+])
+def test_counts_within_budget_at_rounding_edge(topo, system, overrides, n_act, n_pas):
+    params = baseline_params(**overrides)
+    res = run_benchmark(system, params, topo)
+    assert (res.n_act, res.n_pas) == (n_act, n_pas)
+    assert (params.cost_active * res.n_act + params.cost_passive * res.n_pas
+            <= params.total_budget)

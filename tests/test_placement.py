@@ -1,7 +1,6 @@
 """Grid placement search and the alternating placement/allocation loop."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import irsalloc.placement as placement
 from irsalloc import (
-    AOTrace, Allocation, ConfigError, DistanceTooSmall, NoFeasiblePlacement, PlacementGrid,
+    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid,
     alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
 from irsalloc.placement import BLOCK_POINTS, AOIteration, _center_topology
 from irsalloc.reflection import alpha_star, beta_star
 from irsalloc.snr import zeta_value
-from conftest import baseline_params, full_grid_placement
+from conftest import baseline_params, full_grid_placement, traced_peak
 
 TX = (0.0, 0.0, 0.0)
 RX = (100.0, 0.0, 0.0)
@@ -354,13 +353,8 @@ def test_fine_step_memory_bounded(params, topo):
     grid = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
                          xb_bounds=(xb - 15.0, xb + 15.0), yb_bounds=(yb - 5.0, yb + 5.0),
                          step=0.2, height=h, d_min=1.0)
-    tracemalloc.start()
-    try:
-        optimize_placement_given_allocation(params, Allocation(100, 1000, "TAPR"),
-                                            grid, topo.pos_tx, topo.pos_rx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: optimize_placement_given_allocation(
+        params, Allocation(100, 1000, "TAPR"), grid, topo.pos_tx, topo.pos_rx))
     assert peak < 64 * 2 ** 20
 
 
@@ -421,12 +415,27 @@ def test_min_distance_boundary_through_block_pairs(params):
 
 
 def test_tapr_overlapping_boxes_without_min_distance(params):
-    # with d_min = 0 the best TAPR placement puts both surfaces on one point
+    # with d_min = 0 TAPR's zeta is smallest with both surfaces on one point,
+    # which no topology admits; the scan skips d2 = 0 as the oracle does
     grid = PlacementGrid(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0),
                          xb_bounds=(15.0, 30.0), yb_bounds=(0.0, 4.0),
                          step=1.0, height=10.0, d_min=0.0)
-    with pytest.raises(DistanceTooSmall, match="coincide"):
-        optimize_placement_given_allocation(params, Allocation(20, 200, "TAPR"), grid, TX, RX)
+    alloc = Allocation(20, 200, "TAPR")
+    got = optimize_placement_given_allocation(params, alloc, grid, TX, RX)
+    assert got == full_grid_placement(params, alloc, grid, TX, RX)
+    assert got.d2 > 0.0
+
+
+def test_tapr_surface_on_rx_without_min_distance(params):
+    # the B-grid holds the receiver's position: d3 = 0 would make R, and so
+    # TAPR's whole second term, vanish
+    grid = PlacementGrid(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0),
+                         xb_bounds=(90.0, 100.0), yb_bounds=(0.0, 4.0),
+                         step=1.0, height=0.0, d_min=0.0)
+    alloc = Allocation(20, 200, "TAPR")
+    got = optimize_placement_given_allocation(params, alloc, grid, TX, RX)
+    assert got == full_grid_placement(params, alloc, grid, TX, RX)
+    assert got.d3 > 0.0
 
 
 def test_tpar_grid_point_on_tx_without_min_distance(params):

@@ -2,7 +2,6 @@
 scheme comparator and the Monte-Carlo power meter."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +15,8 @@ from irsalloc import (
 from irsalloc.allocation import closed_form_split
 from irsalloc.reflection import ReflectionConfig, configure, optimal_phases
 from irsalloc import snr as snr_module
-from irsalloc.snr import _MC_BLOCK, rate_from_snr, snr_from_zeta, zeta_value
-from conftest import baseline_params, random_scenario, reflection_matrices
+from irsalloc.snr import _MC_BLOCK, _MC_CHUNK, rate_from_snr, snr_from_zeta, zeta_value
+from conftest import baseline_params, random_scenario, reflection_matrices, traced_peak
 
 
 def zeta_oracle(params, scheme, x_act, x_pas, d1, d2, d3):
@@ -300,6 +299,72 @@ def test_monte_carlo_matches_serial_oracle(params, topo, num_samples):
         assert got.rate == rate_from_snr(got.snr)
 
 
+# noise rows per sub-chunk at 40 active elements: 41 complex columns a row
+ROWS_40 = _MC_CHUNK // (2 * 41)
+assert ROWS_40 < _MC_BLOCK
+
+
+@pytest.mark.parametrize("chunk, num_samples", [
+    (_MC_CHUNK, ROWS_40 - 1), (_MC_CHUNK, ROWS_40), (_MC_CHUNK, ROWS_40 + 1),
+    (_MC_CHUNK, _MC_BLOCK + 2 * ROWS_40 + 1),
+    (64, 37),  # one row (82 floats) is wider than the sub-chunk
+])
+def test_monte_carlo_sub_chunks_match_serial_oracle(params, topo, monkeypatch, chunk,
+                                                    num_samples):
+    monkeypatch.setattr(snr_module, "_MC_CHUNK", chunk)
+    for scheme in ("TAPR", "TPAR"):
+        alloc = Allocation(40, 30, scheme)
+        refl = configure(params, topo, alloc)
+        got = simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=9)
+        signal, noise = monte_carlo_oracle(params, topo, alloc, refl, num_samples, 9)
+        assert got.signal_power == pytest.approx(signal, rel=1e-12)
+        assert got.snr == pytest.approx(signal / noise, rel=1e-12)
+
+
+def test_monte_carlo_same_for_any_sub_chunk_size(params, topo, monkeypatch):
+    # the sub-chunks cut a block's rows without changing their draws
+    alloc = Allocation(12, 30, "TPAR")
+    refl = configure(params, topo, alloc)
+    results = []
+    for chunk in (1, 26 * 7, 26 * 1000, 26 * _MC_BLOCK):
+        monkeypatch.setattr(snr_module, "_MC_CHUNK", chunk)
+        results.append(simulate_empirical_snr(params, topo, alloc, refl,
+                                              2 * _MC_BLOCK + 5, seed=4))
+    assert results[0] == results[1] == results[2] == results[3]
+
+
+@pytest.mark.parametrize("alloc, num_samples, bound_mb", [
+    (Allocation(300, 30, "TAPR"), 1, 4),
+    (Allocation(300, 30, "TAPR"), _MC_BLOCK, 4),
+    (Allocation(3000, 30, "TAPR"), 1, 8),
+])
+def test_monte_carlo_memory_bounded(params, topo, alloc, num_samples, bound_mb):
+    # a block-sized noise buffer would be 8192 rows of 2*(n_act+1) floats:
+    # 38 MB at 300 active elements, 375 MB at 3000
+    refl = configure(params, topo, alloc)
+    peak = traced_peak(lambda: simulate_empirical_snr(params, topo, alloc, refl,
+                                                      num_samples, seed=0))
+    assert peak < bound_mb * 2 ** 20
+
+
+def test_monte_carlo_starts_no_more_threads_than_blocks(params, topo, monkeypatch):
+    import concurrent.futures
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(snr_module, "_MC_WORKERS", 3)
+    alloc = Allocation(4, 9, "TAPR")
+    refl = configure(params, topo, alloc)
+    for num_samples in (1, _MC_BLOCK + 1, 5 * _MC_BLOCK):
+        simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=0)
+    assert pool_sizes == [1, 2, 3]
+
+
 def test_monte_carlo_same_for_any_worker_count(params, topo, monkeypatch):
     alloc = Allocation(20, 200, "TPAR")
     refl = configure(params, topo, alloc)
@@ -383,10 +448,4 @@ def test_oracles_never_form_a_dense_reflection(params, topo, scheme):
     refl = configure(params, topo, alloc, ch)
     for run in (lambda: snr_exact_matrix(params, topo, alloc, ch, refl),
                 lambda: simulate_empirical_snr(params, topo, alloc, refl, 1000, seed=0)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert traced_peak(run) < 8 * 2 ** 20
