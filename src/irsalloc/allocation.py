@@ -85,20 +85,24 @@ def _solution(params: SystemParams, topo: Topology, alloc: Allocation,
                               diagnostics=diagnostics or {})
 
 
-def _budget(params: SystemParams, budget) -> float:
-    """The total budget, or the override after the real-number check that
-    SystemParams applies to total_budget; feasibility is left to the solver."""
-    if budget is None:
-        return params.total_budget
+def _check_budget(budget) -> float:
+    """The budget after the real-number check that SystemParams applies to
+    total_budget; feasibility is left to the solver."""
     if (not isinstance(budget, numbers.Real) or isinstance(budget, bool)
             or not math.isfinite(budget)):
         raise ConfigError(f"budget must be a finite number, got {budget!r}")
     return float(budget)
 
 
+def _budget(params: SystemParams, budget) -> float:
+    """The total budget, or the checked override."""
+    return params.total_budget if budget is None else _check_budget(budget)
+
+
 def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme: str) -> Allocation:
     """Near-optimal continuous split: a third of the budget on active elements."""
+    budget = _check_budget(budget)
     if budget <= 0:
         raise InfeasibleBudget("budget must be positive")
     return Allocation(n_act=budget / (3.0 * w_act), n_pas=2.0 * budget / (3.0 * w_pas),

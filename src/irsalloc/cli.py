@@ -132,7 +132,7 @@ def write_csv(rows: list[dict], out, columns=CSV_COLUMNS):
 
 
 def run_placement(params: SystemParams, topo: Topology, scheme: str,
-                  grid_step: float, tol: float = 1e-6, max_iters: int = 20) -> list[dict]:
+                  grid_step: float) -> list[dict]:
     """AO trace rows; grid boxes default to +/-15 m (x) and +/-5 m (y) around
     the configured IRS positions, heights fixed to the configured ones."""
     xa, ya, za = topo.pos_irs_a
@@ -141,8 +141,7 @@ def run_placement(params: SystemParams, topo: Topology, scheme: str,
         xa_bounds=(max(xa - 15.0, 0.0), xa + 15.0), ya_bounds=(max(ya - 5.0, 0.0), ya + 5.0),
         xb_bounds=(max(xb - 15.0, 0.0), xb + 15.0), yb_bounds=(max(yb - 5.0, 0.0), yb + 5.0),
         step=grid_step, height=za, d_min=topo.d_min)
-    trace = alternating_optimize(params, grid, scheme, topo.pos_tx, topo.pos_rx,
-                                 tol=tol, max_iters=max_iters)
+    trace = alternating_optimize(params, grid, scheme, topo.pos_tx, topo.pos_rx)
     rows = []
     for i, it in enumerate(trace.iterations):
         rows.append({
@@ -312,10 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
+def _write_out(path, rows: list[dict], columns=CSV_COLUMNS):
+    """write_csv to the file at path, or to stdout when path is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        write_csv(rows, sys.stdout, columns)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        write_csv(rows, out, columns)
 
 
 def main(argv=None) -> int:
@@ -334,30 +336,21 @@ def main(argv=None) -> int:
                   f"n_act={a.n_act} n_pas={a.n_pas} amplitude={sol.amplitude:.6f} "
                   f"snr_db={linear_to_db(sol.snr):.6f} rate_bps_hz={sol.rate:.9f}")
             if args.out:
-                out, close = _open_out(args.out)
-                write_csv([_row("none", params.total_budget, a.scheme.lower(),
-                                a.n_act, a.n_pas, sol.amplitude, sol.snr, sol.method)], out)
-                if close:
-                    out.close()
+                _write_out(args.out, [_row("none", params.total_budget, a.scheme.lower(),
+                                           a.n_act, a.n_pas, sol.amplitude, sol.snr,
+                                           sol.method)])
             return 0
 
         if args.command == "sweep":
             spec = SweepSpec(parameter=args.param, start=args.start, stop=args.stop,
                              step=args.step, systems=tuple(args.systems.split(",")),
                              method=args.method)
-            rows = run_sweep(params, topo, spec)
-            out, close = _open_out(args.out)
-            write_csv(rows, out)
-            if close:
-                out.close()
+            _write_out(args.out, run_sweep(params, topo, spec))
             return 0
 
         if args.command == "placement":
-            rows = run_placement(params, topo, args.scheme.upper(), args.grid_step)
-            out, close = _open_out(args.out)
-            write_csv(rows, out, columns=PLACEMENT_COLUMNS)
-            if close:
-                out.close()
+            _write_out(args.out, run_placement(params, topo, args.scheme.upper(),
+                                               args.grid_step), PLACEMENT_COLUMNS)
             return 0
 
         if args.command == "compare":

@@ -68,6 +68,9 @@ BLOCK_POINTS = 8
 # exceed 1 before the pair is taken as amplitude-feasible throughout; it covers
 # the rounding of beta_star, which rises with d1 and d2 only in exact arithmetic
 _SLACK = 1e-12
+# stopping rule of alternating_optimize
+AO_TOL = 1e-6
+AO_MAX_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -358,13 +361,12 @@ def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:
 
 
 def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
-                         pos_tx, pos_rx, tol: float = 1e-6,
-                         max_iters: int = 20) -> AOTrace:
+                         pos_tx, pos_rx) -> AOTrace:
     """Alternate placement-given-allocation and allocation-given-placement.
 
     Starts from the literal rounding of the closed-form split at the
-    grid-center placement; stops when the rate improves by less than tol
-    bps/Hz or after max_iters iterations.
+    grid-center placement; stops when the rate improves by less than AO_TOL
+    bps/Hz or after AO_MAX_ITERS iterations.
     """
     check_scheme(scheme)
     sol = solve_integer(params, _center_topology(grid, pos_tx, pos_rx), scheme,
@@ -374,7 +376,7 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     prev_rate = -math.inf
     converged = False
     scanned = None  # (allocation, topology) of the last placement scan
-    for _ in range(max_iters):
+    for _ in range(AO_MAX_ITERS):
         # the scan is deterministic, so an allocation scanned last time gets
         # the same placement again
         if scanned is None or scanned[0] != sol.allocation:
@@ -383,7 +385,7 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
         sol = solve_integer(params, topo, scheme, method="optimal")
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
                                       amplitude=sol.amplitude, rate=sol.rate))
-        if sol.rate - prev_rate < tol:
+        if sol.rate - prev_rate < AO_TOL:
             converged = True
             break
         prev_rate = sol.rate

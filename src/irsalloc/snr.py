@@ -241,9 +241,10 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     explicitly; signal and noise parts are tracked separately and the SNR is
     the ratio of their sample powers.
 
-    The samples are cut into blocks of _MC_BLOCK. Block k draws from its own
-    stream, SeedSequence(seed).spawn(n_blocks)[k], and the blocks run on a
-    pool of min(_MC_WORKERS, n_blocks) threads. The per-block sums are
+    The samples are cut into blocks of _MC_BLOCK. Block k builds its own
+    stream when it runs, SeedSequence(seed, spawn_key=(k,)), the same as
+    SeedSequence(seed).spawn(n_blocks)[k], and the blocks run on a pool of
+    min(_MC_WORKERS, n_blocks) threads. The per-block sums are
     combined in block order with math.fsum, so the result depends on the seed
     alone: the same number for any worker count and any order in which
     blocks finish.
@@ -279,11 +280,10 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     rows = min(max(1, _MC_CHUNK // row_floats), _MC_BLOCK, num_samples)
 
     n_blocks = -(-num_samples // _MC_BLOCK)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def block_sums(k: int) -> tuple[float, float]:
         m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
-        rng = np.random.default_rng(streams[k])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         symbols = np.exp(2j * math.pi * rng.random(m))
         buf = np.empty((rows, row_floats))
         received = np.empty(m, dtype=np.complex128)

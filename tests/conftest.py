@@ -8,8 +8,11 @@ import pytest
 
 from irsalloc import (Allocation, NoFeasiblePlacement, SystemParams, TAPR,
                       build_topology, dbm_to_watts, snr_closed_form)
+from irsalloc.allocation import affordable
+from irsalloc.benchmarks import (HYBRID_IRS, SINGLE_AIRS, SINGLE_PIRS,
+                                 BenchmarkResult)
 from irsalloc.reflection import alpha_star, beta_star, optimal_amplitude
-from irsalloc.snr import snr_from_zeta, zeta_value
+from irsalloc.snr import rate_from_snr, snr_from_zeta, zeta_value
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +85,60 @@ def brute_force_allocation(params: SystemParams, topo, scheme: str,
                 n_pas += 1
         n_act += 1
     return None if best is None else (best[2], best[1])
+
+
+def site_distances(topo, site):
+    """(Tx->site, site->Rx) distances of IRS site "A" or "B"."""
+    pos = np.asarray(topo.pos_irs_a if site == "A" else topo.pos_irs_b)
+    da = np.linalg.norm(pos - np.asarray(topo.pos_tx))
+    db = np.linalg.norm(np.asarray(topo.pos_rx) - pos)
+    return float(da), float(db)
+
+
+def site_loop_benchmark(system: str, params: SystemParams, topo):
+    """The single-PIRS, single-AIRS or hybrid result by looping over sites A
+    then B and, for the hybrid, over active counts in increasing order; the
+    first strict maximum wins. The oracle for the array form in benchmarks."""
+    pt, pv = params.transmit_power, params.amp_power_budget
+    rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
+    m, wa, wp = params.total_budget, params.cost_active, params.cost_passive
+    best = None
+    if system == SINGLE_PIRS:
+        n = int(affordable(m, 0.0, wp))
+        for site in ("A", "B"):
+            da, db = site_distances(topo, site)
+            snr = (pt + pv) * rho ** 2 * n ** 2 / (da ** 2 * db ** 2 * s02)
+            if best is None or snr > best[0]:
+                best = (snr, site, 0, n, 1.0)
+    elif system == SINGLE_AIRS:
+        n = int(affordable(m, 0.0, wa))
+        for site in ("A", "B"):
+            da, db = site_distances(topo, site)
+            snr = (pt * pv * rho ** 2 * n
+                   / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
+            if best is None or snr > best[0]:
+                best = (snr, site, n, 0, float(alpha_star(params, da, n)))
+    elif system == HYBRID_IRS:
+        n_act = np.arange(1.0, affordable(m, 0.0, wa) + 1.0)
+        n_pas = affordable(m, wa * n_act, wp).astype(int).tolist()
+        for site in ("A", "B"):
+            da, db = site_distances(topo, site)
+            alphas = alpha_star(params, da, n_act)
+            for na, (npas, alpha) in enumerate(zip(n_pas, alphas.tolist()), start=1):
+                if alpha < 1.0:
+                    continue
+                signal = pt * rho ** 2 * (alpha * na + npas) ** 2 / (da ** 2 * db ** 2)
+                noise = sv2 * alpha ** 2 * rho * na / db ** 2 + s02
+                snr = signal / noise
+                if best is None or snr > best[0]:
+                    best = (snr, site, na, npas, alpha)
+        if best is None:
+            return site_loop_benchmark(SINGLE_PIRS, params, topo)
+    else:
+        raise ValueError(f"no site-loop oracle for {system!r}")
+    snr, site, n_act, n_pas, amplitude = best
+    return BenchmarkResult(system=system, n_act=n_act, n_pas=n_pas, site=site,
+                           amplitude=amplitude, snr=snr, rate=rate_from_snr(snr))
 
 
 def traced_peak(fn) -> int:

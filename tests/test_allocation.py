@@ -217,6 +217,8 @@ def test_exhaustive_guard(params, topo):
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, True])
 def test_budget_override_must_be_finite_real(params, topo, budget):
     with pytest.raises(ConfigError):
+        closed_form_split(budget, 5.0, 1.0, "TAPR")
+    with pytest.raises(ConfigError):
         solve_continuous(params, topo, "TAPR", budget=budget)
     for method in ("optimal", "closed-form"):
         with pytest.raises(ConfigError):
@@ -224,6 +226,9 @@ def test_budget_override_must_be_finite_real(params, topo, budget):
 
 
 def test_infeasible_budget(params, topo):
+    for budget in (0.0, -1.0):
+        with pytest.raises(InfeasibleBudget):
+            closed_form_split(budget, 5.0, 1.0, "TAPR")
     with pytest.raises(InfeasibleBudget):
         solve_continuous(params, topo, "TAPR", budget=4.0)
     with pytest.raises(InfeasibleBudget):

@@ -6,21 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from irsalloc import build_topology
+from irsalloc import SearchSpaceTooLarge, SystemParams, build_topology, dbm_to_watts
 from irsalloc.benchmarks import (
     DOUBLE_PIRS, HYBRID_IRS, SINGLE_AIRS, SINGLE_PIRS, rate_double_pirs,
     rate_hybrid_irs, rate_single_airs, rate_single_pirs, run_benchmark,
 )
 from irsalloc.channel import upa_response
-from conftest import baseline_params, baseline_topology
-
-
-def site_distances(topo, site):
-    pos = np.asarray(topo.pos_irs_a if site == "A" else topo.pos_irs_b)
-    da = np.linalg.norm(pos - np.asarray(topo.pos_tx))
-    db = np.linalg.norm(np.asarray(topo.pos_rx) - pos)
-    return float(da), float(db)
+from conftest import (baseline_params, baseline_topology, site_distances,
+                      site_loop_benchmark, traced_peak)
 
 
 def single_surface_oracle(params, da, db, n, amp, transmit_power, amp_noise):
@@ -228,3 +223,62 @@ def test_counts_within_budget_at_rounding_edge(topo, system, overrides, n_act, n
     assert (res.n_act, res.n_pas) == (n_act, n_pas)
     assert (params.cost_active * res.n_act + params.cost_passive * res.n_pas
             <= params.total_budget)
+
+
+@st.composite
+def benchmark_scenarios(draw):
+    """Pv from -60 to 30 dBm, so the hybrid's alpha* rules out some or all
+    active counts; near and far-apart site pairs."""
+    wa = draw(st.floats(2.0, 10.0))
+    params = SystemParams(
+        transmit_power=dbm_to_watts(draw(st.floats(10.0, 30.0))),
+        amp_power_budget=dbm_to_watts(draw(st.floats(-60.0, 30.0))),
+        rx_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        amp_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        ref_gain=10.0 ** draw(st.floats(-4.0, -2.0)),
+        wavelength=0.1, cost_active=wa, cost_passive=1.0,
+        total_budget=draw(st.floats(wa + 1.0, 3000.0)))
+    xb = draw(st.floats(60.0, 130.0) | st.floats(2000.0, 6000.0))
+    topo = build_topology(
+        (0.0, 0.0, 0.0),
+        (draw(st.floats(5.0, 30.0)), draw(st.floats(0.0, 10.0)), draw(st.floats(5.0, 15.0))),
+        (xb, draw(st.floats(0.0, 10.0)), draw(st.floats(5.0, 15.0))),
+        (xb + draw(st.floats(5.0, 40.0)), draw(st.floats(0.0, 10.0)), 0.0))
+    return params, topo
+
+
+def assert_matches_site_loop(system, params, topo):
+    res = run_benchmark(system, params, topo)
+    ref = site_loop_benchmark(system, params, topo)
+    assert ((res.system, res.site, res.n_act, res.n_pas)
+            == (ref.system, ref.site, ref.n_act, ref.n_pas))
+    # numpy squares as x*x where the loop calls pow: the last bit may differ
+    assert res.snr == pytest.approx(ref.snr, rel=1e-15)
+    assert res.amplitude == pytest.approx(ref.amplitude, rel=1e-15)
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(benchmark_scenarios(), st.sampled_from((SINGLE_PIRS, SINGLE_AIRS, HYBRID_IRS)))
+def test_site_arrays_match_site_loops(scenario, system):
+    assert_matches_site_loop(system, *scenario)
+
+
+@pytest.mark.parametrize("system", [SINGLE_PIRS, SINGLE_AIRS, HYBRID_IRS])
+def test_exact_site_tie_picks_site_a(params, system):
+    # B mirrors A in the xz-plane, which holds Tx and Rx: equal distances
+    topo = build_topology((0.0, 0.0, 0.0), (30.0, 5.0, 10.0), (30.0, -5.0, 10.0),
+                          (100.0, 0.0, 0.0))
+    assert site_distances(topo, "A") == site_distances(topo, "B")
+    assert assert_matches_site_loop(system, params, topo).site == "A"
+
+
+def test_hybrid_row_guard(topo):
+    # 2e7 active rows: the guard raises before any row array is built
+    params = baseline_params(total_budget=1e8)
+
+    def solve():
+        with pytest.raises(SearchSpaceTooLarge):
+            rate_hybrid_irs(params, topo)
+
+    assert traced_peak(solve) < 100_000

@@ -130,17 +130,17 @@ def test_ao_wider_box_no_worse(params):
     assert wide.iterations[-1].rate >= narrow.iterations[-1].rate - 1e-9
 
 
-def ao_scanning_every_iteration(params, grid, scheme, tx, rx, tol=1e-6, max_iters=20):
+def ao_scanning_every_iteration(params, grid, scheme, tx, rx):
     """alternating_optimize with one placement scan per iteration, never
     reusing the last one."""
     sol = solve_integer(params, _center_topology(grid, tx, rx), scheme, method="closed-form")
     iterations, prev_rate = [], -math.inf
-    for _ in range(max_iters):
+    for _ in range(placement.AO_MAX_ITERS):
         topo = optimize_placement_given_allocation(params, sol.allocation, grid, tx, rx)
         sol = solve_integer(params, topo, scheme, method="optimal")
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
                                       amplitude=sol.amplitude, rate=sol.rate))
-        if sol.rate - prev_rate < tol:
+        if sol.rate - prev_rate < placement.AO_TOL:
             return AOTrace(iterations=iterations, converged=True)
         prev_rate = sol.rate
     return AOTrace(iterations=iterations, converged=False)
@@ -148,7 +148,7 @@ def ao_scanning_every_iteration(params, grid, scheme, tx, rx, tol=1e-6, max_iter
 
 def test_ao_reuses_scan_of_repeated_allocation(params, monkeypatch):
     # the second iteration returns the allocation it scanned, with a rate
-    # still above the first's by more than tol, so the third iteration has
+    # still above the first's by more than AO_TOL, so the third iteration has
     # the same allocation to scan
     grid = PlacementGrid(xa_bounds=(0.0, 30.0), ya_bounds=(0.0, 10.0),
                          xb_bounds=(83.0, 113.0), yb_bounds=(0.0, 10.0),
