@@ -27,14 +27,14 @@ n_act = max(1, round(M/(3*W_act))).
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
-from .scenario import SystemParams, TAPR, Topology, check_scheme
+from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme, \
+    is_finite_real
 from .snr import objective_constants, snr_closed_form, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
@@ -53,13 +53,14 @@ class Allocation:
 
     def __post_init__(self):
         check_scheme(self.scheme)
+        # nan fails every comparison; inf must not reach int()
         if self.continuous:
-            if self.n_act <= 0 or self.n_pas <= 0:
-                raise ValueError("continuous counts must be > 0")
+            if not (0 < self.n_act < math.inf and 0 < self.n_pas < math.inf):
+                raise ValueError("continuous counts must be finite and > 0")
         else:
             for name in ("n_act", "n_pas"):
                 v = getattr(self, name)
-                if v < 1 or v != int(v):
+                if not 1 <= v < math.inf or v != int(v):
                     raise ValueError(f"{name}={v!r} must be an integer >= 1")
 
     def cost(self, params: SystemParams) -> float:
@@ -73,23 +74,20 @@ class AllocationSolution:
     snr: float
     rate: float
     method: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _solution(params: SystemParams, topo: Topology, alloc: Allocation,
-              method: str, diagnostics: dict | None = None) -> AllocationSolution:
+              method: str) -> AllocationSolution:
     budget = snr_closed_form(params, topo, alloc)
     return AllocationSolution(allocation=alloc,
                               amplitude=optimal_amplitude(params, topo, alloc),
-                              snr=budget.snr, rate=budget.rate, method=method,
-                              diagnostics=diagnostics or {})
+                              snr=budget.snr, rate=budget.rate, method=method)
 
 
 def _check_budget(budget) -> float:
     """The budget after the real-number check that SystemParams applies to
     total_budget; feasibility is left to the solver."""
-    if (not isinstance(budget, numbers.Real) or isinstance(budget, bool)
-            or not math.isfinite(budget)):
+    if not is_finite_real(budget):
         raise ConfigError(f"budget must be a finite number, got {budget!r}")
     return float(budget)
 
@@ -103,6 +101,7 @@ def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme: str) -> Allocation:
     """Near-optimal continuous split: a third of the budget on active elements."""
     budget = _check_budget(budget)
+    w_act, w_pas = check_positive("w_act", w_act), check_positive("w_pas", w_pas)
     if budget <= 0:
         raise InfeasibleBudget("budget must be positive")
     return Allocation(n_act=budget / (3.0 * w_act), n_pas=2.0 * budget / (3.0 * w_pas),
@@ -131,9 +130,7 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     x_pas = u0 if s == 0.0 else 2.0 / s * math.sinh(math.asinh(1.5 * u0 * s) / 3.0)
     x_act = (m - wp * x_pas) / wa
     alloc = Allocation(n_act=x_act, n_pas=x_pas, scheme=scheme, continuous=True)
-    diag = {"objective_value": zeta_value(params, scheme, x_act, x_pas,
-                                          topo.d1, topo.d2, topo.d3, approx)}
-    return _solution(params, topo, alloc, method="optimal", diagnostics=diag)
+    return _solution(params, topo, alloc, method="optimal")
 
 
 def affordable(budget: float, spent, cost: float):

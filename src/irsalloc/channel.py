@@ -1,9 +1,11 @@
-"""Deterministic LOS channels built from uniform-planar-array responses.
+"""Link directions, array steering vectors and the deterministic LOS channels.
 
 The double-reflection link is g (Tx -> first IRS), S (first -> second IRS,
-rank one) and h (second IRS -> Rx). Steering arguments use a half-wavelength
-element grid, i.e. spacing factor 1; under optimal phase alignment the SNR
-is angle-independent, so this choice does not affect any closed-form value.
+rank one) and h (second IRS -> Rx). Each surface's responses point along
+the directions of its two links, derived here from the node positions.
+Steering arguments use a half-wavelength element grid, i.e. spacing factor 1;
+under optimal phase alignment the SNR is angle-independent, so neither the
+directions nor this choice affect any closed-form value.
 """
 
 from __future__ import annotations
@@ -35,6 +37,28 @@ def grid_shape(n: int) -> tuple[int, int]:
         if n % d == 0:
             nx = d
     return nx, n // nx
+
+
+def direction_angles(vec) -> tuple[float, float]:
+    """(azimuth, elevation) of a displacement vector.
+
+    Azimuth from the +x axis in the x-y plane; elevation measured from the
+    +z axis, so elevation = pi/2 for a horizontal link.
+    """
+    v = np.asarray(vec, dtype=float)
+    r = float(np.linalg.norm(v))
+    if r == 0.0:
+        raise ValueError("zero-length displacement has no direction")
+    azimuth = math.atan2(v[1], v[0])
+    # atan2 keeps the small components that acos(z/r) loses near the poles
+    elevation = math.atan2(math.hypot(v[0], v[1]), v[2])
+    return azimuth, elevation
+
+
+def unit_from_angles(azimuth: float, elevation: float) -> np.ndarray:
+    """Unit vector with the direction_angles convention."""
+    se = math.sin(elevation)
+    return np.array([se * math.cos(azimuth), se * math.sin(azimuth), math.cos(elevation)])
 
 
 def upa_response(azimuth: float, elevation: float, n: int) -> np.ndarray:
@@ -92,11 +116,14 @@ def build_channels(params: SystemParams, topo: Topology, alloc) -> ChannelTriple
     """Construct g, S, h for the allocation's scheme and element counts."""
     n_first, n_second = surface_counts(alloc)
     rho, lam = params.ref_gain, params.wavelength
+    tx, a, b, rx = (np.asarray(p) for p in
+                    (topo.pos_tx, topo.pos_irs_a, topo.pos_irs_b, topo.pos_rx))
 
-    a_from_tx = upa_response(*topo.ang_a_to_tx, n_first)
-    a_to_b = upa_response(*topo.ang_a_to_b, n_first)
-    b_from_a = upa_response(*topo.ang_b_to_a, n_second)
-    b_to_rx = upa_response(*topo.ang_b_to_rx, n_second)
+    # each response points from its surface toward the other end of the link
+    a_from_tx = upa_response(*direction_angles(tx - a), n_first)
+    a_to_b = upa_response(*direction_angles(b - a), n_first)
+    b_from_a = upa_response(*direction_angles(a - b), n_second)
+    b_to_rx = upa_response(*direction_angles(rx - b), n_second)
 
     def scale(d):
         return math.sqrt(rho) / d * np.exp(-2j * math.pi * d / lam)

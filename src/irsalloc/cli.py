@@ -2,8 +2,8 @@
 placement optimization, the scheme comparator and a cross-module
 verification suite. All outputs are deterministic for a given config + seed.
 
-Exit codes: 0 success, 1 config error, 2 solver/guard error (also used for
-verification failures).
+Exit codes: 0 success, 1 config error or an --out file that cannot be
+written, 2 solver/guard error (also used for verification failures).
 """
 
 from __future__ import annotations
@@ -228,7 +228,9 @@ def run_verify(params: SystemParams, topo: Topology,
         xp = np.linspace(m / wp * 1e-6, m / wp * (1 - 1e-6), 100_000)
         grid_best = float(np.min(zeta_value(params, scheme, (m - wp * xp) / wa, xp,
                                             topo.d1, topo.d2, topo.d3)))
-        gap = (sol.diagnostics["objective_value"] - grid_best) / grid_best
+        a = sol.allocation
+        zeta = zeta_value(params, scheme, a.n_act, a.n_pas, topo.d1, topo.d2, topo.d3)
+        gap = (zeta - grid_best) / grid_best
         worst = max(worst, gap)
     report.append(("optimizer-vs-grid", bool(worst <= 1e-8), f"worst objective gap {worst:.3e}"))
 
@@ -273,18 +275,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Joint active/passive IRS allocation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=False):
         p.add_argument("--config", required=True, help="scenario config file (YAML)")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        if out:
+            p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("allocate", help="solve one allocation problem")
-    common(p)
+    common(p, out=True)
     p.add_argument("--scheme", choices=[s.lower() for s in SCHEMES], default="tapr")
     p.add_argument("--method", choices=["optimal", "closed-form", "exhaustive"],
                    default="optimal")
 
     p = sub.add_parser("sweep", help="parameter sweep, one CSV row per point/system")
-    common(p)
+    common(p, out=True)
     p.add_argument("--param", required=True,
                    choices=["total-budget", "amp-power-dbm", "cost-ratio"])
     p.add_argument("--from", dest="start", type=float, required=True)
@@ -296,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="optimal")
 
     p = sub.add_parser("placement", help="alternating placement/allocation optimization")
-    common(p)
+    common(p, out=True)
     p.add_argument("--scheme", choices=[s.lower() for s in SCHEMES], default="tapr")
     p.add_argument("--grid-step", type=float, default=1.0)
 
@@ -311,13 +314,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path, rows: list[dict], columns=CSV_COLUMNS):
-    """write_csv to the file at path, or to stdout when path is None."""
+def _write_out(path, rows: list[dict], columns=CSV_COLUMNS) -> int:
+    """write_csv to the file at path, or to stdout when path is None; the
+    exit code, 1 when the file cannot be written."""
     if path is None:
         write_csv(rows, sys.stdout, columns)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        write_csv(rows, out, columns)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            write_csv(rows, out, columns)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -336,22 +345,20 @@ def main(argv=None) -> int:
                   f"n_act={a.n_act} n_pas={a.n_pas} amplitude={sol.amplitude:.6f} "
                   f"snr_db={linear_to_db(sol.snr):.6f} rate_bps_hz={sol.rate:.9f}")
             if args.out:
-                _write_out(args.out, [_row("none", params.total_budget, a.scheme.lower(),
-                                           a.n_act, a.n_pas, sol.amplitude, sol.snr,
-                                           sol.method)])
+                return _write_out(args.out, [_row("none", params.total_budget,
+                                                  a.scheme.lower(), a.n_act, a.n_pas,
+                                                  sol.amplitude, sol.snr, sol.method)])
             return 0
 
         if args.command == "sweep":
             spec = SweepSpec(parameter=args.param, start=args.start, stop=args.stop,
                              step=args.step, systems=tuple(args.systems.split(",")),
                              method=args.method)
-            _write_out(args.out, run_sweep(params, topo, spec))
-            return 0
+            return _write_out(args.out, run_sweep(params, topo, spec))
 
         if args.command == "placement":
-            _write_out(args.out, run_placement(params, topo, args.scheme.upper(),
-                                               args.grid_step), PLACEMENT_COLUMNS)
-            return 0
+            return _write_out(args.out, run_placement(params, topo, args.scheme.upper(),
+                                                      args.grid_step), PLACEMENT_COLUMNS)
 
         if args.command == "compare":
             cmp = compare_schemes(params, topo)

@@ -36,10 +36,6 @@ class ReflectionConfig:
     amp_second: float
     scheme: str
 
-    @property
-    def active_amplitude(self) -> float:
-        return self.amp_first if self.scheme == TAPR else self.amp_second
-
 
 def optimal_phases(channels: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
     """Co-phasing phases for both surfaces, each reduced to [0, 2pi).

@@ -1,5 +1,7 @@
-"""Physical parameters, unit conversions and 3D deployment geometry.
+"""Units, system parameters, node positions and link distances.
 
+Link directions belong to the channel model (channel.py); the allocation and
+placement results depend on the geometry only through d1, d2 and d3.
 Everything downstream of this module works in linear SI units (watts,
 meters, dimensionless gains); dBm/dB appear only at the config boundary.
 """
@@ -51,6 +53,20 @@ def free_space_ref_gain(wavelength: float) -> float:
 
 # ---------------------------------------------------------------------- types
 
+def is_finite_real(value) -> bool:
+    """True for a finite real number; a bool does not count as one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_positive(name: str, value) -> float:
+    """value as a float; ConfigError unless it is a positive finite real."""
+    if not is_finite_real(value) or value <= 0:
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    # numpy scalars would carry their own precision into the solvers
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Scenario-wide powers, noise levels and element costs (linear units).
@@ -73,12 +89,7 @@ class SystemParams:
         for name in ("transmit_power", "amp_power_budget", "rx_noise_power",
                      "amp_noise_power", "ref_gain", "wavelength",
                      "cost_active", "cost_passive", "total_budget"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value) or value <= 0):
-                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-            # numpy scalars would carry their own precision into the solvers
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
         if self.ref_gain > 1.0:
             raise ConfigError("ref_gain must not exceed 1 (passive channel)")
         if self.cost_active < self.cost_passive:
@@ -87,35 +98,9 @@ class SystemParams:
             raise ConfigError("total_budget must afford at least one element of each kind")
 
 
-def direction_angles(vec) -> tuple[float, float]:
-    """(azimuth, elevation) of a displacement vector.
-
-    Azimuth from the +x axis in the x-y plane; elevation measured from the
-    +z axis, so elevation = pi/2 for a horizontal link.
-    """
-    v = np.asarray(vec, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise ValueError("zero-length displacement has no direction")
-    azimuth = math.atan2(v[1], v[0])
-    # atan2 keeps the small components that acos(z/r) loses near the poles
-    elevation = math.atan2(math.hypot(v[0], v[1]), v[2])
-    return azimuth, elevation
-
-
-def unit_from_angles(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit vector with the direction_angles convention."""
-    se = math.sin(elevation)
-    return np.array([se * math.cos(azimuth), se * math.sin(azimuth), math.cos(elevation)])
-
-
 @dataclass(frozen=True)
 class Topology:
-    """Node positions plus derived link distances and per-endpoint angles.
-
-    Each angle pair (azimuth, elevation) describes the unit vector pointing
-    from the named node toward the other end of that link.
-    """
+    """Node positions plus the three link distances derived from them."""
 
     pos_tx: tuple[float, float, float]
     pos_irs_a: tuple[float, float, float]
@@ -124,12 +109,6 @@ class Topology:
     d1: float  # Tx <-> A-IRS
     d2: float  # A-IRS <-> B-IRS
     d3: float  # B-IRS <-> Rx
-    ang_tx_to_a: tuple[float, float]
-    ang_a_to_tx: tuple[float, float]
-    ang_a_to_b: tuple[float, float]
-    ang_b_to_a: tuple[float, float]
-    ang_b_to_rx: tuple[float, float]
-    ang_rx_to_b: tuple[float, float]
     d_min: float = 1.0
 
 
@@ -142,13 +121,12 @@ def _position(label: str, pos) -> np.ndarray:
 
 def check_min_distance(d_min) -> None:
     """Raise ConfigError unless d_min is a finite number >= 0."""
-    if (not isinstance(d_min, numbers.Real) or isinstance(d_min, bool)
-            or not math.isfinite(d_min) or d_min < 0):
+    if not is_finite_real(d_min) or d_min < 0:
         raise ConfigError(f"d_min must be a finite number >= 0, got {d_min!r}")
 
 
 def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> Topology:
-    """Derive link distances and angles from the four node positions."""
+    """Check the four node positions and derive the three link distances."""
     check_min_distance(d_min)
     tx = _position("pos_tx", pos_tx)
     a = _position("pos_irs_a", pos_irs_a)
@@ -161,19 +139,10 @@ def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> 
         if d < d_min:
             raise DistanceTooSmall(f"{label} distance {d:.6g} m < d_min {d_min:.6g} m")
         if d == 0.0:
-            # only reachable with d_min = 0: coincident nodes have no link direction
+            # only reachable with d_min = 0: placement and zeta divide by d
             raise DistanceTooSmall(f"{label} distance is 0 m: the nodes coincide")
-    return Topology(
-        pos_tx=tuple(tx), pos_irs_a=tuple(a), pos_irs_b=tuple(b), pos_rx=tuple(rx),
-        d1=d1, d2=d2, d3=d3,
-        ang_tx_to_a=direction_angles(a - tx),
-        ang_a_to_tx=direction_angles(tx - a),
-        ang_a_to_b=direction_angles(b - a),
-        ang_b_to_a=direction_angles(a - b),
-        ang_b_to_rx=direction_angles(rx - b),
-        ang_rx_to_b=direction_angles(b - rx),
-        d_min=d_min,
-    )
+    return Topology(pos_tx=tuple(tx), pos_irs_a=tuple(a), pos_irs_b=tuple(b),
+                    pos_rx=tuple(rx), d1=d1, d2=d2, d3=d3, d_min=d_min)
 
 
 # --------------------------------------------------------------- config file

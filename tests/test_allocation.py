@@ -14,7 +14,7 @@ from irsalloc import (
     solve_continuous, solve_integer,
 )
 from irsalloc.allocation import affordable
-from irsalloc.snr import objective_constants
+from irsalloc.snr import objective_constants, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario
 
 
@@ -44,8 +44,24 @@ def test_allocation_validation(params):
         Allocation(0, 10, "TAPR")
     with pytest.raises(ValueError):
         Allocation(2.5, 10, "TAPR")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Allocation(bad, 10, "TAPR")
+        with pytest.raises(ValueError):
+            Allocation(3, bad, "TPAR")
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Allocation(bad, 10.0, "TAPR", continuous=True)
+        with pytest.raises(ValueError):
+            Allocation(2.5, bad, "TPAR", continuous=True)
     cont = Allocation(2.5, 10.0, "TAPR", continuous=True)
     assert cont.cost(params) == pytest.approx(2.5 * 5.0 + 10.0)
+    # element costs follow the SystemParams rule: positive finite reals
+    for bad in (0.0, -1.0, math.nan, math.inf, True):
+        with pytest.raises(ConfigError):
+            closed_form_split(100.0, bad, 1.0, "TAPR")
+        with pytest.raises(ConfigError):
+            closed_form_split(100.0, 5.0, bad, "TAPR")
 
 
 def test_solve_continuous_approx_objective_recovers_split(params, topo):
@@ -78,7 +94,9 @@ def test_solve_continuous_vs_dense_grid():
                 xp = np.linspace(m / wp * 1e-6, m / wp * (1 - 1e-6), 100_000)
                 xa = (m - wp * xp) / wa
                 grid_best = np.min(a_const / xa + b_const / (xa * xp ** 2))
-                gap = (sol.diagnostics["objective_value"] - grid_best) / grid_best
+                zeta = zeta_value(params, scheme, sol.allocation.n_act,
+                                  sol.allocation.n_pas, topo.d1, topo.d2, topo.d3, approx)
+                gap = (zeta - grid_best) / grid_best
                 assert gap <= 1e-8
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsalloc import Allocation, build_channels, build_topology
+from irsalloc import (Allocation, build_channels, build_topology, direction_angles,
+                      unit_from_angles)
 from irsalloc.channel import grid_shape, steering, upa_response
 from conftest import baseline_params, random_scenario
 
@@ -98,6 +99,22 @@ def test_inter_surface_channel_rank_one():
         ch = build_channels(params, topo, alloc)
         sv = np.linalg.svd(ch.s, compute_uv=False)
         assert sv[1] <= 1e-10 * sv[0]
+
+
+def test_responses_point_along_link_directions(params, topo):
+    tx, a, b, rx = (np.asarray(p) for p in
+                    (topo.pos_tx, topo.pos_irs_a, topo.pos_irs_b, topo.pos_rx))
+    for scheme in ("TAPR", "TPAR"):
+        # 6 and 10 elements make 2x3 and 2x5 grids, so both steering axes count
+        ch = build_channels(params, topo, Allocation(6, 10, scheme))
+        for response, disp, n in ((ch.a_from_tx, tx - a, ch.n_first),
+                                  (ch.a_to_b, b - a, ch.n_first),
+                                  (ch.b_from_a, a - b, ch.n_second),
+                                  (ch.b_to_rx, rx - b, ch.n_second)):
+            assert np.array_equal(response, upa_response(*direction_angles(disp), n))
+    unit = (b - a) / np.linalg.norm(b - a)
+    assert np.allclose(unit_from_angles(*direction_angles(b - a)), unit, atol=1e-12)
+    assert np.allclose(unit_from_angles(*direction_angles(a - b)), -unit, atol=1e-12)
 
 
 def test_channel_dimensions_follow_scheme(params, topo):

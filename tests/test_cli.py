@@ -233,6 +233,24 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["allocate", "--config", str(tmp_path / "missing.yaml")]) == 1
 
 
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_main_out_only_where_a_csv_is_written(baseline_config, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(baseline_config), "--out", "x"])
+    assert exc.value.code == 2
+
+
+def test_main_unwritable_out(baseline_config, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--config", str(baseline_config), "--param", "total-budget",
+                 "--from", "500", "--to", "1000", "--step", "500", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.parent.exists()
+    assert main(["allocate", "--config", str(baseline_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_main_sweep_writes_csv(baseline_config, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(baseline_config),

@@ -120,18 +120,6 @@ def test_angle_consistency(vec):
     assert np.allclose(unit_from_angles(az, el), v / r, atol=1e-12)
 
 
-def test_topology_angles_match_displacements(topo):
-    a = np.asarray(topo.pos_irs_a)
-    b = np.asarray(topo.pos_irs_b)
-    disp = b - a
-    az, el = topo.ang_a_to_b
-    assert np.allclose(unit_from_angles(az, el), disp / np.linalg.norm(disp),
-                       atol=1e-12)
-    az, el = topo.ang_b_to_a
-    assert np.allclose(unit_from_angles(az, el), -disp / np.linalg.norm(disp),
-                       atol=1e-12)
-
-
 def test_params_validation():
     with pytest.raises(ConfigError):
         baseline_params(transmit_power=-1.0)
