@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import benchmarks
-from .allocation import Allocation, closed_form_split, solve_continuous, \
-    solve_integer
+from .allocation import MAX_SCAN_ROWS, Allocation, closed_form_split, \
+    solve_continuous, solve_integer
 from .channel import build_channels
-from .errors import ConfigError, IrsAllocError
+from .errors import ConfigError, IrsAllocError, SearchSpaceTooLarge
 from .placement import PlacementGrid, alternating_optimize
 from .reflection import configure
 from .scenario import SCHEMES, SystemParams, TAPR, Topology, \
@@ -58,9 +58,18 @@ class SweepSpec:
         for system in self.systems:
             if system not in ALL_SYSTEMS:
                 raise ConfigError(f"unknown system {system!r}")
+        # values() makes floor(span) + 1 values, at most MAX_SCAN_ROWS exactly
+        # when span < MAX_SCAN_ROWS; the span is compared as a float, before
+        # any int or list is made, as it can overflow to inf
+        if not self._span() < MAX_SCAN_ROWS:
+            raise SearchSpaceTooLarge(f"sweep from {self.start!r} to {self.stop!r} by "
+                                      f"{self.step!r} exceeds {MAX_SCAN_ROWS} values")
+
+    def _span(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
 
     def values(self) -> list[float]:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        n = int(math.floor(self._span())) + 1
         return [self.start + k * self.step for k in range(n)]
 
 

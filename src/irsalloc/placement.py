@@ -2,46 +2,38 @@
 
 The placement step is an exact grid argmax over both surfaces' (x, y)
 positions (heights fixed). snr = C/zeta, so it is worked out as the argmin
-of zeta. With the allocation fixed, zeta = P + Q*d2^2*R, where P, Q and R are
-grids over one surface each: for TAPR, P and Q are functions of d1 on the
-A-surface and R = d3^2; for TPAR, Q = d1^2 and P and R are functions of d3 on
-the B-surface.
+of zeta. With the allocation fixed, every candidate is zeta = P + C*F, where
+P and C depend on a point of one surface (the row) and F on the row and a
+point of the other surface (the column) but not on the allocation. For TAPR
+the rows are the A-surface's points, P = A(d1)/n_act,
+C = B'(d1)/(n_act*n_pas^2) and F = d2^2*d3^2; for TPAR the rows are the
+B-surface's points, P = A(d3)/n_act, C = B'(d3)/(n_act*n_pas^2) and
+F = d1^2*d2^2.
 
-A scan has two parts. The geometry depends only on the grid and the Tx and
-Rx positions; alternating_optimize builds it once per run. Each grid axis is
-padded to whole blocks of BLOCK_POINTS points by repeating its last
-coordinate. A padded point ties with the real point it repeats and has the
-larger index, so the tie rule never picks it. The geometry holds d1, d3, the
-squared x and y gaps between the surfaces, the distance masks, the smallest
-d1 and d2 of each block or block pair, and each point's smallest squared gap
-to every block of the other surface, all as minima over reshaped arrays.
+The geometry depends only on the grid, the Tx and Rx positions and the
+scheme; alternating_optimize builds it once per run. Each axis is padded to
+whole blocks of BLOCK_POINTS points by repeating its last coordinate (a
+padded point ties with the real point it repeats and has the larger index,
+so the tie rule never picks it). The geometry holds each surface's distances
+to its end node, the squared x and y gaps between the surfaces, and m, the
+smallest F of each row over the columns that pass the distance test, equal
+to a dense minimum bit for bit (see _row_minima).
 
-The per-allocation part builds P, Q and R and visits block pairs (an A-block
-with a B-block) in ascending order of a coarse bound: zeta at the block
-minima of P, Q, d2^2 and R. Once a feasible candidate is found, the pairs
-whose coarse bound still reaches it get, in one vectorised step, a refined
-bound max(L_A, L_B). L_A is the smallest over the pair's A-block of
-Q*g*R_lo + P, where g is the A-point's smallest squared gap to the B-block,
-R_lo the B-block's smallest R, and P is taken at the A-point for TAPR and at
-its B-block minimum for TPAR; L_B is the same with the surfaces swapped. Only
-pairs whose refined bound reaches the best zeta are evaluated, in coarse
-order, until the next coarse bound exceeds it. Every bound is built from the
-very float values its candidates use, each replaced by one no larger, and
-combined in the candidates' order. Adding and multiplying non-negative
-floats never decreases under IEEE round-to-nearest, so each bound is at or
-below each candidate's computed zeta bit for bit, not only in exact
-arithmetic. The feasibility tests only remove candidates, so they leave it a
-bound, and the answer equals that of a scan of every pair.
+The scan for one allocation takes L = P + C*m for every row that passes its
+own tests. Adding and multiplying non-negative floats never decreases under
+IEEE round-to-nearest, so L is, bit for bit, the smallest zeta the scan
+computes in the row before the pair tests (d2 >= d_min and, for TPAR,
+beta* >= 1), which only remove candidates. Rows are evaluated whole, with
+every test, in ascending order of L, in chunks that double from one row up
+to _CHUNK candidates, until the next L exceeds the tie cut; the answer
+equals that of a scan of the joint grid. Every link distance must be at
+least d_min and above 0, as build_topology requires; with d_min = 0 the scan
+would otherwise pick coincident surfaces for TAPR, where zeta falls to P.
 
-Every link distance must be at least d_min and above 0, as build_topology
-requires; with d_min = 0 the scan would otherwise pick coincident surfaces
-for TAPR, where zeta falls to P. Feasibility is decided once per pair where
-it can be: the d2 test runs per candidate only on pairs whose smallest d2 is
-below that floor, the TPAR beta* >= 1 test only on pairs where beta* at the
-pair's smallest d1 and d2 is below 1 (plus _SLACK), and each surface's
-per-point tests only on blocks that hold a failing point. The scan holds
-one block pair's candidates, the per-surface grids and one bound per block
-pair, never the joint grid.
+A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
+refused before any array is built, and every temporary holds at most _CHUNK
+floats, so a scan never holds the joint grid.
+
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
 the one scanned last reuses that scan's placement.
@@ -55,19 +47,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, solve_integer
-from .errors import ConfigError, NoFeasiblePlacement
+from .errors import ConfigError, NoFeasiblePlacement, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star
 from .scenario import (SystemParams, TAPR, Topology, build_topology,
                        check_min_distance, check_scheme)
 from .snr import objective_constants
 
-# points per block along each grid axis; one block pair holds at most
-# BLOCK_POINTS**4 candidates
+# points per block along each grid axis
 BLOCK_POINTS = 8
-# relative margin by which beta* at a block pair's smallest distances must
-# exceed 1 before the pair is taken as amplitude-feasible throughout; it covers
-# the rounding of beta_star, which rises with d1 and d2 only in exact arithmetic
-_SLACK = 1e-12
+# entries of the largest geometry array a grid may need (one surface's
+# points, or the squared gaps between two parallel axes): 4 MB per float64
+# array, and a scan's peak stays near 220 B per surface point, about 110 MB at
+# the bound; the baseline +/-15 m x +/-5 m boxes need about 33,300 at 0.1 m
+# and 370,000 at 0.05 m
+_MAX_GRID_POINTS = 2 ** 19
+# floats in one temporary of the row minima or of a chunk of scanned rows
+_CHUNK = 2 ** 14
 # stopping rule of alternating_optimize
 AO_TOL = 1e-6
 AO_MAX_ITERS = 20
@@ -130,220 +125,220 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
                                         pos_rx) -> Topology:
     """Exact grid-argmax of the closed-form rate over both surface positions.
 
-    Branch and bound over block pairs in zeta space (see the module
+    Rows in ascending order of a per-row bound in zeta space (see the module
     docstring). Ties (within 1e-12 relative) resolve to the smallest x_A,
     then smallest x_B, then smallest y_A, y_B.
     """
     check_scheme(alloc.scheme)
-    return _scan(params, alloc, _geometry(grid, pos_tx, pos_rx))
+    return _scan(params, alloc, _geometry(grid, pos_tx, pos_rx, alloc.scheme))
 
 
 @dataclass(frozen=True)
 class _Geometry:
     """The allocation-free arrays of a placement scan, on axes padded to
-    whole blocks. Per-surface grids are indexed (x, y), gaps (A-point,
-    B-point) and block-pair grids (xa, ya, xb, yb) in blocks."""
+    whole blocks. Row-surface grids (the A-surface for TAPR, B for TPAR) and
+    column-surface grids are indexed (x, y); the gaps (row-surface
+    coordinate, column-surface coordinate)."""
 
     grid: PlacementGrid
+    scheme: str
     tx: np.ndarray
     rx: np.ndarray
     xa: np.ndarray
     ya: np.ndarray
     xb: np.ndarray
     yb: np.ndarray
-    d1: np.ndarray
-    d3: np.ndarray
+    least: float  # smallest admissible link distance: d_min, and never 0
+    d_row: np.ndarray  # d1 for TAPR, d3 for TPAR
+    d_col: np.ndarray  # d3 for TAPR, d1 for TPAR
+    f_col: np.ndarray  # d_col^2, so F = d2^2*f_col
+    far_col: np.ndarray  # d_col >= least
     gap_x: np.ndarray  # squared x gaps
     gap_y: np.ndarray  # squared y gaps
-    least: float  # smallest admissible link distance: d_min, and never 0
-    far_a: np.ndarray  # d1 >= least
-    far_b: np.ndarray  # d3 >= least
-    d1_lo: np.ndarray  # block minima of d1
-    g_lo: np.ndarray  # smallest d2^2 of each block pair
-    d2_lo: np.ndarray  # sqrt(g_lo)
-    # each point's smallest squared gap to every block of the other surface:
-    # (A-block, point in block, B-block) and (A-block, B-block, point in block)
-    gx_to_b: np.ndarray
-    gy_to_b: np.ndarray
-    gx_to_a: np.ndarray
-    gy_to_a: np.ndarray
+    m: np.ndarray  # smallest F of each row over the columns in far_col; inf if none
 
 
-def _blocks(v: np.ndarray) -> np.ndarray:
-    """A 2-D array over whole blocks, viewed as (row block, row in block,
-    column block, column in block)."""
-    n, m = v.shape
-    return v.reshape(n // BLOCK_POINTS, BLOCK_POINTS, m // BLOCK_POINTS, BLOCK_POINTS)
+def _check_size(grid: PlacementGrid) -> None:
+    """Raise SearchSpaceTooLarge, before any array is built, when a geometry
+    array of grid may hold more than _MAX_GRID_POINTS entries."""
+    # span + BLOCK_POINTS is at least the padded length of an axis, and inf
+    # where the span overflows
+    xa, ya, xb, yb = ((hi - lo) / grid.step + BLOCK_POINTS for lo, hi in
+                      (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds))
+    if not max(xa * ya, xb * yb, xa * xb, ya * yb) <= _MAX_GRID_POINTS:
+        raise SearchSpaceTooLarge(f"grid step {grid.step!r} needs a placement array of more "
+                                  f"than {_MAX_GRID_POINTS} points")
 
 
-def _geometry(grid: PlacementGrid, pos_tx, pos_rx) -> _Geometry:
-    """The allocation-free part of a scan over grid for these Tx and Rx."""
+def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
+    """The allocation-free part of a scan over grid for these Tx and Rx and
+    this scheme."""
+    _check_size(grid)
     tx = np.asarray(pos_tx, dtype=float)
     rx = np.asarray(pos_rx, dtype=float)
+    axes = [grid.axis(b) for b in (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds)]
     # a padded point repeats the last coordinate: it ties with that point and
     # has the larger index, so the tie rule never picks it
-    xa, ya, xb, yb = (np.pad(v, (0, -len(v) % BLOCK_POINTS), mode="edge") for v in (
-        grid.axis(grid.xa_bounds), grid.axis(grid.ya_bounds),
-        grid.axis(grid.xb_bounds), grid.axis(grid.yb_bounds)))
+    xa, ya, xb, yb = (np.pad(v, (0, -len(v) % BLOCK_POINTS), mode="edge") for v in axes)
     h = grid.height
     d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
-    gap_x = (xb[None, :] - xa[:, None]) ** 2
-    gap_y = (yb[None, :] - ya[:, None]) ** 2
-    bx, by = _blocks(gap_x), _blocks(gap_y)
-    g_lo = (bx.min(axis=(1, 3))[:, None, :, None] + by.min(axis=(1, 3))[None, :, None, :])
+    if scheme == TAPR:
+        d_row, d_col, (x_row, y_row, x_col, y_col) = d1, d3, (xa, ya, xb, yb)
+        n_x, n_y = len(axes[0]), len(axes[1])
+    else:
+        d_row, d_col, (x_row, y_row, x_col, y_col) = d3, d1, (xb, yb, xa, ya)
+        n_x, n_y = len(axes[2]), len(axes[3])
     # build_topology refuses a zero link distance even at d_min = 0, and
     # math.ulp(0.0) is the smallest positive float, so d >= least is d >= d_min
     # and d > 0
     least = max(grid.d_min, math.ulp(0.0))
+    gap_x = (x_col[None, :] - x_row[:, None]) ** 2
+    gap_y = (y_col[None, :] - y_row[:, None]) ** 2
+    f_col = d_col ** 2
+    far_col = d_col >= least
+    # a padded row has the gaps, and so the minimum, of the row it repeats
+    m = np.pad(_row_minima(gap_x[:n_x], gap_y[:n_y], f_col, far_col),
+               ((0, len(x_row) - n_x), (0, len(y_row) - n_y)), mode="edge")
     return _Geometry(
-        grid=grid, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, d1=d1, d3=d3,
-        gap_x=gap_x, gap_y=gap_y, least=least, far_a=d1 >= least, far_b=d3 >= least,
-        d1_lo=_blocks(d1).min(axis=(1, 3)), g_lo=g_lo, d2_lo=np.sqrt(g_lo),
-        gx_to_b=bx.min(axis=3), gy_to_b=by.min(axis=3),
-        gx_to_a=bx.min(axis=1), gy_to_a=by.min(axis=1))
+        grid=grid, scheme=scheme, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, least=least,
+        d_row=d_row, d_col=d_col, f_col=f_col, far_col=far_col,
+        gap_x=gap_x, gap_y=gap_y, m=m)
+
+
+def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
+                ok: np.ndarray) -> np.ndarray:
+    """m[i, j], the smallest (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
+    columns (k, l) in ok, inf where there are none.
+
+    The columns come in blocks of n x n, each made of n lines of one k. A
+    row's F over a block, or over a line, is at least the row's smallest gaps
+    to it times its smallest admissible factor; m is at most F at the column
+    of that factor in any block. Rows are taken in tiles, and a line is
+    evaluated, for every row of the tile, if its block's bound and its own
+    reach that upper bound for some row of the tile. Each F is formed as the
+    scan forms it, so m equals a dense minimum bit for bit."""
+    n = BLOCK_POINTS
+    n_i, n_j = gap_x.shape[0], gap_y.shape[0]
+    m = np.full(n_i * n_j, np.inf)
+    # the blocks that hold an admissible column, each as (x offset, y offset)
+    f, ok = (v.reshape(v.shape[0] // n, n, -1, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
+             for v in (f, ok))
+    live = np.flatnonzero(ok.any(axis=(1, 2)))
+    if not len(live):
+        return m.reshape(n_i, n_j)
+    f, ok = f[live], ok[live]
+    kb, lb = np.divmod(live, gap_y.shape[1] // n)  # x and y block
+    # each block's and each line's smallest admissible factor, and the
+    # column of the block's; zero on a line without one, as 0*inf would be
+    # nan, and the line is masked where it is evaluated
+    f_ok = np.where(ok, f, np.inf)
+    at = f_ok.reshape(len(live), -1).argmin(axis=1)
+    f_lo = f_ok.reshape(len(live), -1)[np.arange(len(live)), at]
+    line_lo = f_ok.min(axis=2)
+    line_lo[np.isinf(line_lo)] = 0.0
+    # gaps by (column coordinate, row coordinate), and each row coordinate's
+    # smallest gap to each x or y block
+    gx, gy = np.ascontiguousarray(gap_x.T), np.ascontiguousarray(gap_y.T)
+    gx_lo, gy_lo = gx.reshape(-1, n, n_i).min(axis=1), gy.reshape(-1, n, n_j).min(axis=1)
+    # the upper bound comes from the few blocks with the smallest factors
+    near = np.argsort(f_lo)[:4]
+    gx_at, gy_at = gx[kb[near] * n + at[near] // n], gy[lb[near] * n + at[near] % n]
+    per = max(1, _CHUNK // max(n * n, len(live)))  # rows per tile
+    for r0 in range(0, n_i * n_j, per):
+        i, j = np.divmod(np.arange(r0, min(r0 + per, n_i * n_j)), n_j)
+        # (block, row) and (row)
+        low = gx_lo[:, i][kb]
+        low += gy_lo[:, j][lb]
+        low *= f_lo[:, None]
+        high = gx_at[:, i]
+        high += gy_at[:, j]
+        high *= f_lo[near, None]
+        high = np.minimum.reduce(high, axis=0)
+        tile = m[r0:r0 + len(i)]
+        for b in np.flatnonzero((low <= high).any(axis=1)).tolist():
+            gxb = gx[kb[b] * n:(kb[b] + 1) * n, i]  # (line, row)
+            bound = gxb + gy_lo[lb[b], j]
+            bound *= line_lo[b][:, None]
+            need = (bound <= high).any(axis=1)
+            if not need.any():
+                continue
+            # (line, y offset, row)
+            cand = gxb[need][:, None, :] + gy[lb[b] * n:(lb[b] + 1) * n, j][None, :, :]
+            cand *= f[b][need][:, :, None]
+            cand[~ok[b][need]] = np.inf
+            np.minimum(tile, np.minimum.reduce(cand.reshape(-1, len(i)), axis=0), out=tile)
+    return m.reshape(n_i, n_j)
 
 
 def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):
-    """(P, Q, R) with zeta = P + Q*d2^2*R: P on the A-surface for TAPR and on
-    the B-surface for TPAR, Q on the A-surface, R on the B-surface."""
+    """(P, C) on the row surface, with zeta = P + C*F."""
     # objective_constants gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR,
     # A(d3) and B = d1^2*d2^2*B'(d3) for TPAR
-    n_act, n_pas = alloc.n_act, alloc.n_pas
     if alloc.scheme == TAPR:
-        a, b = objective_constants(params, alloc.scheme, geo.d1, 1.0, 1.0)
-        return a / n_act, b / (n_act * n_pas ** 2), geo.d3 ** 2
-    a, b = objective_constants(params, alloc.scheme, 1.0, 1.0, geo.d3)
-    return a / n_act, geo.d1 ** 2, b / (n_act * n_pas ** 2)
+        a, b = objective_constants(params, alloc.scheme, geo.d_row, 1.0, 1.0)
+    else:
+        a, b = objective_constants(params, alloc.scheme, 1.0, 1.0, geo.d_row)
+    return a / alloc.n_act, b / (alloc.n_act * alloc.n_pas ** 2)
 
 
-def _refined_bounds(geo: _Geometry, p_on_a: bool, p, q, r, bxa, bya, bxb, byb) -> np.ndarray:
-    """max(L_A, L_B) for the block pairs (bxa[k], bya[k], bxb[k], byb[k]).
-
-    L_A is the smallest over the pair's A-block of zeta at that A-point with
-    each B-side value (its gap to the B-block, R, and P if on B) at its
-    minimum over the B-block; L_B swaps the surfaces.
-    """
-    def on_a(v):
-        return _blocks(v)[bxa, :, bya, :]
-
-    def on_b(v):
-        return _blocks(v)[bxb, :, byb, :]
-
-    def lo(v):
-        return v.min(axis=(1, 2))[:, None, None]
-
-    q_a, r_b = on_a(q), on_b(r)
-    p_a = on_a(p) if p_on_a else on_b(p)
-    g_b = geo.gx_to_b[bxa, :, bxb][:, :, None] + geo.gy_to_b[bya, :, byb][:, None, :]
-    g_a = geo.gx_to_a[bxa, bxb][:, :, None] + geo.gy_to_a[bya, byb][:, None, :]
-    l_a = q_a * g_b * lo(r_b) + (p_a if p_on_a else lo(p_a))
-    l_b = lo(q_a) * g_a * r_b + (lo(p_a) if p_on_a else p_a)
-    return np.maximum(l_a.min(axis=(1, 2)), l_b.min(axis=(1, 2)))
+def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
+    """(zeta, feasible) of every candidate in rows, flat indices of the row
+    surface, each indexed (row, column x, column y)."""
+    i, j = np.divmod(rows, geo.gap_y.shape[0])
+    g = geo.gap_x[i][:, :, None] + geo.gap_y[j][:, None, :]
+    zeta = c.ravel()[rows, None, None] * (g * geo.f_col) + p.ravel()[rows, None, None]
+    d2 = np.sqrt(g)
+    feasible = (d2 >= geo.least) & geo.far_col
+    if alloc.scheme != TAPR:
+        with np.errstate(divide="ignore"):  # beta* = 0 where d1 = 0 (d_min = 0)
+            feasible &= beta_star(params, geo.d_col, d2, alloc.n_act, alloc.n_pas) >= 1.0
+    return zeta, feasible
 
 
 def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     """The placement scan for one allocation over a built geometry."""
-    scheme, n_act, n_pas = alloc.scheme, alloc.n_act, alloc.n_pas
-    least = geo.least
-    d1, gap_x, gap_y = geo.d1, geo.gap_x, geo.gap_y
-    ok_a, ok_b = geo.far_a, geo.far_b
-    if scheme == TAPR:
-        ok_a = ok_a & (alpha_star(params, d1, n_act) >= 1.0)
-    p, q, r = _zeta_factors(params, alloc, geo)
-    p_on_a = scheme == TAPR
-
-    # Block pairs and, within one, candidates are indexed (xa, ya, xb, yb):
-    # an A-surface block broadcasts as [:, :, None, None], a B-surface one as
-    # it is. The coarse bound is zeta at the block minima of P, Q, d2^2 and R.
-    def on_a(v):
-        return v[:, :, None, None]
-
-    def block_min(v):
-        return _blocks(v).min(axis=(1, 3))
-
-    bound = ((on_a(block_min(p)) if p_on_a else block_min(p))
-             + on_a(block_min(q)) * geo.g_lo * block_min(r))
-
-    # Feasibility decided per pair where it can be. The d2 test can fail only
-    # where the pair's smallest d2 is below least. beta* rises with d1 and d2,
-    # so beta* >= 1 holds on the whole pair when it holds, with _SLACK to
-    # spare, at the pair's smallest d1 and d2.
-    may_cross = geo.d2_lo < least
-    if scheme != TAPR:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            may_cross |= ~(beta_star(params, on_a(geo.d1_lo), geo.d2_lo, n_act, n_pas)
-                           >= 1.0 + _SLACK)
-    # the per-point tests on one surface are broadcast only on blocks that
-    # hold a failing point, and pairs with no passing point on one of their
-    # blocks are never visited
-    all_a = _blocks(ok_a).all(axis=(1, 3)).tolist()
-    all_b = _blocks(ok_b).all(axis=(1, 3)).tolist()
-    order = np.argsort(bound, axis=None, kind="stable")
-    order = order[(on_a(_blocks(ok_a).any(axis=(1, 3)))
-                   & _blocks(ok_b).any(axis=(1, 3))).flat[order]]
-    lows = bound.flat[order]
-    pairs = np.unravel_index(order, bound.shape)
+    p, c = _zeta_factors(params, alloc, geo)
+    ok = (geo.d_row >= geo.least) & np.isfinite(geo.m)
+    if alloc.scheme == TAPR:
+        ok &= alpha_star(params, geo.d_row, alloc.n_act) >= 1.0
+    rows = np.flatnonzero(ok)
+    low = c.ravel()[rows] * geo.m.ravel()[rows] + p.ravel()[rows]
+    order = np.argsort(low)
+    rows, low = rows[order], low[order]
+    most = max(1, _CHUNK // geo.f_col.size)  # rows per chunk
 
     near = 1.0 - 1e-12  # relative tie tolerance
     best = math.inf
     cut = math.inf  # largest zeta within the tie tolerance of best
-    refined = None  # refined bound of each pair in order, once best is finite
-    hits = []  # (zeta, ixa, ixb, iya, iyb) arrays of the near-ties seen so far
-    for k, (lo, cross, bxa, bya, bxb, byb) in enumerate(zip(
-            lows.tolist(), may_cross.flat[order].tolist(), *(c.tolist() for c in pairs))):
-        # the pairs left have no candidate within the tie tolerance of best
-        if lo > cut:
+    hits = []  # (zeta, row, column x, column y) arrays of the near-ties seen so far
+    start, size = 0, 1
+    while start < len(rows):
+        # the rows left past the first L above cut have no candidate within
+        # the tie tolerance of best
+        stop = start + min(size, most, int(np.searchsorted(low[start:], cut, side="right")))
+        if stop == start:
             break
-        if refined is not None and refined[k] > cut:
+        chunk = rows[start:stop]
+        start, size = stop, 2 * size
+        zeta, feasible = _rows(params, alloc, geo, p, c, chunk)
+        if not feasible.any():
             continue
-        ia = slice(bxa * BLOCK_POINTS, (bxa + 1) * BLOCK_POINTS)
-        ja = slice(bya * BLOCK_POINTS, (bya + 1) * BLOCK_POINTS)
-        ib = slice(bxb * BLOCK_POINTS, (bxb + 1) * BLOCK_POINTS)
-        jb = slice(byb * BLOCK_POINTS, (byb + 1) * BLOCK_POINTS)
-        g = gap_x[ia, ib][:, None, :, None] + gap_y[ja, jb][None, :, None, :]
-        feasible = None
-        if not all_a[bxa][bya]:
-            feasible = ok_a[ia, ja][:, :, None, None]
-        if not all_b[bxb][byb]:
-            feasible = ok_b[ib, jb] if feasible is None else feasible & ok_b[ib, jb]
-        if cross:
-            d2 = np.sqrt(g)
-            ok = d2 >= least
-            if scheme != TAPR:
-                with np.errstate(divide="ignore"):  # beta* = 0 where d1 = 0 (d_min = 0)
-                    ok &= beta_star(params, d1[ia, ja][:, :, None, None], d2, n_act, n_pas) >= 1.0
-            feasible = ok if feasible is None else feasible & ok
-        zeta = q[ia, ja][:, :, None, None] * g * r[ib, jb]
-        zeta += p[ia, ja][:, :, None, None] if p_on_a else p[ib, jb]
-        if feasible is not None:
-            if not feasible.any():
-                continue
-            zeta = np.where(feasible, zeta, np.inf)
-        top = float(zeta.min())
+        top = float(np.min(zeta, where=feasible, initial=math.inf))
         if top > cut:
             continue
         best = min(best, top)
         cut = best / near
-        tied = zeta <= cut
-        if feasible is not None:
-            tied &= feasible  # only matters while best is +inf
-        i_xa, i_ya, i_xb, i_yb = np.nonzero(tied)
-        hits.append((zeta[i_xa, i_ya, i_xb, i_yb], i_xa + ia.start, i_xb + ib.start,
-                     i_ya + ja.start, i_yb + jb.start))
-        if refined is None and best < math.inf:
-            # refine, in one step, the bounds of the pairs left whose coarse
-            # bound reaches best; the pairs after them are never visited
-            rest = slice(k + 1, k + 1 + int(np.searchsorted(lows[k + 1:], cut, side="right")))
-            refined = np.full(len(order), math.inf)
-            refined[rest] = _refined_bounds(geo, p_on_a, p, q, r, *(c[rest] for c in pairs))
-            refined = refined.tolist()
+        r, k, l = np.nonzero((zeta <= cut) & feasible)
+        hits.append((zeta[r, k, l], chunk[r], k, l))
     if not hits:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
 
-    zeta, *index = (np.concatenate(col) for col in zip(*hits))
+    zeta, row, k, l = (np.concatenate(col) for col in zip(*hits))
     tied = zeta <= cut
-    ixa, ixb, iya, iyb = min(zip(*(i[tied] for i in index)))
+    i, j = np.divmod(row[tied], geo.gap_y.shape[0])
+    k, l = k[tied], l[tied]
+    ixa, ixb, iya, iyb = min(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j))
     h = geo.grid.height
     return build_topology(geo.tx, (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h),
                           geo.rx, d_min=geo.grid.d_min)
@@ -369,9 +364,10 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     bps/Hz or after AO_MAX_ITERS iterations.
     """
     check_scheme(scheme)
+    # the geometry first: it refuses a grid too large to build
+    geo = _geometry(grid, pos_tx, pos_rx, scheme)
     sol = solve_integer(params, _center_topology(grid, pos_tx, pos_rx), scheme,
                         method="closed-form")
-    geo = _geometry(grid, pos_tx, pos_rx)
     iterations: list[AOIteration] = []
     prev_rate = -math.inf
     converged = False

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +222,9 @@ _MC_CHUNK = 2 ** 18
 # same result.
 _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
+# Blocks in flight per thread. Two keep every thread busy while the oldest
+# block's sums are collected.
+_MC_WINDOW = 2
 
 
 def check_seed(seed) -> int:
@@ -247,7 +251,9 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
     min(_MC_WORKERS, n_blocks) threads. The per-block sums are
     combined in block order with math.fsum, so the result depends on the seed
     alone: the same number for any worker count and any order in which
-    blocks finish.
+    blocks finish. At most _MC_WINDOW blocks per thread are in flight: the
+    oldest is collected before another is submitted, so the futures held do
+    not grow with num_samples.
 
     Each block fills its noise rows in sub-chunks of at most _MC_CHUNK floats
     (one row if a row is wider), drawn in order from the block's generator,
@@ -295,8 +301,15 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
         return (float(np.sum(np.abs(cascade * symbols) ** 2)),
                 float(np.sum(np.abs(received) ** 2)))
 
-    with ThreadPoolExecutor(max_workers=min(_MC_WORKERS, n_blocks)) as pool:
-        sums = list(pool.map(block_sums, range(n_blocks)))
+    workers = min(_MC_WORKERS, n_blocks)
+    sums = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for k in range(n_blocks):
+            if len(pending) == _MC_WINDOW * workers:
+                sums.append(pending.popleft().result())
+            pending.append(pool.submit(block_sums, k))
+        sums.extend(future.result() for future in pending)
 
     signal = math.fsum(s for s, _ in sums) / num_samples * params.transmit_power
     noise = math.fsum(n for _, n in sums) / num_samples

@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsalloc import ConfigError, compare_schemes, load_scenario
+from irsalloc import ConfigError, SearchSpaceTooLarge, compare_schemes, load_scenario
+from irsalloc.allocation import MAX_SCAN_ROWS
 from irsalloc.cli import (
     CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, main, run_placement, run_sweep,
     run_verify, write_csv,
 )
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, traced_peak
 
 
 def rows_to_csv(rows, columns=CSV_COLUMNS):
@@ -280,6 +281,39 @@ def test_main_sweep_non_finite_bounds(baseline_config, capsys, start, stop, step
                  "--from", start, "--to", stop, "--step", step]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sweep from/to/step") and "Traceback" not in err
+
+
+def test_sweep_spec_bounds_value_count():
+    # values() would make MAX_SCAN_ROWS values here, and one more past it
+    SweepSpec("total-budget", 1.0, float(MAX_SCAN_ROWS), 1.0, ("tapr",), "optimal")
+    with pytest.raises(SearchSpaceTooLarge):
+        SweepSpec("total-budget", 1.0, MAX_SCAN_ROWS + 1.0, 1.0, ("tapr",), "optimal")
+    # 1e11 values, and a span that overflows to inf
+    for start, stop, step in ((100.0, 200.0, 1e-9), (-1e308, 1e308, 1.0)):
+        peak = traced_peak(lambda: pytest.raises(SearchSpaceTooLarge, SweepSpec, "total-budget",
+                                                 start, stop, step, ("tapr",), "optimal"))
+        assert peak < 2 ** 20
+
+
+def test_main_sweep_too_many_values(baseline_config, capsys):
+    code = []
+    peak = traced_peak(lambda: code.append(main([
+        "sweep", "--config", str(baseline_config), "--param", "total-budget",
+        "--from", "100", "--to", "200", "--step", "1e-9"])))
+    assert code == [2] and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep from") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_main_placement_grid_too_large(baseline_config, capsys):
+    code = []
+    peak = traced_peak(lambda: code.append(main([
+        "placement", "--config", str(baseline_config), "--grid-step", "1e-4"])))
+    assert code == [2] and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid step") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_main_compare_and_verify(baseline_config, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import irsalloc.placement as placement
 from irsalloc import (
-    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid,
+    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid, SearchSpaceTooLarge,
     alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
@@ -241,28 +241,69 @@ def test_pruned_scan_matches_full_grid_property(case):
     same_placement(*case)
 
 
-def pair_minima(params, alloc, geo):
-    """The smallest candidate zeta of every block pair, each candidate
-    computed as the scan computes it, indexed (xa, ya, xb, yb) in blocks."""
-    p, q, r = placement._zeta_factors(params, alloc, geo)
-    g = geo.gap_x[:, None, :, None] + geo.gap_y[None, :, None, :]
-    zeta = q[:, :, None, None] * g * r
-    zeta += p[:, :, None, None] if alloc.scheme == "TAPR" else p
-    n = BLOCK_POINTS
-    return zeta.reshape(zeta.shape[0] // n, n, zeta.shape[1] // n, n,
-                        zeta.shape[2] // n, n, zeta.shape[3] // n, n).min(axis=(1, 3, 5, 7))
-
-
-@settings(max_examples=40, deadline=None)
-@given(placement_cases())
-def test_refined_bound_below_every_candidate_property(case):
+def scan_inputs(case):
+    """The geometry, P, C and the row bounds L of a placement case, with the
+    rows that pass their own tests."""
     params, alloc, grid, tx, rx = case
-    geo = placement._geometry(grid, tx, rx)
-    lowest = pair_minima(params, alloc, geo)
-    p, q, r = placement._zeta_factors(params, alloc, geo)
-    pairs = np.indices(lowest.shape).reshape(4, -1)
-    refined = placement._refined_bounds(geo, alloc.scheme == "TAPR", p, q, r, *pairs)
-    assert np.all(refined <= lowest.ravel())
+    geo = placement._geometry(grid, tx, rx, alloc.scheme)
+    p, c = placement._zeta_factors(params, alloc, geo)
+    ok = (geo.d_row >= geo.least) & np.isfinite(geo.m)
+    if alloc.scheme == "TAPR":
+        ok &= alpha_star(params, geo.d_row, alloc.n_act) >= 1.0
+    return geo, p, c, c * geo.m + p, np.flatnonzero(ok)
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement_cases())
+def test_row_minima_match_dense_minimum_property(case):
+    params, alloc, grid, tx, rx = case
+    geo = placement._geometry(grid, tx, rx, alloc.scheme)
+    f = (geo.gap_x[:, None, :, None] + geo.gap_y[None, :, None, :]) * geo.f_col
+    dense = np.where(geo.far_col, f, np.inf).min(axis=(2, 3))
+    assert np.array_equal(geo.m, dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement_cases())
+def test_row_bound_below_every_candidate_property(case):
+    params, alloc = case[:2]
+    geo, p, c, low, rows = scan_inputs(case)
+    if not len(rows):
+        return
+    zeta, feasible = placement._rows(params, alloc, geo, p, c, rows)
+    low = low.flat[rows]
+    # every candidate of a row whose column passes its own distance test,
+    # whatever the pair tests say
+    assert np.all(np.where(geo.far_col, zeta, np.inf) >= low[:, None, None])
+    # where no pair test removes a column, L is the row's smallest zeta
+    whole = np.all(feasible == geo.far_col, axis=(1, 2))
+    assert np.array_equal(np.min(zeta, axis=(1, 2), where=feasible, initial=np.inf)[whole],
+                          low[whole])
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement_cases())
+def test_scan_evaluates_every_row_within_cut_property(case):
+    # every row whose L reaches the final tie cut is evaluated
+    params, alloc = case[:2]
+    geo, p, c, low, rows = scan_inputs(case)
+    zeta, feasible = placement._rows(params, alloc, geo, p, c, rows)
+    if not feasible.any():
+        with pytest.raises(NoFeasiblePlacement):
+            placement._scan(params, alloc, geo)
+        return
+    cut = float(np.min(zeta, where=feasible, initial=np.inf)) / (1.0 - 1e-12)
+    seen = []
+    evaluate = placement._rows
+
+    def recording_rows(*args):
+        seen.extend(args[-1].tolist())
+        return evaluate(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(placement, "_rows", recording_rows)
+        placement._scan(params, alloc, geo)
+    assert set(rows[low.flat[rows] <= cut].tolist()) <= set(seen)
 
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
@@ -274,7 +315,7 @@ def test_padded_axes_match_full_grid(params, scheme, points):
     grid = PlacementGrid(xa_bounds=(10.0, 10.0 + nxa - 1), ya_bounds=(-3.0, nya - 4.0),
                          xb_bounds=(85.0, 85.0 + nxb - 1), yb_bounds=(-4.0, nyb - 5.0),
                          step=1.0, height=10.0, d_min=1.0)
-    geo = placement._geometry(grid, TX, RX)
+    geo = placement._geometry(grid, TX, RX, scheme)
     assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == \
         [-(-n // BLOCK_POINTS) * BLOCK_POINTS for n in points]
     assert same_placement(params, Allocation(100, 1000, scheme), grid, TX, RX) is not None
@@ -289,7 +330,7 @@ def test_tie_on_last_point_of_padded_axes(params, scheme):
                          xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
                          step=1.0, height=10.0, d_min=1.0)
     tx, rx = (40.0, 0.0, 10.0), (120.0, 0.0, 10.0)
-    geo = placement._geometry(grid, tx, rx)
+    geo = placement._geometry(grid, tx, rx, scheme)
     for axis in (geo.xa, geo.ya, geo.xb, geo.yb):
         assert len(axis) == 16 and np.all(axis[8:] == axis[8])
     topo = same_placement(params, Allocation(100, 1000, scheme), grid, tx, rx)
@@ -345,17 +386,63 @@ def test_tie_across_blocks_takes_smallest_placement(params):
         snr_closed_form(params, topo, alloc).snr
 
 
+@pytest.mark.parametrize("scheme, y, step", [("TAPR", 0.644, 3.541), ("TPAR", -0.941, 3.975)])
+def test_near_tie_across_rows_takes_smallest_placement(params, scheme, y, step):
+    # Tx, Rx and the other surface lie on the line y; the two rows sit at
+    # y -/+ step/2, so they tie in exact arithmetic, and in floats the first
+    # row's bound L is larger by an ulp: the scan meets the second row first,
+    # and the first must still be evaluated, since its L is within the cut
+    tx, rx = (0.0, y, 0.0), (100.0, y, 0.0)
+    rows, other = (y - step / 2, y + step / 2), (y, y)
+    grid = PlacementGrid(xa_bounds=(15.0, 15.0), ya_bounds=rows if scheme == "TAPR" else other,
+                         xb_bounds=(90.0, 90.0), yb_bounds=other if scheme == "TAPR" else rows,
+                         step=step, height=10.0, d_min=1.0)
+    alloc = Allocation(100, 1000, scheme)
+    geo = placement._geometry(grid, tx, rx, scheme)
+    p, c = placement._zeta_factors(params, alloc, geo)
+    low = (c * geo.m + p).ravel()
+    assert low[1] < low[0] <= low[1] / (1.0 - 1e-12)
+    topo = same_placement(params, alloc, grid, tx, rx)
+    assert (topo.pos_irs_a if scheme == "TAPR" else topo.pos_irs_b)[1] == rows[0]
+
+
 def test_fine_step_memory_bounded(params, topo):
-    # the baseline +/-15 m x +/-5 m boxes at 0.2 m hold 58M candidates,
-    # about 2 GB for a scan that holds them all at once
+    # the baseline +/-15 m x +/-5 m boxes hold 58M candidates at 0.2 m and
+    # 0.92G at 0.1 m, about 2 GB and 30 GB for a scan that holds them all
     xa, ya, h = topo.pos_irs_a
     xb, yb, _ = topo.pos_irs_b
-    grid = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
+    for step in (0.2, 0.1):
+        grid = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
+                             xb_bounds=(xb - 15.0, xb + 15.0), yb_bounds=(yb - 5.0, yb + 5.0),
+                             step=step, height=h, d_min=1.0)
+        for scheme in ("TAPR", "TPAR"):
+            peak = traced_peak(lambda: optimize_placement_given_allocation(
+                params, Allocation(100, 1000, scheme), grid, topo.pos_tx, topo.pos_rx))
+            assert peak < 64 * 2 ** 20, (step, scheme)
+
+
+def test_grid_too_large_refused_before_any_array(params, topo):
+    # the baseline boxes at 0.1 mm would hold 3e10 points per surface; a
+    # 60 km strip at 1 m holds 480,064 points once padded, within the bound,
+    # but its x gaps to a parallel strip would hold 3.6e9
+    xa, ya, h = topo.pos_irs_a
+    xb, yb, _ = topo.pos_irs_b
+    fine = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
                          xb_bounds=(xb - 15.0, xb + 15.0), yb_bounds=(yb - 5.0, yb + 5.0),
-                         step=0.2, height=h, d_min=1.0)
-    peak = traced_peak(lambda: optimize_placement_given_allocation(
-        params, Allocation(100, 1000, "TAPR"), grid, topo.pos_tx, topo.pos_rx))
-    assert peak < 64 * 2 ** 20
+                         step=1e-4, height=h, d_min=1.0)
+    strips = PlacementGrid(xa_bounds=(0.0, 6e4), ya_bounds=(5.0, 5.0),
+                           xb_bounds=(0.0, 6e4), yb_bounds=(-5.0, -5.0),
+                           step=1.0, height=h, d_min=1.0)
+    for grid in (fine, strips):
+        for scheme in ("TAPR", "TPAR"):
+            peak = traced_peak(lambda: pytest.raises(
+                SearchSpaceTooLarge, optimize_placement_given_allocation, params,
+                Allocation(100, 1000, scheme), grid, topo.pos_tx, topo.pos_rx))
+            assert peak < 2 ** 20
+            peak = traced_peak(lambda: pytest.raises(
+                SearchSpaceTooLarge, alternating_optimize, params, grid, scheme,
+                topo.pos_tx, topo.pos_rx))
+            assert peak < 2 ** 20
 
 
 def joint_grids(params, alloc, grid, tx, rx):

@@ -299,6 +299,57 @@ def test_monte_carlo_matches_serial_oracle(params, topo, num_samples):
         assert got.rate == rate_from_snr(got.snr)
 
 
+class DeferredExecutor:
+    """A stand-in for ThreadPoolExecutor that runs a block only when its
+    result is asked for, so every future submitted and not yet collected is
+    in flight; it records the most at once."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = self.in_flight = self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        executor = self
+        executor.submitted += 1
+        executor.in_flight += 1
+        executor.peak = max(executor.peak, executor.in_flight)
+
+        class Future:
+            def result(self):
+                executor.in_flight -= 1
+                return fn(*args)
+
+        return Future()
+
+
+def test_monte_carlo_submission_is_windowed(params, topo, monkeypatch):
+    # 200 blocks of 16 samples; at most two per thread are ever in flight
+    import concurrent.futures
+    alloc = Allocation(12, 30, "TAPR")
+    refl = configure(params, topo, alloc)
+    monkeypatch.setattr(snr_module, "_MC_BLOCK", 16)
+    expected = simulate_empirical_snr(params, topo, alloc, refl, 200 * 16, seed=9)
+    pools = []
+
+    def deferred(max_workers):
+        pools.append(DeferredExecutor(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", deferred)
+    got = simulate_empirical_snr(params, topo, alloc, refl, 200 * 16, seed=9)
+    assert got == expected
+    (pool,) = pools
+    assert pool.submitted == 200
+    assert pool.peak <= snr_module._MC_WINDOW * pool.max_workers
+    assert pool.in_flight == 0
+
+
 # noise rows per sub-chunk at 40 active elements: 41 complex columns a row
 ROWS_40 = _MC_CHUNK // (2 * 41)
 assert ROWS_40 < _MC_BLOCK
