@@ -1,8 +1,10 @@
 """Link directions, array steering vectors and the deterministic LOS channels.
 
-The double-reflection link is g (Tx -> first IRS), S (first -> second IRS,
-rank one) and h (second IRS -> Rx). Each surface's responses point along
-the directions of its two links, derived here from the node positions.
+The double-reflection link is g (Tx -> first IRS), S (first -> second IRS)
+and h (second IRS -> Rx). S is rank one, s_gain*outer(b_from_a,
+conj(a_to_b)), and is held as those factors: no n_second x n_first matrix is
+built. Each surface's responses point along the directions of its two
+links, derived here from the node positions.
 Steering arguments use a half-wavelength element grid, i.e. spacing factor 1;
 under optimal phase alignment the SNR is angle-independent, so neither the
 directions nor this choice affect any closed-form value.
@@ -71,15 +73,16 @@ def upa_response(azimuth: float, elevation: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelTriple:
-    """The three LOS channels plus the raw array responses they were built from.
+    """The LOS channels g and h, the gain of S, and the array responses.
 
     a_from_tx / a_to_b are the responses at the first surface (toward Tx and
     toward the second surface); b_from_a / b_to_rx the analogous ones at the
-    second surface. S = scale * outer(b_from_a, conj(a_to_b)).
+    second surface. The inter-surface channel is held as its factors:
+    S = s_gain * outer(b_from_a, conj(a_to_b)), never as a matrix.
     """
 
     g: np.ndarray       # (n_first,)
-    s: np.ndarray       # (n_second, n_first)
+    s_gain: complex     # sqrt(rho)/d2 * exp(-2j*pi*d2/lambda)
     h: np.ndarray       # (n_second,)
     scheme: str
     a_from_tx: np.ndarray
@@ -96,24 +99,31 @@ class ChannelTriple:
         return self.h.shape[0]
 
     def check_dims(self):
-        if self.s.shape != (self.n_second, self.n_first):
+        """DimensionMismatch unless S's factors match g (a_to_b) and h
+        (b_from_a) in length."""
+        if self.a_to_b.shape != (self.n_first,) or self.b_from_a.shape != (self.n_second,):
             raise DimensionMismatch(
-                f"S has shape {self.s.shape}, expected {(self.n_second, self.n_first)}")
+                f"S factors have lengths {self.b_from_a.shape} x {self.a_to_b.shape}, "
+                f"expected ({self.n_second},) x ({self.n_first},)")
 
 
 def surface_counts(alloc) -> tuple[int, int]:
-    """(n_first, n_second) element counts: the active surface is first in TAPR."""
+    """(n_first, n_second) element counts: the active surface is first in TAPR.
+
+    DimensionMismatch unless both counts are integers >= 1."""
     check_scheme(alloc.scheme)
     for name in ("n_act", "n_pas"):
         value = getattr(alloc, name)
         if value < 1 or value != int(value):
-            raise ValueError(f"{name}={value!r}: channel construction needs integer counts >= 1")
+            raise DimensionMismatch(
+                f"{name}={value!r}: channel construction needs integer counts >= 1")
     n_act, n_pas = int(alloc.n_act), int(alloc.n_pas)
     return (n_act, n_pas) if alloc.scheme == TAPR else (n_pas, n_act)
 
 
 def build_channels(params: SystemParams, topo: Topology, alloc) -> ChannelTriple:
-    """Construct g, S, h for the allocation's scheme and element counts."""
+    """Construct g, S (as its gain and responses) and h for the allocation's
+    scheme and element counts."""
     n_first, n_second = surface_counts(alloc)
     rho, lam = params.ref_gain, params.wavelength
     tx, a, b, rx = (np.asarray(p) for p in
@@ -129,8 +139,7 @@ def build_channels(params: SystemParams, topo: Topology, alloc) -> ChannelTriple
         return math.sqrt(rho) / d * np.exp(-2j * math.pi * d / lam)
 
     g = scale(topo.d1) * a_from_tx
-    s = scale(topo.d2) * np.outer(b_from_a, a_to_b.conj())
     h = scale(topo.d3) * b_to_rx
-    return ChannelTriple(g=g, s=s, h=h, scheme=alloc.scheme,
+    return ChannelTriple(g=g, s_gain=scale(topo.d2), h=h, scheme=alloc.scheme,
                          a_from_tx=a_from_tx, a_to_b=a_to_b,
                          b_from_a=b_from_a, b_to_rx=b_to_rx)

@@ -8,8 +8,10 @@ closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
 constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta.
 
 Both oracles, snr_exact_matrix and the Monte-Carlo meter, take the cascade
-h^H*Phi*S*Psi*g from _cascade, which checks sizes and scheme tags and applies
-each diagonal reflection as its gain vector amp*e^{j*theta}.
+h^H*Phi*S*Psi*g from _cascade, which checks sizes and scheme tags, applies
+each diagonal reflection as its gain vector amp*e^{j*theta} and S through
+its rank-one factors, so both cost O(n_first + n_second) in memory and time;
+no matrix is built.
 
 The Monte-Carlo meter draws every sample's noise explicitly, in fixed blocks
 that each own a seed stream spawned from the caller's seed. The blocks run on
@@ -116,8 +118,10 @@ def snr_closed_form(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
 
 def _cascade(channels: ChannelTriple, reflection: ReflectionConfig, scheme: str):
     """h^H*Phi, h^H*Phi*S*Psi and the cascade h^H*Phi*S*Psi*g, each surface
-    applied as its gain vector amp*e^{j*theta}; DimensionMismatch unless the
-    channels, the reflection and the scheme agree."""
+    applied as its gain vector amp*e^{j*theta} and S = s_gain*b*a^H as
+    s_gain*(h^H*Phi*b)*conj(a): O(n_first + n_second), no matrix.
+    DimensionMismatch unless the channels, the reflection and the scheme
+    agree."""
     channels.check_dims()
     if (reflection.phases_first.shape[0] != channels.n_first
             or reflection.phases_second.shape[0] != channels.n_second):
@@ -126,8 +130,9 @@ def _cascade(channels: ChannelTriple, reflection: ReflectionConfig, scheme: str)
         raise DimensionMismatch("scheme tags disagree between channels/reflection/allocation")
     through_second = channels.h.conj() * (reflection.amp_second
                                           * np.exp(1j * reflection.phases_second))
-    through_both = (through_second @ channels.s) * (reflection.amp_first
-                                                    * np.exp(1j * reflection.phases_first))
+    through_both = (channels.s_gain * (through_second @ channels.b_from_a)
+                    * channels.a_to_b.conj()
+                    * (reflection.amp_first * np.exp(1j * reflection.phases_first)))
     return through_second, through_both, through_both @ channels.g
 
 

@@ -158,6 +158,13 @@ def reflection_matrices(refl):
             np.diag(refl.amp_second * np.exp(1j * refl.phases_second)))
 
 
+def inter_surface_matrix(ch):
+    """S: the literal n_second x n_first inter-surface matrix that the
+    channels hold as its factors, for tests that check the cascade as a
+    matrix product."""
+    return ch.s_gain * np.outer(ch.b_from_a, ch.a_to_b.conj())
+
+
 def full_grid_placement(params: SystemParams, alloc, grid, pos_tx, pos_rx):
     """Joint grid-argmax of the closed-form rate over every candidate
     placement at once; the oracle for the pruned placement scan.

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsalloc import (Allocation, build_channels, build_topology, direction_angles,
-                      unit_from_angles)
+from irsalloc import (Allocation, IrsAllocError, build_channels, build_topology,
+                      direction_angles, simulate_empirical_snr, unit_from_angles)
 from irsalloc.channel import grid_shape, steering, upa_response
-from conftest import baseline_params, random_scenario
+from irsalloc.reflection import configure
+from conftest import baseline_params, inter_surface_matrix, random_scenario
 
 
 def test_steering_pins():
@@ -65,10 +66,11 @@ def test_channel_norm_pins():
     assert np.linalg.norm(ch.h) ** 2 == pytest.approx(1e-3 * 1000 / 129.0, rel=1e-12)
 
     ch1 = build_channels(params, topo, Allocation(1, 1, "TAPR"))
-    assert abs(ch1.s[0, 0]) == pytest.approx(math.sqrt(1e-3) / 83.0, rel=1e-12)
+    assert abs(inter_surface_matrix(ch1)[0, 0]) == pytest.approx(math.sqrt(1e-3) / 83.0,
+                                                                  rel=1e-12)
 
     ch35 = build_channels(params, topo, Allocation(3, 5, "TAPR"))
-    assert np.linalg.norm(ch35.s, "fro") ** 2 == pytest.approx(
+    assert np.linalg.norm(inter_surface_matrix(ch35), "fro") ** 2 == pytest.approx(
         1e-3 * 15 / 83.0 ** 2, rel=1e-12)
 
 
@@ -87,7 +89,7 @@ def test_channel_norms_random_geometry():
                 rho * n_first / topo.d1 ** 2, rel=1e-12)
             assert np.linalg.norm(ch.h) ** 2 == pytest.approx(
                 rho * n_second / topo.d3 ** 2, rel=1e-12)
-            assert np.linalg.norm(ch.s, "fro") ** 2 == pytest.approx(
+            assert np.linalg.norm(inter_surface_matrix(ch), "fro") ** 2 == pytest.approx(
                 rho * n_first * n_second / topo.d2 ** 2, rel=1e-12)
 
 
@@ -97,7 +99,7 @@ def test_inter_surface_channel_rank_one():
         params, topo = random_scenario(rng)
         alloc = Allocation(int(rng.integers(2, 65)), int(rng.integers(2, 65)), "TAPR")
         ch = build_channels(params, topo, alloc)
-        sv = np.linalg.svd(ch.s, compute_uv=False)
+        sv = np.linalg.svd(inter_surface_matrix(ch), compute_uv=False)
         assert sv[1] <= 1e-10 * sv[0]
 
 
@@ -120,7 +122,21 @@ def test_responses_point_along_link_directions(params, topo):
 def test_channel_dimensions_follow_scheme(params, topo):
     ch_ap = build_channels(params, topo, Allocation(3, 7, "TAPR"))
     assert ch_ap.g.shape == (3,) and ch_ap.h.shape == (7,)
-    assert ch_ap.s.shape == (7, 3)
+    assert inter_surface_matrix(ch_ap).shape == (7, 3)
     ch_pa = build_channels(params, topo, Allocation(3, 7, "TPAR"))
     assert ch_pa.g.shape == (7,) and ch_pa.h.shape == (3,)
-    assert ch_pa.s.shape == (3, 7)
+    assert inter_surface_matrix(ch_pa).shape == (3, 7)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, t, alloc: build_channels(p, t, alloc),
+    lambda p, t, alloc: configure(p, t, alloc),
+    lambda p, t, alloc: simulate_empirical_snr(
+        p, t, alloc, configure(p, t, Allocation(2, 10, alloc.scheme)), 100, seed=0),
+], ids=["build_channels", "configure", "simulate_empirical_snr"])
+@pytest.mark.parametrize("alloc", [Allocation(2.5, 10.0, "TAPR", continuous=True),
+                                   Allocation(2.0, 10.5, "TPAR", continuous=True)])
+def test_non_integer_counts_raise_typed_error(params, topo, entry, alloc):
+    # a continuous optimum has no array to build
+    with pytest.raises(IrsAllocError, match="integer counts"):
+        entry(params, topo, alloc)

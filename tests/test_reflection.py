@@ -7,13 +7,14 @@ import pytest
 
 from irsalloc import Allocation, build_channels, build_topology, optimal_phases
 from irsalloc.reflection import alpha_star, beta_star, configure, optimal_amplitude
-from conftest import baseline_params, random_scenario, reflection_matrices
+from conftest import (baseline_params, inter_surface_matrix, random_scenario,
+                      reflection_matrices)
 
 
 def cascade_scalar(ch, refl):
     """h^H * Phi * S * Psi * g evaluated from the raw matrices."""
     psi, phi = reflection_matrices(refl)
-    return ch.h.conj() @ phi @ ch.s @ psi @ ch.g
+    return ch.h.conj() @ phi @ inter_surface_matrix(ch) @ psi @ ch.g
 
 
 def test_identity_angles_give_zero_phase(params):
@@ -108,7 +109,8 @@ def test_tpar_power_constraint_equality(params, topo):
     ch = build_channels(params, topo, alloc)
     refl = configure(params, topo, alloc, ch)
     psi, phi = reflection_matrices(refl)
-    out = (params.transmit_power * np.linalg.norm(phi @ ch.s @ psi @ ch.g) ** 2
+    leaving_second = phi @ inter_surface_matrix(ch) @ psi @ ch.g
+    out = (params.transmit_power * np.linalg.norm(leaving_second) ** 2
            + params.amp_noise_power * np.linalg.norm(phi, "fro") ** 2)
     assert out == pytest.approx(params.amp_power_budget, rel=1e-12)
 

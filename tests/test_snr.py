@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsalloc import (
     Allocation, ConditionUndefined, ConfigError, build_channels, build_topology,
@@ -16,7 +17,8 @@ from irsalloc.allocation import closed_form_split
 from irsalloc.reflection import ReflectionConfig, configure, optimal_phases
 from irsalloc import snr as snr_module
 from irsalloc.snr import _MC_BLOCK, _MC_CHUNK, rate_from_snr, snr_from_zeta, zeta_value
-from conftest import baseline_params, random_scenario, reflection_matrices, traced_peak
+from conftest import (baseline_params, inter_surface_matrix, random_scenario,
+                      reflection_matrices, traced_peak)
 
 
 def zeta_oracle(params, scheme, x_act, x_pas, d1, d2, d3):
@@ -268,7 +270,7 @@ def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
     ch = build_channels(params, topo, alloc)
     psi, phi = reflection_matrices(refl)
     through_second = ch.h.conj() @ phi
-    through_both = through_second @ ch.s @ psi
+    through_both = through_second @ inter_surface_matrix(ch) @ psi
     cascade = through_both @ ch.g
     weights = through_both if alloc.scheme == "TAPR" else through_second
     n = weights.shape[0]
@@ -500,3 +502,42 @@ def test_oracles_never_form_a_dense_reflection(params, topo, scheme):
     for run in (lambda: snr_exact_matrix(params, topo, alloc, ch, refl),
                 lambda: simulate_empirical_snr(params, topo, alloc, refl, 1000, seed=0)):
         assert traced_peak(run) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_oracle_chain_never_forms_the_inter_surface_matrix(params, topo, scheme):
+    # 1000 x 10000 elements: a dense S alone would be 160 MB
+    alloc = Allocation(1000, 10000, scheme)
+
+    def chain():
+        ch = build_channels(params, topo, alloc)
+        refl = configure(params, topo, alloc)
+        snr_exact_matrix(params, topo, alloc, ch, refl)
+        simulate_empirical_snr(params, topo, alloc, refl, 1000, seed=0)
+
+    assert traced_peak(chain) < 8 * 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.integers(1, 64),
+       st.sampled_from(("TAPR", "TPAR")))
+def test_exact_matrix_equals_literal_product(seed, n_act, n_pas, scheme):
+    # random phases and amplitudes, so nothing co-phases the cascade
+    rng = np.random.default_rng(seed)
+    params, topo = random_scenario(rng)
+    alloc = Allocation(n_act, n_pas, scheme)
+    ch = build_channels(params, topo, alloc)
+    refl = ReflectionConfig(phases_first=rng.uniform(0.0, 2 * math.pi, ch.n_first),
+                            phases_second=rng.uniform(0.0, 2 * math.pi, ch.n_second),
+                            amp_first=float(rng.uniform(0.5, 3.0)),
+                            amp_second=float(rng.uniform(0.5, 3.0)), scheme=scheme)
+    psi, phi = reflection_matrices(refl)
+    through_second = ch.h.conj() @ phi
+    through_both = through_second @ inter_surface_matrix(ch) @ psi
+    weights = through_both if scheme == "TAPR" else through_second
+    lb = snr_exact_matrix(params, topo, alloc, ch, refl)
+    # abs=0: the powers are far below approx's default absolute tolerance
+    assert lb.signal_power == pytest.approx(
+        params.transmit_power * abs(through_both @ ch.g) ** 2, rel=1e-12, abs=0.0)
+    assert lb.amp_noise_power_at_rx == pytest.approx(
+        params.amp_noise_power * np.linalg.norm(weights) ** 2, rel=1e-12, abs=0.0)
