@@ -11,13 +11,11 @@ B-surface's points, P = A(d3)/n_act, C = B'(d3)/(n_act*n_pas^2) and
 F = d1^2*d2^2.
 
 The geometry depends only on the grid, the Tx and Rx positions and the
-scheme; alternating_optimize builds it once per run. Each axis is padded to
-whole blocks of BLOCK_POINTS points by repeating its last coordinate (a
-padded point ties with the real point it repeats and has the larger index,
-so the tie rule never picks it). The geometry holds each surface's distances
-to its end node, the squared x and y gaps between the surfaces, and m, the
-smallest F of each row over the columns that pass the distance test, equal
-to a dense minimum bit for bit (see _row_minima).
+scheme; alternating_optimize builds it once per run. It holds the real grid
+axes, each surface's distances to its end node, the squared x and y gaps
+between the surfaces, and m, the smallest F of each row over the columns
+that pass the distance test, equal to a dense minimum bit for bit (see
+_row_minima, which alone pads its columns to whole blocks).
 
 The scan for one allocation takes L = P + C*m for every row that passes its
 own tests. Adding and multiplying non-negative floats never decreases under
@@ -112,10 +110,6 @@ class AOTrace:
     converged: bool
 
     @property
-    def rates(self) -> list[float]:
-        return [it.rate for it in self.iterations]
-
-    @property
     def final(self) -> AOIteration:
         return self.iterations[-1]
 
@@ -135,8 +129,8 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
 
 @dataclass(frozen=True)
 class _Geometry:
-    """The allocation-free arrays of a placement scan, on axes padded to
-    whole blocks. Row-surface grids (the A-surface for TAPR, B for TPAR) and
+    """The allocation-free arrays of a placement scan, on the grid's own
+    axes. Row-surface grids (the A-surface for TAPR, B for TPAR) and
     column-surface grids are indexed (x, y); the gaps (row-surface
     coordinate, column-surface coordinate)."""
 
@@ -161,8 +155,8 @@ class _Geometry:
 def _check_size(grid: PlacementGrid) -> None:
     """Raise SearchSpaceTooLarge, before any array is built, when a geometry
     array of grid may hold more than _MAX_GRID_POINTS entries."""
-    # span + BLOCK_POINTS is at least the padded length of an axis, and inf
-    # where the span overflows
+    # span + BLOCK_POINTS is at least the length of an axis once _row_minima
+    # pads it to whole blocks, and inf where the span overflows
     xa, ya, xb, yb = ((hi - lo) / grid.step + BLOCK_POINTS for lo, hi in
                       (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds))
     if not max(xa * ya, xb * yb, xa * xb, ya * yb) <= _MAX_GRID_POINTS:
@@ -176,19 +170,15 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
     _check_size(grid)
     tx = np.asarray(pos_tx, dtype=float)
     rx = np.asarray(pos_rx, dtype=float)
-    axes = [grid.axis(b) for b in (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds)]
-    # a padded point repeats the last coordinate: it ties with that point and
-    # has the larger index, so the tie rule never picks it
-    xa, ya, xb, yb = (np.pad(v, (0, -len(v) % BLOCK_POINTS), mode="edge") for v in axes)
+    xa, ya, xb, yb = (grid.axis(b) for b in
+                      (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds))
     h = grid.height
     d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
     if scheme == TAPR:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d1, d3, (xa, ya, xb, yb)
-        n_x, n_y = len(axes[0]), len(axes[1])
     else:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d3, d1, (xb, yb, xa, ya)
-        n_x, n_y = len(axes[2]), len(axes[3])
     # build_topology refuses a zero link distance even at d_min = 0, and
     # math.ulp(0.0) is the smallest positive float, so d >= least is d >= d_min
     # and d > 0
@@ -197,13 +187,10 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
     gap_y = (y_col[None, :] - y_row[:, None]) ** 2
     f_col = d_col ** 2
     far_col = d_col >= least
-    # a padded row has the gaps, and so the minimum, of the row it repeats
-    m = np.pad(_row_minima(gap_x[:n_x], gap_y[:n_y], f_col, far_col),
-               ((0, len(x_row) - n_x), (0, len(y_row) - n_y)), mode="edge")
     return _Geometry(
         grid=grid, scheme=scheme, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, least=least,
         d_row=d_row, d_col=d_col, f_col=f_col, far_col=far_col,
-        gap_x=gap_x, gap_y=gap_y, m=m)
+        gap_x=gap_x, gap_y=gap_y, m=_row_minima(gap_x, gap_y, f_col, far_col))
 
 
 def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
@@ -211,24 +198,30 @@ def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
     """m[i, j], the smallest (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
     columns (k, l) in ok, inf where there are none.
 
-    The columns come in blocks of n x n, each made of n lines of one k. A
-    row's F over a block, or over a line, is at least the row's smallest gaps
-    to it times its smallest admissible factor; m is at most F at the column
-    of that factor in any block. Rows are taken in tiles, and a line is
-    evaluated, for every row of the tile, if its block's bound and its own
-    reach that upper bound for some row of the tile. Each F is formed as the
-    scan forms it, so m equals a dense minimum bit for bit."""
+    The columns come in blocks of n x n, each made of n lines of one k; the
+    column axes are padded to whole blocks here, with the gaps of their last
+    column (so a block's smallest gap is that of its real columns) and never
+    in ok. A row's F over a block, or over a line, is at least the row's
+    smallest gaps to it times its smallest admissible factor; m is at most F
+    at the column of that factor in any block. Rows are taken in tiles, and a
+    line is evaluated, for every row of the tile, if its block's bound and
+    its own reach that upper bound for some row of the tile. Each F is formed
+    as the scan forms it, so m equals a dense minimum bit for bit."""
     n = BLOCK_POINTS
     n_i, n_j = gap_x.shape[0], gap_y.shape[0]
     m = np.full(n_i * n_j, np.inf)
+    pad = ((0, -f.shape[0] % n), (0, -f.shape[1] % n))
+    # gaps by (column coordinate, row coordinate)
+    gx, gy = (np.ascontiguousarray(np.pad(g, ((0, 0), p), mode="edge").T)
+              for g, p in zip((gap_x, gap_y), pad))
     # the blocks that hold an admissible column, each as (x offset, y offset)
-    f, ok = (v.reshape(v.shape[0] // n, n, -1, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
-             for v in (f, ok))
+    f, ok = (np.pad(v, pad).reshape(len(gx) // n, n, -1, n).transpose(0, 2, 1, 3)
+             .reshape(-1, n, n) for v in (f, ok))
     live = np.flatnonzero(ok.any(axis=(1, 2)))
     if not len(live):
         return m.reshape(n_i, n_j)
     f, ok = f[live], ok[live]
-    kb, lb = np.divmod(live, gap_y.shape[1] // n)  # x and y block
+    kb, lb = np.divmod(live, len(gy) // n)  # x and y block
     # each block's and each line's smallest admissible factor, and the
     # column of the block's; zero on a line without one, as 0*inf would be
     # nan, and the line is masked where it is evaluated
@@ -237,9 +230,7 @@ def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
     f_lo = f_ok.reshape(len(live), -1)[np.arange(len(live)), at]
     line_lo = f_ok.min(axis=2)
     line_lo[np.isinf(line_lo)] = 0.0
-    # gaps by (column coordinate, row coordinate), and each row coordinate's
-    # smallest gap to each x or y block
-    gx, gy = np.ascontiguousarray(gap_x.T), np.ascontiguousarray(gap_y.T)
+    # each row coordinate's smallest gap to each x or y block
     gx_lo, gy_lo = gx.reshape(-1, n, n_i).min(axis=1), gy.reshape(-1, n, n_j).min(axis=1)
     # the upper bound comes from the few blocks with the smallest factors
     near = np.argsort(f_lo)[:4]

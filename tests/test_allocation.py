@@ -32,9 +32,9 @@ def test_closed_form_split_budget_identity():
         wa = rng.uniform(1.0, 10.0)
         wp = rng.uniform(0.5, wa)
         a = closed_form_split(m, wa, wp, "TAPR")
-        assert wa * a.n_act + wp * a.n_pas == pytest.approx(m, rel=1e-12)
+        assert wa * a.n_act + wp * a.n_pas == pytest.approx(m, rel=1e-12, abs=0.0)
         # the passive surface receives exactly twice the active budget share
-        assert wp * a.n_pas == pytest.approx(2.0 * wa * a.n_act, rel=1e-12)
+        assert wp * a.n_pas == pytest.approx(2.0 * wa * a.n_act, rel=1e-12, abs=0.0)
         if wp <= wa:
             assert a.n_pas > a.n_act
 
@@ -55,7 +55,7 @@ def test_allocation_validation(params):
         with pytest.raises(ValueError):
             Allocation(2.5, bad, "TPAR", continuous=True)
     cont = Allocation(2.5, 10.0, "TAPR", continuous=True)
-    assert cont.cost(params) == pytest.approx(2.5 * 5.0 + 10.0)
+    assert cont.cost(params) == pytest.approx(2.5 * 5.0 + 10.0, rel=1e-6, abs=0.0)
     # element costs follow the SystemParams rule: positive finite reals
     for bad in (0.0, -1.0, math.nan, math.inf, True):
         with pytest.raises(ConfigError):
@@ -68,14 +68,14 @@ def test_solve_continuous_approx_objective_recovers_split(params, topo):
     for scheme in ("TAPR", "TPAR"):
         sol = solve_continuous(params, topo, scheme, approx=True)
         split = closed_form_split(1500.0, 5.0, 1.0, scheme)
-        assert sol.allocation.n_act == pytest.approx(split.n_act, rel=1e-6)
-        assert sol.allocation.n_pas == pytest.approx(split.n_pas, rel=1e-6)
+        assert sol.allocation.n_act == pytest.approx(split.n_act, rel=1e-6, abs=0.0)
+        assert sol.allocation.n_pas == pytest.approx(split.n_pas, rel=1e-6, abs=0.0)
 
 
 def test_solve_continuous_budget_active(params, topo):
     for scheme in ("TAPR", "TPAR"):
         sol = solve_continuous(params, topo, scheme)
-        assert sol.allocation.cost(params) == pytest.approx(1500.0, rel=1e-9)
+        assert sol.allocation.cost(params) == pytest.approx(1500.0, rel=1e-9, abs=0.0)
 
 
 def test_solve_continuous_vs_dense_grid():
@@ -109,7 +109,7 @@ def test_solve_continuous_root_below_split_far_apart(params):
     for scheme in ("TAPR", "TPAR"):
         n_pas = solve_continuous(params, topo, scheme).allocation.n_pas
         assert n_pas < u0
-        assert n_pas == pytest.approx(u0, rel=1e-8)
+        assert n_pas == pytest.approx(u0, rel=1e-8, abs=0.0)
 
 
 def test_objective_midpoint_convexity(params, topo):
@@ -132,8 +132,8 @@ def test_baseline_continuous_optimum_near_split(params, topo):
     sol = solve_continuous(params, topo, "TAPR")
     # at the short 83 m separation the receiver-noise term shifts the
     # optimum a little toward more active elements
-    assert sol.allocation.n_act == pytest.approx(111.09, rel=1e-3)
-    assert sol.allocation.n_pas == pytest.approx(944.55, rel=1e-3)
+    assert sol.allocation.n_act == pytest.approx(111.09, rel=1e-3, abs=0.0)
+    assert sol.allocation.n_pas == pytest.approx(944.55, rel=1e-3, abs=0.0)
 
 
 def test_closed_form_row_matches_brute_force(params, topo):
@@ -264,8 +264,8 @@ def test_solution_rate_matches_closed_form(params, topo):
     from irsalloc import snr_closed_form
     sol = solve_integer(params, topo, "TAPR", method="optimal")
     lb = snr_closed_form(params, topo, sol.allocation)
-    assert sol.rate == pytest.approx(lb.rate, rel=1e-12)
-    assert sol.snr == pytest.approx(lb.snr, rel=1e-12)
+    assert sol.rate == pytest.approx(lb.rate, rel=1e-12, abs=0.0)
+    assert sol.snr == pytest.approx(lb.snr, rel=1e-12, abs=0.0)
 
 
 def test_rounding_never_infeasible_random():

@@ -34,7 +34,7 @@ def single_surface_oracle(params, da, db, n, amp, transmit_power, amp_noise):
 def test_single_pirs_square_law(params, topo):
     r1 = rate_single_pirs(params, topo)
     r2 = rate_single_pirs(replace(params, total_budget=3000.0), topo)
-    assert r2.snr == pytest.approx(4.0 * r1.snr, rel=1e-12)
+    assert r2.snr == pytest.approx(4.0 * r1.snr, rel=1e-12, abs=0.0)
 
 
 def test_single_pirs_baseline(params, topo):
@@ -48,7 +48,7 @@ def test_single_pirs_baseline(params, topo):
     p_total = params.transmit_power + params.amp_power_budget
     assert res.snr == pytest.approx(
         p_total * params.ref_gain ** 2 * 1500 ** 2
-        / (da ** 2 * db ** 2 * params.rx_noise_power), rel=1e-12)
+        / (da ** 2 * db ** 2 * params.rx_noise_power), rel=1e-12, abs=0.0)
 
 
 def test_single_pirs_matrix_oracle(params, topo):
@@ -57,7 +57,7 @@ def test_single_pirs_matrix_oracle(params, topo):
     oracle = single_surface_oracle(
         params, da, db, res.n_pas, 1.0,
         params.transmit_power + params.amp_power_budget, 0.0)
-    assert res.snr == pytest.approx(oracle, rel=1e-9)
+    assert res.snr == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
 def test_single_pirs_fair_power(params, topo):
@@ -66,15 +66,15 @@ def test_single_pirs_fair_power(params, topo):
     swapped = replace(params, transmit_power=params.amp_power_budget,
                       amp_power_budget=params.transmit_power)
     assert rate_single_pirs(swapped, topo).snr == pytest.approx(
-        rate_single_pirs(params, topo).snr, rel=1e-12)
+        rate_single_pirs(params, topo).snr, rel=1e-12, abs=0.0)
     assert rate_double_pirs(swapped, topo).snr == pytest.approx(
-        rate_double_pirs(params, topo).snr, rel=1e-12)
+        rate_double_pirs(params, topo).snr, rel=1e-12, abs=0.0)
 
 
 def test_single_airs_linear_law(params, topo):
     r1 = rate_single_airs(params, topo)
     r2 = rate_single_airs(replace(params, total_budget=3000.0), topo)
-    assert r2.snr == pytest.approx(2.0 * r1.snr, rel=1e-12)
+    assert r2.snr == pytest.approx(2.0 * r1.snr, rel=1e-12, abs=0.0)
 
 
 def test_single_airs_baseline_formula(params, topo):
@@ -86,7 +86,7 @@ def test_single_airs_baseline_formula(params, topo):
         pt * pv * rho ** 2 * 300
         / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2))
         for da, db in (site_distances(topo, "A"), site_distances(topo, "B")))
-    assert res.snr == pytest.approx(best, rel=1e-12)
+    assert res.snr == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_single_airs_matrix_oracle(params, topo):
@@ -95,12 +95,12 @@ def test_single_airs_matrix_oracle(params, topo):
     oracle = single_surface_oracle(params, da, db, res.n_act, res.amplitude,
                                    params.transmit_power,
                                    params.amp_noise_power)
-    assert res.snr == pytest.approx(oracle, rel=1e-9)
+    assert res.snr == pytest.approx(oracle, rel=1e-9, abs=0.0)
     # the reported amplitude saturates the amplification power budget
     rho = params.ref_gain
     out = (params.transmit_power * res.amplitude ** 2 * rho * res.n_act / da ** 2
            + params.amp_noise_power * res.amplitude ** 2 * res.n_act)
-    assert out == pytest.approx(params.amp_power_budget, rel=1e-12)
+    assert out == pytest.approx(params.amp_power_budget, rel=1e-12, abs=0.0)
 
 
 def test_single_airs_low_noise_limit(topo):
@@ -110,7 +110,7 @@ def test_single_airs_low_noise_limit(topo):
                  key=lambda t: t[1])
     expected = (params.amp_power_budget * params.ref_gain * res.n_act
                 / (params.rx_noise_power * db ** 2))
-    assert res.snr == pytest.approx(expected, rel=1e-6)
+    assert res.snr == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_hybrid_pure_active_split_matches_single_airs(params, topo):
@@ -125,7 +125,7 @@ def test_hybrid_pure_active_split_matches_single_airs(params, topo):
                   / (sv2 * alpha_sq * rho * n / db ** 2 + s02))
     airs_snr = (pt * pv * rho ** 2 * n
                 / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
-    assert hybrid_snr == pytest.approx(airs_snr, rel=1e-12)
+    assert hybrid_snr == pytest.approx(airs_snr, rel=1e-12, abs=0.0)
 
 
 def test_hybrid_matrix_oracle(params, topo):
@@ -141,7 +141,7 @@ def test_hybrid_matrix_oracle(params, topo):
     signal = params.transmit_power * abs(h.conj() @ (refl * g)) ** 2
     noise = (params.amp_noise_power * res.amplitude ** 2
              * np.linalg.norm(h[:res.n_act]) ** 2 + params.rx_noise_power)
-    assert res.snr == pytest.approx(signal / noise, rel=1e-9)
+    assert res.snr == pytest.approx(signal / noise, rel=1e-9, abs=0.0)
 
 
 def test_hybrid_budget_respected(params, topo):
@@ -158,7 +158,7 @@ def test_double_pirs_baseline(params, topo):
     expected = (p_total * params.ref_gain ** 3 * 750 ** 4
                 / (topo.d1 ** 2 * topo.d2 ** 2 * topo.d3 ** 2
                    * params.rx_noise_power))
-    assert res.snr == pytest.approx(expected, rel=1e-12)
+    assert res.snr == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_double_pirs_matrix_oracle(params, topo):
@@ -179,7 +179,7 @@ def test_double_pirs_matrix_oracle(params, topo):
     gain = h.conj() @ (phi * w)
     snr = ((params.transmit_power + params.amp_power_budget) * abs(gain) ** 2
            / params.rx_noise_power)
-    assert res.snr == pytest.approx(snr, rel=1e-9)
+    assert res.snr == pytest.approx(snr, rel=1e-9, abs=0.0)
 
 
 def test_growth_orders(params, topo):
@@ -203,7 +203,7 @@ def test_run_benchmark_dispatch(params, topo):
     for system in (SINGLE_PIRS, SINGLE_AIRS, HYBRID_IRS, DOUBLE_PIRS):
         res = run_benchmark(system, params, topo)
         assert res.system == system
-        assert res.rate == pytest.approx(math.log2(1.0 + res.snr), rel=1e-12)
+        assert res.rate == pytest.approx(math.log2(1.0 + res.snr), rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         run_benchmark("triple-pirs", params, topo)
 
@@ -253,8 +253,8 @@ def assert_matches_site_loop(system, params, topo):
     assert ((res.system, res.site, res.n_act, res.n_pas)
             == (ref.system, ref.site, ref.n_act, ref.n_pas))
     # numpy squares as x*x where the loop calls pow: the last bit may differ
-    assert res.snr == pytest.approx(ref.snr, rel=1e-15)
-    assert res.amplitude == pytest.approx(ref.amplitude, rel=1e-15)
+    assert res.snr == pytest.approx(ref.snr, rel=1e-15, abs=0.0)
+    assert res.amplitude == pytest.approx(ref.amplitude, rel=1e-15, abs=0.0)
     return res
 
 

@@ -62,16 +62,16 @@ def test_channel_norm_pins():
     params = baseline_params()
     topo = build_topology((0, 0, 0), (15, 5, 10), (98, 5, 10), (100, 0, 0))
     ch = build_channels(params, topo, Allocation(100, 1000, "TAPR"))
-    assert np.linalg.norm(ch.g) ** 2 == pytest.approx(1e-3 * 100 / 350.0, rel=1e-12)
-    assert np.linalg.norm(ch.h) ** 2 == pytest.approx(1e-3 * 1000 / 129.0, rel=1e-12)
+    assert np.linalg.norm(ch.g) ** 2 == pytest.approx(1e-3 * 100 / 350.0, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(ch.h) ** 2 == pytest.approx(1e-3 * 1000 / 129.0, rel=1e-12, abs=0.0)
 
     ch1 = build_channels(params, topo, Allocation(1, 1, "TAPR"))
     assert abs(inter_surface_matrix(ch1)[0, 0]) == pytest.approx(math.sqrt(1e-3) / 83.0,
-                                                                  rel=1e-12)
+                                                                  rel=1e-12, abs=0.0)
 
     ch35 = build_channels(params, topo, Allocation(3, 5, "TAPR"))
     assert np.linalg.norm(inter_surface_matrix(ch35), "fro") ** 2 == pytest.approx(
-        1e-3 * 15 / 83.0 ** 2, rel=1e-12)
+        1e-3 * 15 / 83.0 ** 2, rel=1e-12, abs=0.0)
 
 
 def test_channel_norms_random_geometry():
@@ -86,11 +86,11 @@ def test_channel_norms_random_geometry():
             n_second = ch.h.shape[0]
             rho = params.ref_gain
             assert np.linalg.norm(ch.g) ** 2 == pytest.approx(
-                rho * n_first / topo.d1 ** 2, rel=1e-12)
+                rho * n_first / topo.d1 ** 2, rel=1e-12, abs=0.0)
             assert np.linalg.norm(ch.h) ** 2 == pytest.approx(
-                rho * n_second / topo.d3 ** 2, rel=1e-12)
+                rho * n_second / topo.d3 ** 2, rel=1e-12, abs=0.0)
             assert np.linalg.norm(inter_surface_matrix(ch), "fro") ** 2 == pytest.approx(
-                rho * n_first * n_second / topo.d2 ** 2, rel=1e-12)
+                rho * n_first * n_second / topo.d2 ** 2, rel=1e-12, abs=0.0)
 
 
 def test_inter_surface_channel_rank_one():

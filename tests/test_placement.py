@@ -56,7 +56,7 @@ def test_placement_is_true_grid_argmax(params):
                         continue
                     scan_best = max(scan_best,
                                     snr_closed_form(params, t, alloc).snr)
-    assert best == pytest.approx(scan_best, rel=1e-12)
+    assert best == pytest.approx(scan_best, rel=1e-12, abs=0.0)
 
 
 def test_tpar_pulls_passive_surface_toward_tx(params):
@@ -118,7 +118,7 @@ def test_ao_single_cell_matches_pure_allocation(params):
     trace = alternating_optimize(params, grid, "TAPR", TX, RX)
     topo = build_topology(TX, (15, 5, 10), (98, 5, 10), RX)
     fixed = solve_integer(params, topo, "TAPR", method="optimal")
-    assert trace.iterations[-1].rate == pytest.approx(fixed.rate, rel=1e-12)
+    assert trace.iterations[-1].rate == pytest.approx(fixed.rate, rel=1e-12, abs=0.0)
 
 
 def test_ao_wider_box_no_worse(params):
@@ -310,29 +310,31 @@ def test_scan_evaluates_every_row_within_cut_property(case):
 @pytest.mark.parametrize("points", [(1, 1, 1, 1), (7, 7, 7, 7), (8, 8, 8, 8), (9, 9, 9, 9),
                                     (17, 17, 17, 17), (1, 7, 9, 17), (17, 9, 7, 1)])
 def test_padded_axes_match_full_grid(params, scheme, points):
-    # (xa, ya, xb, yb) points per axis; every size but 8 is padded
+    # (xa, ya, xb, yb) points per axis; the row minima pad every column axis
+    # but one of 8 to whole blocks, and the geometry keeps the real axes
     nxa, nya, nxb, nyb = points
     grid = PlacementGrid(xa_bounds=(10.0, 10.0 + nxa - 1), ya_bounds=(-3.0, nya - 4.0),
                          xb_bounds=(85.0, 85.0 + nxb - 1), yb_bounds=(-4.0, nyb - 5.0),
                          step=1.0, height=10.0, d_min=1.0)
     geo = placement._geometry(grid, TX, RX, scheme)
-    assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == \
-        [-(-n // BLOCK_POINTS) * BLOCK_POINTS for n in points]
+    assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == list(points)
+    f = (geo.gap_x[:, None, :, None] + geo.gap_y[None, :, None, :]) * geo.f_col
+    dense = np.where(geo.far_col, f, np.inf).min(axis=(2, 3))
+    assert np.array_equal(geo.m, dense)
     assert same_placement(params, Allocation(100, 1000, scheme), grid, TX, RX) is not None
 
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
 def test_tie_on_last_point_of_padded_axes(params, scheme):
-    # 9 points per axis, padded to 16 by 7 copies of the last; Tx beyond the
-    # A-box and Rx beyond the B-box put the optimum on the last real point
-    # of every axis, where it ties exactly with its copies
+    # 9 points per axis, which the row minima pad to 16 columns with the gaps
+    # of the last; Tx beyond the A-box and Rx beyond the B-box put the
+    # optimum on the last point of every axis
     grid = PlacementGrid(xa_bounds=(10.0, 18.0), ya_bounds=(-8.0, 0.0),
                          xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
                          step=1.0, height=10.0, d_min=1.0)
     tx, rx = (40.0, 0.0, 10.0), (120.0, 0.0, 10.0)
     geo = placement._geometry(grid, tx, rx, scheme)
-    for axis in (geo.xa, geo.ya, geo.xb, geo.yb):
-        assert len(axis) == 16 and np.all(axis[8:] == axis[8])
+    assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == [9] * 4
     topo = same_placement(params, Allocation(100, 1000, scheme), grid, tx, rx)
     assert topo.pos_irs_a == (18.0, 0.0, 10.0)
     assert topo.pos_irs_b == (98.0, 0.0, 10.0)
@@ -423,8 +425,9 @@ def test_fine_step_memory_bounded(params, topo):
 
 def test_grid_too_large_refused_before_any_array(params, topo):
     # the baseline boxes at 0.1 mm would hold 3e10 points per surface; a
-    # 60 km strip at 1 m holds 480,064 points once padded, within the bound,
-    # but its x gaps to a parallel strip would hold 3.6e9
+    # 60 km strip at 1 m holds 60,001 points, 480,064 once padded to whole
+    # blocks, within the bound, but its x gaps to a parallel strip would hold
+    # 3.6e9
     xa, ya, h = topo.pos_irs_a
     xb, yb, _ = topo.pos_irs_b
     fine = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),

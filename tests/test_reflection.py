@@ -33,7 +33,7 @@ def test_scalar_cascade_magnitude(params, topo):
     refl = configure(params, topo, alloc, ch)
     alpha = refl.amp_first
     expected = alpha * params.ref_gain ** 1.5 / (topo.d1 * topo.d2 * topo.d3)
-    assert abs(cascade_scalar(ch, refl)) == pytest.approx(expected, rel=1e-12)
+    assert abs(cascade_scalar(ch, refl)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_cophasing_identity_random_angles():
@@ -47,7 +47,7 @@ def test_cophasing_identity_random_angles():
             amp = refl.amp_first if scheme == "TAPR" else refl.amp_second
             expected = (amp * 16 * 16 * params.ref_gain ** 1.5
                         / (topo.d1 * topo.d2 * topo.d3))
-            assert abs(cascade_scalar(ch, refl)) == pytest.approx(expected, rel=1e-10)
+            assert abs(cascade_scalar(ch, refl)) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_phases_in_canonical_range(params, topo):
@@ -63,7 +63,7 @@ def test_alpha_star_pin(topo):
     pv = params.amp_power_budget
     expected = math.sqrt(pv * 350.0 / ((0.1 * 1e-3 + 350.0 * 1e-11) * 100.0))
     assert optimal_amplitude(params, topo, Allocation(100, 1000, "TAPR")) \
-        == pytest.approx(expected, rel=1e-12)
+        == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_alpha_scales_with_sqrt_power(topo):
@@ -71,7 +71,7 @@ def test_alpha_scales_with_sqrt_power(topo):
     quad = baseline_params(amp_power_budget=4.0 * params.amp_power_budget)
     alloc = Allocation(50, 500, "TAPR")
     assert optimal_amplitude(quad, topo, alloc) == pytest.approx(
-        2.0 * optimal_amplitude(params, topo, alloc), rel=1e-12)
+        2.0 * optimal_amplitude(params, topo, alloc), rel=1e-12, abs=0.0)
 
 
 def test_beta_star_pin():
@@ -83,7 +83,7 @@ def test_beta_star_pin():
     rho = params.ref_gain
     expected = math.sqrt(pv * 100.0 / (pt * rho ** 2 / 100.0 + 100.0 * sv2))
     got = optimal_amplitude(params, topo, Allocation(1, 1, "TPAR"))
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_beta_dominant_term_scaling(topo):
@@ -91,7 +91,7 @@ def test_beta_dominant_term_scaling(topo):
     params = baseline_params(transmit_power=100.0 * 0.1)
     b1 = beta_star(params, topo.d1, topo.d2, 10.0, 2000.0)
     b2 = beta_star(params, topo.d1, topo.d2, 10.0, 4000.0)
-    assert b1 / b2 == pytest.approx(2.0, rel=1e-3)
+    assert b1 / b2 == pytest.approx(2.0, rel=1e-3, abs=0.0)
 
 
 def test_tapr_power_constraint_equality(params, topo):
@@ -101,7 +101,7 @@ def test_tapr_power_constraint_equality(params, topo):
     psi, _ = reflection_matrices(refl)
     out = (params.transmit_power * np.linalg.norm(psi @ ch.g) ** 2
            + params.amp_noise_power * np.linalg.norm(psi, "fro") ** 2)
-    assert out == pytest.approx(params.amp_power_budget, rel=1e-12)
+    assert out == pytest.approx(params.amp_power_budget, rel=1e-12, abs=0.0)
 
 
 def test_tpar_power_constraint_equality(params, topo):
@@ -112,7 +112,7 @@ def test_tpar_power_constraint_equality(params, topo):
     leaving_second = phi @ inter_surface_matrix(ch) @ psi @ ch.g
     out = (params.transmit_power * np.linalg.norm(leaving_second) ** 2
            + params.amp_noise_power * np.linalg.norm(phi, "fro") ** 2)
-    assert out == pytest.approx(params.amp_power_budget, rel=1e-12)
+    assert out == pytest.approx(params.amp_power_budget, rel=1e-12, abs=0.0)
 
 
 def test_passive_surface_amplitude_is_one(params, topo):
@@ -132,7 +132,7 @@ def test_carrier_phase_independence(params, topo):
         ch = build_channels(p, topo, alloc)
         refl = configure(p, topo, alloc, ch)
         mags.append(abs(cascade_scalar(ch, refl)))
-    assert mags[0] == pytest.approx(mags[1], rel=1e-12)
+    assert mags[0] == pytest.approx(mags[1], rel=1e-12, abs=0.0)
 
 
 def test_alpha_below_one_possible(topo):

@@ -15,15 +15,15 @@ from conftest import baseline_params
 
 
 def test_dbm_to_watts_pins():
-    assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-15)
-    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
-    assert dbm_to_watts(-80.0) == pytest.approx(1e-11, rel=1e-15)
+    assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-15, abs=0.0)
+    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert dbm_to_watts(-80.0) == pytest.approx(1e-11, rel=1e-15, abs=0.0)
 
 
 def test_db_to_linear_pins():
-    assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-15)
+    assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
     assert db_to_linear(0.0) == 1.0
-    assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
+    assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15, abs=0.0)
 
 
 @given(st.floats(min_value=-120.0, max_value=60.0))
@@ -33,19 +33,19 @@ def test_dbm_round_trip(p_dbm):
 
 def test_linear_to_db_round_trip():
     for g in (1e-6, 1.0, 37.5, 1e8):
-        assert db_to_linear(float(linear_to_db(g))) == pytest.approx(g, rel=1e-12)
+        assert db_to_linear(float(linear_to_db(g))) == pytest.approx(g, rel=1e-12, abs=0.0)
 
 
 def test_free_space_ref_gain():
     lam = 0.1
-    assert free_space_ref_gain(lam) == pytest.approx((lam / (4 * math.pi)) ** 2)
+    assert free_space_ref_gain(lam) == pytest.approx((lam / (4 * math.pi)) ** 2, rel=1e-6, abs=0.0)
 
 
 def test_baseline_distances():
     topo = build_topology((0, 0, 0), (15, 5, 10), (98, 5, 10), (100, 0, 0))
-    assert topo.d1 == pytest.approx(math.sqrt(350.0), rel=1e-15)
-    assert topo.d2 == pytest.approx(83.0, rel=1e-15)
-    assert topo.d3 == pytest.approx(math.sqrt(129.0), rel=1e-15)
+    assert topo.d1 == pytest.approx(math.sqrt(350.0), rel=1e-15, abs=0.0)
+    assert topo.d2 == pytest.approx(83.0, rel=1e-15, abs=0.0)
+    assert topo.d3 == pytest.approx(math.sqrt(129.0), rel=1e-15, abs=0.0)
 
 
 def test_distances_recomputable_from_positions():
@@ -152,8 +152,8 @@ def test_load_scenario_matches_direct_construction(baseline_config):
     for name in ("transmit_power", "amp_power_budget", "rx_noise_power",
                  "amp_noise_power", "ref_gain", "wavelength", "cost_active",
                  "cost_passive", "total_budget"):
-        assert getattr(params, name) == pytest.approx(getattr(ref, name), rel=1e-15)
-    assert topo.d2 == pytest.approx(83.0)
+        assert getattr(params, name) == pytest.approx(getattr(ref, name), rel=1e-15, abs=0.0)
+    assert topo.d2 == pytest.approx(83.0, rel=1e-6, abs=0.0)
 
 
 def test_load_scenario_missing_key(tmp_path):

@@ -41,8 +41,8 @@ def test_closed_form_matches_oracle(params, topo):
         z = zeta_oracle(params, scheme, *counts, topo.d1, topo.d2, topo.d3)
         expected = (params.transmit_power * params.amp_power_budget
                     * params.ref_gain ** 3 / z)
-        assert lb.snr == pytest.approx(expected, rel=1e-12)
-        assert lb.rate == pytest.approx(math.log2(1.0 + lb.snr), rel=1e-12)
+        assert lb.snr == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert lb.rate == pytest.approx(math.log2(1.0 + lb.snr), rel=1e-12, abs=0.0)
 
 
 def test_link_budget_component_identity(params, topo):
@@ -50,7 +50,7 @@ def test_link_budget_component_identity(params, topo):
         lb = snr_closed_form(params, topo, Allocation(100, 1000, scheme))
         assert lb.snr == pytest.approx(
             lb.signal_power / (lb.amp_noise_power_at_rx + lb.rx_noise_power),
-            rel=1e-12)
+            rel=1e-12, abs=0.0)
 
 
 def test_scalar_cascade_hand_computation(params, topo):
@@ -65,7 +65,7 @@ def test_scalar_cascade_hand_computation(params, topo):
     noise = (params.amp_noise_power * (alpha * math.sqrt(rho) / topo.d2
                                        * math.sqrt(rho) / topo.d3) ** 2
              + params.rx_noise_power)
-    assert lb.snr == pytest.approx(sig / noise, rel=1e-12)
+    assert lb.snr == pytest.approx(sig / noise, rel=1e-12, abs=0.0)
 
 
 def test_noiseless_amplifier_limit(topo):
@@ -79,7 +79,7 @@ def test_noiseless_amplifier_limit(topo):
     expected = (params.transmit_power * alpha ** 2 * rho ** 3 * 8 ** 2 * 32 ** 2
                 / (topo.d1 ** 2 * topo.d2 ** 2 * topo.d3 ** 2
                    * params.rx_noise_power))
-    assert lb.snr == pytest.approx(expected, rel=1e-6)
+    assert lb.snr == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_matrix_equals_closed_form_baseline(params, topo):
@@ -89,7 +89,7 @@ def test_matrix_equals_closed_form_baseline(params, topo):
         refl = configure(params, topo, alloc, ch)
         exact = snr_exact_matrix(params, topo, alloc, ch, refl).snr
         closed = snr_closed_form(params, topo, alloc).snr
-        assert exact == pytest.approx(closed, rel=1e-9)
+        assert exact == pytest.approx(closed, rel=1e-9, abs=0.0)
 
 
 def test_matrix_equals_closed_form_random():
@@ -103,14 +103,14 @@ def test_matrix_equals_closed_form_random():
             refl = configure(params, topo, alloc, ch)
             exact = snr_exact_matrix(params, topo, alloc, ch, refl).snr
             closed = snr_closed_form(params, topo, alloc).snr
-            assert exact == pytest.approx(closed, rel=1e-9)
+            assert exact == pytest.approx(closed, rel=1e-9, abs=0.0)
 
 
 def test_doubling_active_count_doubles_snr(params, topo):
     for scheme in ("TAPR", "TPAR"):
         one = snr_closed_form(params, topo, Allocation(50, 600, scheme)).snr
         two = snr_closed_form(params, topo, Allocation(100, 600, scheme)).snr
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
+        assert two == pytest.approx(2.0 * one, rel=1e-12, abs=0.0)
 
 
 def test_monotone_in_both_counts(params, topo):
@@ -128,7 +128,7 @@ def test_tpar_single_passive_element_zeta(params, topo):
                 + sv2 * topo.d1 ** 2 * topo.d2 ** 2
                 * (rho * pv + s02 * topo.d3 ** 2)) / n_act
     got = zeta_value(params, "TPAR", n_act, 1, topo.d1, topo.d2, topo.d3)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_approx_converges_for_large_separation(params):
@@ -180,8 +180,8 @@ def test_lemma1_baseline_ratio(params, topo):
     report = check_lemma1(params, topo, x_pas=1000.0)
     # frozen from the regime-check formula at the baseline constants; the
     # short 83 m inter-surface distance does NOT satisfy the 0.1 threshold
-    assert report.ratio == pytest.approx(0.44428, rel=1e-3)
-    assert report.d2 == pytest.approx(83.0)
+    assert report.ratio == pytest.approx(0.44428, rel=1e-3, abs=0.0)
+    assert report.d2 == pytest.approx(83.0, rel=1e-6, abs=0.0)
     assert report.satisfied is False
     assert check_lemma1(params, topo, 1000.0, epsilon=0.5).satisfied is True
 
@@ -189,7 +189,7 @@ def test_lemma1_baseline_ratio(params, topo):
 def test_lemma1_linear_in_x_pas(params, topo):
     r1 = check_lemma1(params, topo, 100.0)
     r10 = check_lemma1(params, topo, 1000.0)
-    assert r10.lemma1_lhs == pytest.approx(10.0 * r1.lemma1_lhs, rel=1e-12)
+    assert r10.lemma1_lhs == pytest.approx(10.0 * r1.lemma1_lhs, rel=1e-12, abs=0.0)
 
 
 def test_lemma1_undefined_branch(topo):
@@ -204,7 +204,7 @@ def test_suboptimal_scaling_is_cubic(params, topo):
     for scheme in ("TAPR", "TPAR"):
         g1, g2 = (snr_approx(params, topo, closed_form_split(
             m, params.cost_active, params.cost_passive, scheme)).snr for m in (700.0, 1400.0))
-        assert g2 / g1 == pytest.approx(8.0, rel=1e-12)
+        assert g2 / g1 == pytest.approx(8.0, rel=1e-12, abs=0.0)
 
 
 def test_tpar_suboptimal_independent_of_pv_and_rx_noise(params, topo):
@@ -212,7 +212,7 @@ def test_tpar_suboptimal_independent_of_pv_and_rx_noise(params, topo):
     base = snr_approx(params, topo, split).snr
     moved = replace(params, amp_power_budget=10.0 * params.amp_power_budget,
                     rx_noise_power=3.0 * params.rx_noise_power)
-    assert snr_approx(moved, topo, split).snr == pytest.approx(base, rel=1e-15)
+    assert snr_approx(moved, topo, split).snr == pytest.approx(base, rel=1e-15, abs=0.0)
 
 
 def test_comparator_baseline(params, topo):
@@ -220,11 +220,11 @@ def test_comparator_baseline(params, topo):
     assert cmp.tapr_at_least_tpar is True
     pv_term = params.amp_power_budget / (topo.d3 ** 2 * params.rx_noise_power)
     pt_term = params.transmit_power / (topo.d1 ** 2 * params.amp_noise_power)
-    assert pv_term == pytest.approx(3.885e7, rel=1e-3)
-    assert pt_term == pytest.approx(2.857e7, rel=1e-3)
-    assert cmp.inv_ref_gain == pytest.approx(1e3, rel=1e-12)
-    assert cmp.margin == pytest.approx(pv_term - pt_term - 1e3, rel=1e-12)
-    assert cmp.margin == pytest.approx(1.028e7, rel=1e-3)
+    assert pv_term == pytest.approx(3.885e7, rel=1e-3, abs=0.0)
+    assert pt_term == pytest.approx(2.857e7, rel=1e-3, abs=0.0)
+    assert cmp.inv_ref_gain == pytest.approx(1e3, rel=1e-12, abs=0.0)
+    assert cmp.margin == pytest.approx(pv_term - pt_term - 1e3, rel=1e-12, abs=0.0)
+    assert cmp.margin == pytest.approx(1.028e7, rel=1e-3, abs=0.0)
 
 
 def test_comparator_low_amp_power(topo):
@@ -296,8 +296,8 @@ def test_monte_carlo_matches_serial_oracle(params, topo, num_samples):
         refl = configure(params, topo, alloc)
         got = simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=9)
         signal, noise = monte_carlo_oracle(params, topo, alloc, refl, num_samples, 9)
-        assert got.signal_power == pytest.approx(signal, rel=1e-12)
-        assert got.snr == pytest.approx(signal / noise, rel=1e-12)
+        assert got.signal_power == pytest.approx(signal, rel=1e-12, abs=0.0)
+        assert got.snr == pytest.approx(signal / noise, rel=1e-12, abs=0.0)
         assert got.rate == rate_from_snr(got.snr)
 
 
@@ -370,8 +370,8 @@ def test_monte_carlo_sub_chunks_match_serial_oracle(params, topo, monkeypatch, c
         refl = configure(params, topo, alloc)
         got = simulate_empirical_snr(params, topo, alloc, refl, num_samples, seed=9)
         signal, noise = monte_carlo_oracle(params, topo, alloc, refl, num_samples, 9)
-        assert got.signal_power == pytest.approx(signal, rel=1e-12)
-        assert got.snr == pytest.approx(signal / noise, rel=1e-12)
+        assert got.signal_power == pytest.approx(signal, rel=1e-12, abs=0.0)
+        assert got.snr == pytest.approx(signal / noise, rel=1e-12, abs=0.0)
 
 
 def test_monte_carlo_same_for_any_sub_chunk_size(params, topo, monkeypatch):
