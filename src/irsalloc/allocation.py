@@ -35,7 +35,7 @@ from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme, \
     is_finite_real
-from .snr import objective_constants, snr_closed_form, snr_from_zeta, zeta_value
+from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
 # tracemalloc peak is about 50 MB (TPAR) and 32 MB (TAPR)
@@ -76,12 +76,13 @@ class AllocationSolution:
     method: str
 
 
-def _solution(params: SystemParams, topo: Topology, alloc: Allocation,
+def _solution(params: SystemParams, topo: Topology, alloc: Allocation, snr,
               method: str) -> AllocationSolution:
-    budget = snr_closed_form(params, topo, alloc)
+    """The solution at alloc, reporting the SNR its solver ranked."""
+    snr = float(snr)
     return AllocationSolution(allocation=alloc,
                               amplitude=optimal_amplitude(params, topo, alloc),
-                              snr=budget.snr, rate=budget.rate, method=method)
+                              snr=snr, rate=rate_from_snr(snr), method=method)
 
 
 def _check_budget(budget) -> float:
@@ -115,7 +116,7 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     c*x_pas^3 + x_pas = 2M/(3*W_pas) with c = A/(3B).
 
     approx=True minimizes the dominant-term objective instead (A = 0), whose
-    optimum is the closed-form split.
+    optimum is the closed-form split, and reports that objective's SNR.
     """
     check_scheme(scheme)
     m = _budget(params, budget)
@@ -130,7 +131,8 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     x_pas = u0 if s == 0.0 else 2.0 / s * math.sinh(math.asinh(1.5 * u0 * s) / 3.0)
     x_act = (m - wp * x_pas) / wa
     alloc = Allocation(n_act=x_act, n_pas=x_pas, scheme=scheme, continuous=True)
-    return _solution(params, topo, alloc, method="optimal")
+    zeta = zeta_value(params, scheme, x_act, x_pas, topo.d1, topo.d2, topo.d3, approx)
+    return _solution(params, topo, alloc, snr_from_zeta(params, zeta), method="optimal")
 
 
 def affordable(budget: float, spent, cost: float):
@@ -177,7 +179,7 @@ def _best_row(params: SystemParams, topo: Topology, scheme: str, n_act: np.ndarr
     tied = np.flatnonzero(snr == snr.max())
     k = tied[np.lexsort((n_act[tied], n_pas[tied]))[-1]]
     alloc = Allocation(n_act=int(n_act[k]), n_pas=int(n_pas[k]), scheme=scheme)
-    return _solution(params, topo, alloc, method=method)
+    return _solution(params, topo, alloc, snr[k], method=method)
 
 
 def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,

@@ -8,16 +8,21 @@ Single-surface systems are evaluated at both existing IRS sites (A, B) at
 once, as SNR arrays of shape (2,), or (2, n_act) for the hybrid with -inf
 where alpha* < 1. One np.argmax picks the answer, so ties go to site A
 before B, then to the smallest n_act.
+
+Each calculator raises ConfigError where its SNR does not fit a float, as
+at budgets so large that the element counts' powers overflow.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import MAX_SCAN_ROWS, affordable
-from .errors import SearchSpaceTooLarge
+from .errors import ConfigError, SearchSpaceTooLarge
 from .reflection import alpha_star
 from .scenario import SystemParams, Topology
 from .snr import rate_from_snr
@@ -50,6 +55,23 @@ def _distances(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
             np.array([np.linalg.norm(rx - a), np.linalg.norm(rx - b)]))
 
 
+def _finite_snr(rate):
+    """rate, raising ConfigError in place of an OverflowError or a
+    non-finite SNR."""
+    @functools.wraps(rate)
+    def checked(params: SystemParams, topo: Topology) -> BenchmarkResult:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = rate(params, topo)
+        except OverflowError:
+            result = None
+        if result is None or not math.isfinite(result.snr):
+            raise ConfigError(f"{rate.__name__}: the SNR at total budget "
+                              f"{params.total_budget:g} does not fit a float")
+        return result
+    return checked
+
+
 def _first_max(system: str, snr: np.ndarray, n_act, n_pas, amplitude) -> BenchmarkResult:
     """The result at the first maximum of snr, whose first axis runs over
     _SITES; n_act, n_pas and amplitude broadcast against it."""
@@ -62,6 +84,7 @@ def _first_max(system: str, snr: np.ndarray, n_act, n_pas, amplitude) -> Benchma
                            rate=rate_from_snr(best))
 
 
+@_finite_snr
 def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One passive surface at the better site, transmit power Pt + Pv."""
     n = int(affordable(params.total_budget, 0.0, params.cost_passive))
@@ -72,6 +95,7 @@ def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(SINGLE_PIRS, snr, 0, n, 1.0)
 
 
+@_finite_snr
 def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One active surface at the better site, its power budget saturated."""
     n = int(affordable(params.total_budget, 0.0, params.cost_active))
@@ -83,6 +107,7 @@ def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(SINGLE_AIRS, snr, n, 0, alpha_star(params, da, n))
 
 
+@_finite_snr
 def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Co-located hybrid surface: coherent combining of an amplified active
     sub-surface and a passive one; amplification noise through the active
@@ -110,6 +135,7 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(HYBRID_IRS, snr, n_act, n_pas, alpha)
 
 
+@_finite_snr
 def rate_double_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Two equal passive surfaces at the existing sites, transmit power Pt + Pv."""
     n = int(affordable(params.total_budget, 0.0, 2.0 * params.cost_passive))

@@ -142,13 +142,13 @@ def write_csv(rows: list[dict], out, columns=CSV_COLUMNS):
 
 def run_placement(params: SystemParams, topo: Topology, scheme: str,
                   grid_step: float) -> list[dict]:
-    """AO trace rows; grid boxes default to +/-15 m (x) and +/-5 m (y) around
-    the configured IRS positions, heights fixed to the configured ones."""
+    """AO trace rows; grid boxes span +/-15 m (x) and +/-5 m (y) around the
+    configured IRS positions, heights fixed to the configured ones."""
     xa, ya, za = topo.pos_irs_a
     xb, yb, _ = topo.pos_irs_b
     grid = PlacementGrid(
-        xa_bounds=(max(xa - 15.0, 0.0), xa + 15.0), ya_bounds=(max(ya - 5.0, 0.0), ya + 5.0),
-        xb_bounds=(max(xb - 15.0, 0.0), xb + 15.0), yb_bounds=(max(yb - 5.0, 0.0), yb + 5.0),
+        xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
+        xb_bounds=(xb - 15.0, xb + 15.0), yb_bounds=(yb - 5.0, yb + 5.0),
         step=grid_step, height=za, d_min=topo.d_min)
     trace = alternating_optimize(params, grid, scheme, topo.pos_tx, topo.pos_rx)
     rows = []

@@ -30,8 +30,17 @@ def check_scheme(scheme: str) -> str:
 
 # ---------------------------------------------------------------- conversions
 
+def _from_db(value_db: float, offset_db: float, unit: str) -> float:
+    """10^((value_db - offset_db)/10); ConfigError where it overflows a
+    float."""
+    try:
+        return math.pow(10.0, (value_db - offset_db) / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{value_db} {unit} overflows a float in linear units") from None
+
+
 def dbm_to_watts(p_dbm: float) -> float:
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    return _from_db(p_dbm, 30.0, "dBm")
 
 
 def watts_to_dbm(p_watts: float) -> float:
@@ -39,7 +48,7 @@ def watts_to_dbm(p_watts: float) -> float:
 
 
 def db_to_linear(g_db: float) -> float:
-    return 10.0 ** (g_db / 10.0)
+    return _from_db(g_db, 0.0, "dB")
 
 
 def linear_to_db(g):

@@ -5,7 +5,10 @@ meter used as an independent oracle.
 
 With the active surface's amplitude at its optimum, both orders share one
 closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
-constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta.
+constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta. It is the
+library's only closed-form SNR: snr_closed_form, snr_approx and every
+solver take their SNR from zeta_value, so only the two oracles report the
+signal and noise powers.
 
 Both oracles, snr_exact_matrix and the Monte-Carlo meter, take the cascade
 h^H*Phi*S*Psi*g from _cascade, which checks sizes and scheme tags, applies
@@ -34,13 +37,13 @@ import numpy as np
 
 from .channel import ChannelTriple, build_channels
 from .errors import ConditionUndefined, ConfigError, DimensionMismatch
-from .reflection import ReflectionConfig, alpha_star, beta_star
-from .scenario import SystemParams, TAPR, Topology, check_scheme
+from .reflection import ReflectionConfig
+from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """SNR/rate plus (when available) the constituent received powers."""
+    """SNR/rate plus, from the oracles only, the constituent received powers."""
 
     scheme: str
     snr: float
@@ -48,15 +51,6 @@ class LinkBudget:
     signal_power: float | None = None
     amp_noise_power_at_rx: float | None = None
     rx_noise_power: float | None = None
-
-
-def _budget_from_powers(scheme: str, signal: float, amp_noise: float,
-                        rx_noise: float) -> LinkBudget:
-    total_noise = amp_noise + rx_noise
-    snr = math.inf if total_noise == 0.0 else signal / total_noise
-    return LinkBudget(scheme=scheme, snr=snr, rate=rate_from_snr(snr),
-                      signal_power=signal, amp_noise_power_at_rx=amp_noise,
-                      rx_noise_power=rx_noise)
 
 
 def rate_from_snr(snr):
@@ -96,24 +90,12 @@ def snr_from_zeta(params: SystemParams, zeta):
 
 
 def snr_closed_form(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
-    """Closed-form link budget at optimal phases and optimal amplitude.
-
-    Accepts continuous (non-integer) element counts.
+    """Closed-form SNR and rate at optimal phases and optimal amplitude, from
+    zeta; the power fields stay None. Accepts continuous (non-integer) counts.
     """
-    check_scheme(alloc.scheme)
-    pt, rho = params.transmit_power, params.ref_gain
-    s02, sv2 = params.rx_noise_power, params.amp_noise_power
-    d1, d2, d3 = topo.d1, topo.d2, topo.d3
-    na, npas = alloc.n_act, alloc.n_pas
-    if alloc.scheme == TAPR:
-        a2 = alpha_star(params, d1, na) ** 2
-        signal = pt * a2 * rho ** 3 * na ** 2 * npas ** 2 / (d1 ** 2 * d2 ** 2 * d3 ** 2)
-        amp_noise = sv2 * a2 * rho ** 2 * na * npas ** 2 / (d2 ** 2 * d3 ** 2)
-    else:
-        b2 = beta_star(params, d1, d2, na, npas) ** 2
-        signal = pt * b2 * rho ** 3 * na ** 2 * npas ** 2 / (d1 ** 2 * d2 ** 2 * d3 ** 2)
-        amp_noise = sv2 * b2 * rho * na / d3 ** 2
-    return _budget_from_powers(alloc.scheme, signal, amp_noise, s02)
+    snr = snr_from_zeta(params, zeta_value(params, alloc.scheme, alloc.n_act, alloc.n_pas,
+                                           topo.d1, topo.d2, topo.d3))
+    return LinkBudget(scheme=alloc.scheme, snr=snr, rate=rate_from_snr(snr))
 
 
 def _cascade(channels: ChannelTriple, reflection: ReflectionConfig, scheme: str):
@@ -144,7 +126,10 @@ def snr_exact_matrix(params: SystemParams, topo: Topology, alloc,
     # amplification noise enters at the active surface, the first in TAPR
     noise_weights = through_both if alloc.scheme == TAPR else through_second
     amp_noise = params.amp_noise_power * float(np.linalg.norm(noise_weights) ** 2)
-    return _budget_from_powers(alloc.scheme, signal, amp_noise, params.rx_noise_power)
+    snr = signal / (amp_noise + params.rx_noise_power)
+    return LinkBudget(scheme=alloc.scheme, snr=snr, rate=rate_from_snr(snr),
+                      signal_power=signal, amp_noise_power_at_rx=amp_noise,
+                      rx_noise_power=params.rx_noise_power)
 
 
 def snr_approx(params: SystemParams, topo: Topology, alloc) -> LinkBudget:
@@ -172,6 +157,10 @@ class RegimeReport:
 
 def check_lemma1(params: SystemParams, topo: Topology, x_pas: float,
                  epsilon: float = 0.1) -> RegimeReport:
+    """The regime check at x_pas passive elements; ConfigError unless x_pas
+    and epsilon are positive finite numbers."""
+    x_pas = check_positive("x_pas", x_pas)
+    epsilon = check_positive("epsilon", epsilon)
     pt, pv = params.transmit_power, params.amp_power_budget
     rho = params.ref_gain
     s0 = math.sqrt(params.rx_noise_power)

@@ -14,7 +14,7 @@ from irsalloc import (
     solve_continuous, solve_integer,
 )
 from irsalloc.allocation import affordable
-from irsalloc.snr import objective_constants, zeta_value
+from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario
 
 
@@ -220,9 +220,36 @@ def test_exhaustive_oracle_and_rounding_gap(params, topo):
     for scheme in ("TAPR", "TPAR"):
         for m in (30.0, 100.0, 500.0):
             ex = exhaustive_search(params, topo, scheme, budget=m)
-            ro = solve_integer(params, topo, scheme, method="optimal", budget=m)
-            assert ex.rate >= ro.rate - 1e-12
+            ro = solve_integer(params, topo, scheme, method="closed-form", budget=m)
+            assert ex.rate >= ro.rate
             assert ex.rate - ro.rate <= 1e-2
+
+
+def test_solutions_report_the_snr_they_ranked():
+    # every solution's SNR is zeta's at its allocation, bit for bit, so the
+    # exact scan never reports less than the rounding, with no tolerance
+    rng = np.random.default_rng(1801)
+    for _ in range(40):
+        params, topo = random_scenario(rng)
+        d = (topo.d1, topo.d2, topo.d3)
+        for scheme in ("TAPR", "TPAR"):
+            sols = {}
+            for method in ("exhaustive", "optimal", "closed-form"):
+                try:
+                    sols[method] = sol = solve_integer(params, topo, scheme, method=method)
+                except InfeasibleBudget:
+                    continue
+                a = sol.allocation
+                assert sol.snr == snr_from_zeta(params, zeta_value(
+                    params, scheme, a.n_act, a.n_pas, *d))
+                assert sol.rate == rate_from_snr(sol.snr)
+            if "closed-form" in sols:
+                assert sols["exhaustive"].rate >= sols["closed-form"].rate
+            for approx in (False, True):
+                sol = solve_continuous(params, topo, scheme, approx=approx)
+                a = sol.allocation
+                assert sol.snr == snr_from_zeta(params, zeta_value(
+                    params, scheme, a.n_act, a.n_pas, *d, approx))
 
 
 def test_exhaustive_guard(params, topo):
@@ -264,8 +291,7 @@ def test_solution_rate_matches_closed_form(params, topo):
     from irsalloc import snr_closed_form
     sol = solve_integer(params, topo, "TAPR", method="optimal")
     lb = snr_closed_form(params, topo, sol.allocation)
-    assert sol.rate == pytest.approx(lb.rate, rel=1e-12, abs=0.0)
-    assert sol.snr == pytest.approx(lb.snr, rel=1e-12, abs=0.0)
+    assert (sol.snr, sol.rate) == (lb.snr, lb.rate)
 
 
 def test_rounding_never_infeasible_random():

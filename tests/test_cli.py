@@ -95,6 +95,14 @@ def test_sweep_error_rows_do_not_abort(params, topo):
     assert len(rows) == 3
     assert rows[0]["error"] != "" and rows[0]["rate_bps_hz"] == ""
     assert rows[2]["error"] == ""
+    # values whose powers or SNRs overflow a float are error rows too
+    for spec in (SweepSpec("amp-power-dbm", 4000.0, 4000.0, 1.0, ("tapr", "single-pirs"),
+                           "optimal"),
+                 SweepSpec("total-budget", 1e300, 1e300, 1.0, ("single-pirs", "double-pirs"),
+                           "optimal")):
+        rows = run_sweep(params, topo, spec)
+        assert len(rows) == 2
+        assert all("float" in r["error"] and r["rate_bps_hz"] == "" for r in rows)
 
 
 def test_csv_rate_snr_identity(params, topo):
@@ -226,12 +234,18 @@ def test_main_placement_nan_min_distance(baseline_config, tmp_path, capsys):
     assert err.startswith("config error:") and "d_min" in err and "Traceback" not in err
 
 
-def test_main_config_error_exit_code(tmp_path):
+def test_main_config_error_exit_code(baseline_config, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("pt_dbm: 20\n")
     assert main(["sweep", "--config", str(bad), "--param", "total-budget",
                  "--from", "500", "--to", "1000", "--step", "500"]) == 1
     assert main(["allocate", "--config", str(tmp_path / "missing.yaml")]) == 1
+    # a power that overflows a float in watts
+    bad.write_text(baseline_config.read_text().replace("pv_dbm: 17", "pv_dbm: 4000"))
+    capsys.readouterr()
+    assert main(["allocate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "4000" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["compare", "verify"])
@@ -314,6 +328,31 @@ def test_main_placement_grid_too_large(baseline_config, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grid step") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "0"])
+def test_main_compare_bad_epsilon(baseline_config, capsys, epsilon):
+    assert main(["compare", "--config", str(baseline_config), "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: epsilon")
+
+
+def test_main_placement_boxes_around_configured_positions(baseline_config, tmp_path):
+    # the boxes span +/-15 m (x) and +/-5 m (y) around the configured
+    # surfaces, on either side of the axes
+    cfg = tmp_path / "negative.yaml"
+    cfg.write_text(baseline_config.read_text()
+                   .replace("pos_tx: [0, 0, 0]", "pos_tx: [-40, -10, 0]")
+                   .replace("pos_irs_a: [15, 5, 10]", "pos_irs_a: [-20, -8, 10]"))
+    out = tmp_path / "placement.csv"
+    assert main(["placement", "--config", str(cfg), "--scheme", "tapr",
+                 "--grid-step", "1", "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        assert -35.0 <= float(r["xa"]) <= -5.0 and -13.0 <= float(r["ya"]) <= -3.0
+        assert 83.0 <= float(r["xb"]) <= 113.0 and 0.0 <= float(r["yb"]) <= 10.0
+    assert any(float(r["xa"]) < 0.0 for r in rows)
 
 
 def test_main_compare_and_verify(baseline_config, capsys):

@@ -18,12 +18,18 @@ def test_dbm_to_watts_pins():
     assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-15, abs=0.0)
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
     assert dbm_to_watts(-80.0) == pytest.approx(1e-11, rel=1e-15, abs=0.0)
+    # a power that overflows a float in watts is a typed error
+    for p_dbm in (4000.0, np.float64(4000.0)):
+        with pytest.raises(ConfigError, match="overflows"):
+            dbm_to_watts(p_dbm)
 
 
 def test_db_to_linear_pins():
     assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15, abs=0.0)
+    with pytest.raises(ConfigError, match="overflows"):
+        db_to_linear(4000.0)
 
 
 @given(st.floats(min_value=-120.0, max_value=60.0))

@@ -43,14 +43,12 @@ def test_closed_form_matches_oracle(params, topo):
                     * params.ref_gain ** 3 / z)
         assert lb.snr == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert lb.rate == pytest.approx(math.log2(1.0 + lb.snr), rel=1e-12, abs=0.0)
-
-
-def test_link_budget_component_identity(params, topo):
-    for scheme in ("TAPR", "TPAR"):
-        lb = snr_closed_form(params, topo, Allocation(100, 1000, scheme))
-        assert lb.snr == pytest.approx(
-            lb.signal_power / (lb.amp_noise_power_at_rx + lb.rx_noise_power),
-            rel=1e-12, abs=0.0)
+        # the closed form is zeta's, bit for bit, and only the oracles report
+        # powers
+        assert lb.snr == snr_from_zeta(params, zeta_value(params, scheme, *counts, topo.d1,
+                                                          topo.d2, topo.d3))
+        assert (lb.signal_power, lb.amp_noise_power_at_rx, lb.rx_noise_power) == \
+            (None, None, None)
 
 
 def test_scalar_cascade_hand_computation(params, topo):
@@ -190,6 +188,14 @@ def test_lemma1_linear_in_x_pas(params, topo):
     r1 = check_lemma1(params, topo, 100.0)
     r10 = check_lemma1(params, topo, 1000.0)
     assert r10.lemma1_lhs == pytest.approx(10.0 * r1.lemma1_lhs, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0, True, None])
+def test_lemma1_rejects_bad_inputs(params, topo, bad):
+    with pytest.raises(ConfigError, match="epsilon"):
+        check_lemma1(params, topo, 1000.0, epsilon=bad)
+    with pytest.raises(ConfigError, match="x_pas"):
+        check_lemma1(params, topo, bad)
 
 
 def test_lemma1_undefined_branch(topo):
