@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme, \
-    is_finite_real
+    fmt_number, is_finite_real
 from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
@@ -156,8 +156,13 @@ def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
     # the floored root, corrected by beta* itself, is the last feasible n_pas
     pt, pv = params.transmit_power, params.amp_power_budget
     d1, d2 = topo.d1, topo.d2
-    q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
-        pt * params.ref_gain ** 2 * n_act)
+    # q overflows at extreme amplifier powers (3000 dBm on the baseline),
+    # where the cap is above 1e154 elements; an inf cap differs from it only
+    # for budgets affording more, and beta* at an inf count is 0 without a
+    # warning
+    with np.errstate(over="ignore"):
+        q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
+            pt * params.ref_gain ** 2 * n_act)
     cap = np.floor(np.sqrt(np.maximum(q, 0.0)))
     cap -= beta_star(params, d1, d2, n_act, cap) < 1.0
     cap += beta_star(params, d1, d2, n_act, cap + 1.0) >= 1.0
@@ -190,7 +195,8 @@ def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
     # one spare row covers rounding in the quotient; unaffordable rows drop out
     rows = max(1, math.floor((m - params.cost_passive) / params.cost_active) + 1)
     if rows > MAX_SCAN_ROWS:
-        raise SearchSpaceTooLarge(f"{rows} n_act rows exceed the scan bound {MAX_SCAN_ROWS}")
+        raise SearchSpaceTooLarge(f"{fmt_number(rows, 0)} n_act rows exceed the scan bound "
+                                  f"{MAX_SCAN_ROWS}")
     return _best_row(params, topo, scheme, np.arange(1.0, rows + 1.0), m,
                      method="exhaustive")
 

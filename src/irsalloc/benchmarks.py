@@ -24,7 +24,7 @@ import numpy as np
 from .allocation import MAX_SCAN_ROWS, affordable
 from .errors import ConfigError, SearchSpaceTooLarge
 from .reflection import alpha_star
-from .scenario import SystemParams, Topology
+from .scenario import SystemParams, Topology, fmt_number
 from .snr import rate_from_snr
 
 SINGLE_PIRS = "single-pirs"
@@ -118,7 +118,8 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     m, wa, wp = params.total_budget, params.cost_active, params.cost_passive
     rows = affordable(m, 0.0, wa)
     if rows > MAX_SCAN_ROWS:
-        raise SearchSpaceTooLarge(f"{rows:.0f} n_act rows exceed the scan bound {MAX_SCAN_ROWS}")
+        raise SearchSpaceTooLarge(f"{fmt_number(rows, 0)} n_act rows exceed the scan bound "
+                                  f"{MAX_SCAN_ROWS}")
     n_act = np.arange(1.0, rows + 1.0)
     n_pas = affordable(m, wa * n_act, wp)
     da, db = _distances(topo)

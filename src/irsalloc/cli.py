@@ -23,8 +23,8 @@ from .channel import build_channels
 from .errors import ConfigError, IrsAllocError, SearchSpaceTooLarge
 from .placement import PlacementGrid, alternating_optimize
 from .reflection import configure
-from .scenario import SCHEMES, SystemParams, TAPR, Topology, \
-    build_topology, dbm_to_watts, linear_to_db, load_scenario
+from .scenario import EXPONENT_FROM, SCHEMES, SystemParams, TAPR, Topology, \
+    build_topology, dbm_to_watts, fmt_number, linear_to_db, load_scenario
 from .snr import check_lemma1, check_seed, compare_schemes, rate_from_snr, \
     simulate_empirical_snr, snr_approx, snr_closed_form, snr_exact_matrix, \
     zeta_value
@@ -74,7 +74,7 @@ class SweepSpec:
 
 
 def _fmt_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else f"{v:.6g}"
+    return str(int(v)) if float(v).is_integer() and abs(v) < EXPONENT_FROM else f"{v:.6g}"
 
 
 def _row(sweep_param: str, value: float, system: str, n_act, n_pas, amplitude,
@@ -86,7 +86,8 @@ def _row(sweep_param: str, value: float, system: str, n_act, n_pas, amplitude,
         # rate is derived from the *emitted* (rounded) snr_db so the two
         # columns stay consistent for downstream plot scripts
         rate = rate_from_snr(10.0 ** (float(snr_db_str) / 10.0))
-        num = dict(n_act=str(n_act), n_pas=str(n_pas), amplitude=f"{amplitude:.6f}",
+        num = dict(n_act=fmt_number(n_act, 0), n_pas=fmt_number(n_pas, 0),
+                   amplitude=fmt_number(amplitude, 6),
                    snr_db=snr_db_str, rate_bps_hz=f"{rate:.9f}")
     return dict(sweep_param=sweep_param, value=_fmt_value(value), system=system,
                 method=method, error=error, **num)
@@ -158,7 +159,7 @@ def run_placement(params: SystemParams, topo: Topology, scheme: str,
             "xa": _fmt_value(it.topology.pos_irs_a[0]), "ya": _fmt_value(it.topology.pos_irs_a[1]),
             "xb": _fmt_value(it.topology.pos_irs_b[0]), "yb": _fmt_value(it.topology.pos_irs_b[1]),
             "n_act": str(it.allocation.n_act), "n_pas": str(it.allocation.n_pas),
-            "amplitude": f"{it.amplitude:.6f}", "rate_bps_hz": f"{it.rate:.9f}",
+            "amplitude": fmt_number(it.amplitude, 6), "rate_bps_hz": f"{it.rate:.9f}",
         })
     return rows
 
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
             sol = solve_integer(params, topo, args.scheme.upper(), method=args.method)
             a = sol.allocation
             print(f"scheme={a.scheme} method={sol.method} "
-                  f"n_act={a.n_act} n_pas={a.n_pas} amplitude={sol.amplitude:.6f} "
+                  f"n_act={a.n_act} n_pas={a.n_pas} amplitude={fmt_number(sol.amplitude, 6)} "
                   f"snr_db={linear_to_db(sol.snr):.6f} rate_bps_hz={sol.rate:.9f}")
             if args.out:
                 return _write_out(args.out, [_row("none", params.total_budget,

@@ -55,6 +55,18 @@ def linear_to_db(g):
     return 10.0 * np.log10(g)
 
 
+# from this magnitude numbers print in exponent form: past 2**53 a float's
+# integer digits are not exact, and 1e300 written out runs to 301 digits
+EXPONENT_FROM = 1e16
+
+
+def fmt_number(v, decimals: int) -> str:
+    """v with the given decimals, or from EXPONENT_FROM on in exponent form
+    with six significant digits."""
+    v = float(v)
+    return f"{v:.{decimals}f}" if abs(v) < EXPONENT_FROM else f"{v:.6g}"
+
+
 def free_space_ref_gain(wavelength: float) -> float:
     """Channel power gain at 1 m for an isotropic free-space link, (lambda/4pi)^2."""
     return (wavelength / (4.0 * math.pi)) ** 2

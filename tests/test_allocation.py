@@ -3,6 +3,7 @@ rounding, and the exact integer scan against a brute-force oracle."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from irsalloc import (
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
-from irsalloc.allocation import affordable
+from irsalloc.allocation import _largest_feasible_pas, affordable
 from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario
 
@@ -179,6 +180,18 @@ def test_optimal_matches_brute_force_when_tpar_cap_binds():
     sol = solve_integer(params, topo, "TPAR", method="optimal")
     assert (sol.allocation.n_act, sol.allocation.n_pas) == expected
     assert sol.amplitude >= 1.0
+
+
+def test_tpar_cap_at_extreme_amplifier_power(params, topo):
+    # at 3000 dBm the cap's q overflows a float: it binds nowhere and warns
+    # of nothing (pytest turns warnings into errors)
+    p = replace(params, amp_power_budget=dbm_to_watts(3000.0))
+    n_act = np.arange(1.0, 300.0)
+    hi = affordable(p.total_budget, p.cost_active * n_act, p.cost_passive)
+    assert np.array_equal(_largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget), hi)
+    sol = solve_integer(p, topo, "TPAR")
+    assert (sol.allocation.n_act, sol.allocation.n_pas) == (100, 1000)
+    assert 1.0 <= sol.amplitude < math.inf
 
 
 @st.composite

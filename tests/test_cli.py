@@ -11,9 +11,10 @@ import pytest
 from irsalloc import ConfigError, SearchSpaceTooLarge, compare_schemes, load_scenario
 from irsalloc.allocation import MAX_SCAN_ROWS
 from irsalloc.cli import (
-    CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, main, run_placement, run_sweep,
-    run_verify, write_csv,
+    ALL_SYSTEMS, CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, main, run_placement,
+    run_sweep, run_verify, write_csv,
 )
+from irsalloc.scenario import fmt_number
 from conftest import REPO_ROOT, traced_peak
 
 
@@ -278,6 +279,29 @@ def test_main_sweep_writes_csv(baseline_config, tmp_path):
         ("500", "tapr"), ("500", "double-pirs"),
         ("1000", "tapr"), ("1000", "double-pirs"),
         ("1500", "tapr"), ("1500", "double-pirs")]
+
+
+def test_huge_values_print_in_exponent_form(params, topo):
+    by_system = {}
+    for param, value in (("total-budget", 1e300), ("amp-power-dbm", 3000.0)):
+        spec = SweepSpec(param, value, value, 1.0, ALL_SYSTEMS, "optimal")
+        for row in run_sweep(params, topo, spec):
+            assert all(len(field) < 120 for field in row.values())
+            by_system[param, row["system"]] = row
+    budget = by_system["total-budget", "tapr"]
+    assert budget["value"] == "1e+300"
+    assert budget["error"] == "2e+299 n_act rows exceed the scan bound 1000000"
+    assert by_system["total-budget", "hybrid-irs"]["error"] == budget["error"]
+    assert by_system["total-budget", "single-airs"]["n_act"] == "2e+299"
+    tpar = by_system["amp-power-dbm", "tpar"]
+    assert (tpar["n_act"], tpar["n_pas"], tpar["amplitude"]) == ("100", "1000", "1.5526e+151")
+
+
+def test_ordinary_values_keep_fixed_form():
+    assert fmt_number(12.3456789, 6) == "12.345679"
+    assert fmt_number(9.9e15, 0) == "9900000000000000"
+    assert fmt_number(1e16, 6) == "1e+16"
+    assert fmt_number(-1e16, 0) == "-1e+16"
 
 
 @pytest.mark.parametrize("step", ["0", "nan"])

@@ -284,7 +284,7 @@ def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
     signal = noise = 0.0
     for k, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
-        rng = np.random.default_rng(stream)
+        rng = np.random.Generator(np.random.SFC64(stream))
         symbols = np.exp(2j * math.pi * rng.random(m))
         g = rng.standard_normal((m, 2 * (n + 1)))
         v = math.sqrt(params.amp_noise_power / 2) * (g[:, 0:2 * n:2] + 1j * g[:, 1:2 * n:2])
@@ -471,6 +471,22 @@ def test_monte_carlo_converges(params, topo):
         err_large = abs(large - analytic) / analytic
         assert err_large < 0.02
         assert err_large < err_small
+
+
+def test_monte_carlo_unbiased_over_seeds(params, topo):
+    # holds for any seed-to-number mapping: over independent seeds the mean
+    # relative error against the matrix oracle is within four of its
+    # standard errors of zero
+    for scheme in ("TAPR", "TPAR"):
+        alloc = Allocation(12, 30, scheme)
+        refl = configure(params, topo, alloc)
+        analytic = snr_exact_matrix(params, topo, alloc,
+                                    build_channels(params, topo, alloc), refl).snr
+        errs = np.array([simulate_empirical_snr(params, topo, alloc, refl, 20_000,
+                                                seed=seed).snr / analytic - 1.0
+                         for seed in range(30)])
+        std_err = errs.std(ddof=1) / math.sqrt(errs.size)
+        assert abs(errs.mean()) <= 4.0 * std_err
 
 
 def test_rate_from_snr():
