@@ -2,10 +2,10 @@
 
 Fair-power convention: systems with no active surface transmit with Pt + Pv;
 systems with an active surface keep (Pt, Pv) separate. Every element count is
-the largest the budget affords (allocation.affordable).
+the largest that the budget (allocation.affordable) and alpha* >= 1 allow.
 
 Single-surface systems are evaluated at both existing IRS sites (A, B) at
-once, as SNR arrays of shape (2,), or (2, n_act) for the hybrid with -inf
+once, as SNR arrays of shape (2,), or (2, n_act) for the hybrid, with -inf
 where alpha* < 1. One np.argmax picks the answer, so ties go to site A
 before B, then to the smallest n_act.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import MAX_SCAN_ROWS, affordable
-from .errors import ConfigError, SearchSpaceTooLarge
+from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star
 from .scenario import SystemParams, Topology, fmt_number
 from .snr import rate_from_snr
@@ -98,13 +98,22 @@ def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
 @_finite_snr
 def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One active surface at the better site, its power budget saturated."""
-    n = int(affordable(params.total_budget, 0.0, params.cost_active))
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     da, db = _distances(topo)
+    # alpha* decreases in n and is >= 1 up to n = alpha*(1)^2, so the floored
+    # square, corrected by alpha* itself, is the last feasible count
+    afford = affordable(params.total_budget, 0.0, params.cost_active)
+    n = np.minimum(afford, np.floor(alpha_star(params, da, 1.0) ** 2))
+    n -= (n >= 1.0) & (alpha_star(params, da, np.maximum(n, 1.0)) < 1.0)
+    n += (n < afford) & (alpha_star(params, da, n + 1.0) >= 1.0)
+    alpha = alpha_star(params, da, np.maximum(n, 1.0))
+    if not (alpha >= 1.0).any():
+        raise InfeasibleBudget("no site can drive one active element at amplitude >= 1")
     snr = (pt * pv * rho ** 2 * n
            / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
-    return _first_max(SINGLE_AIRS, snr, n, 0, alpha_star(params, da, n))
+    snr[alpha < 1.0] = -np.inf
+    return _first_max(SINGLE_AIRS, snr, n, 0, alpha)
 
 
 @_finite_snr

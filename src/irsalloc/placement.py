@@ -15,7 +15,7 @@ scheme; alternating_optimize builds it once per run. It holds the real grid
 axes, each surface's distances to its end node, the squared x and y gaps
 between the surfaces, and m, the smallest F of each row over the columns
 that pass the distance test, equal to a dense minimum bit for bit (see
-_row_minima, which alone pads its columns to whole blocks).
+_row_minima).
 
 The scan for one allocation takes L = P + C*m for every row that passes its
 own tests. Adding and multiplying non-negative floats never decreases under
@@ -29,8 +29,8 @@ least d_min and above 0, as build_topology requires; with d_min = 0 the scan
 would otherwise pick coincident surfaces for TAPR, where zeta falls to P.
 
 A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
-refused before any array is built, and every temporary holds at most _CHUNK
-floats, so a scan never holds the joint grid.
+refused before any array is built, and no temporary holds more floats than
+SEGMENT*_CHUNK or a geometry array, so a scan never holds the joint grid.
 
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
@@ -51,13 +51,13 @@ from .scenario import (SystemParams, TAPR, Topology, build_topology,
                        check_min_distance, check_scheme)
 from .snr import objective_constants
 
-# points per block along each grid axis
-BLOCK_POINTS = 8
+# consecutive columns of one line that _row_minima bounds together
+SEGMENT = 8
 # entries of the largest geometry array a grid may need (one surface's
 # points, or the squared gaps between two parallel axes): 4 MB per float64
-# array, and a scan's peak stays near 220 B per surface point, about 110 MB at
-# the bound; the baseline +/-15 m x +/-5 m boxes need about 33,300 at 0.1 m
-# and 370,000 at 0.05 m
+# array, and a scan's peak stays near 160 B per surface point, about 85 MB at
+# the bound; the baseline +/-15 m x +/-5 m boxes need 90,601 (the x gaps) at
+# 0.1 m and 361,201 at 0.05 m
 _MAX_GRID_POINTS = 2 ** 19
 # floats in one temporary of the row minima or of a chunk of scanned rows
 _CHUNK = 2 ** 14
@@ -155,9 +155,9 @@ class _Geometry:
 def _check_size(grid: PlacementGrid) -> None:
     """Raise SearchSpaceTooLarge, before any array is built, when a geometry
     array of grid may hold more than _MAX_GRID_POINTS entries."""
-    # span + BLOCK_POINTS is at least the length of an axis once _row_minima
-    # pads it to whole blocks, and inf where the span overflows
-    xa, ya, xb, yb = ((hi - lo) / grid.step + BLOCK_POINTS for lo, hi in
+    # span/step + 1 is an axis's length up to the 1e-9 axis() adds, so every
+    # grid above the bound is refused; inf where the span overflows
+    xa, ya, xb, yb = ((hi - lo) / grid.step + 1 for lo, hi in
                       (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds))
     if not max(xa * ya, xb * yb, xa * xb, ya * yb) <= _MAX_GRID_POINTS:
         raise SearchSpaceTooLarge(f"grid step {grid.step!r} needs a placement array of more "
@@ -198,68 +198,51 @@ def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
     """m[i, j], the smallest (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
     columns (k, l) in ok, inf where there are none.
 
-    The columns come in blocks of n x n, each made of n lines of one k; the
-    column axes are padded to whole blocks here, with the gaps of their last
-    column (so a block's smallest gap is that of its real columns) and never
-    in ok. A row's F over a block, or over a line, is at least the row's
-    smallest gaps to it times its smallest admissible factor; m is at most F
-    at the column of that factor in any block. Rows are taken in tiles, and a
-    line is evaluated, for every row of the tile, if its block's bound and
-    its own reach that upper bound for some row of the tile. Each F is formed
-    as the scan forms it, so m equals a dense minimum bit for bit."""
-    n = BLOCK_POINTS
+    A line is the columns of one k, cut into segments of SEGMENT l (the last
+    repeats the line's last column). A row's F over a line or a segment is at
+    least its smallest gaps to it times its smallest admissible factor. Each
+    row's upper bound is F at that factor's column of its x row's best line;
+    the (x row, line) pairs that may reach it are bounded per (y row,
+    segment), in chunks, and a segment is evaluated whole where its bound
+    reaches the upper bound. Each F is formed as the scan forms it, so m
+    equals a dense minimum bit for bit."""
     n_i, n_j = gap_x.shape[0], gap_y.shape[0]
-    m = np.full(n_i * n_j, np.inf)
-    pad = ((0, -f.shape[0] % n), (0, -f.shape[1] % n))
-    # gaps by (column coordinate, row coordinate)
-    gx, gy = (np.ascontiguousarray(np.pad(g, ((0, 0), p), mode="edge").T)
-              for g, p in zip((gap_x, gap_y), pad))
-    # the blocks that hold an admissible column, each as (x offset, y offset)
-    f, ok = (np.pad(v, pad).reshape(len(gx) // n, n, -1, n).transpose(0, 2, 1, 3)
-             .reshape(-1, n, n) for v in (f, ok))
-    live = np.flatnonzero(ok.any(axis=(1, 2)))
-    if not len(live):
-        return m.reshape(n_i, n_j)
-    f, ok = f[live], ok[live]
-    kb, lb = np.divmod(live, len(gy) // n)  # x and y block
-    # each block's and each line's smallest admissible factor, and the
-    # column of the block's; zero on a line without one, as 0*inf would be
-    # nan, and the line is masked where it is evaluated
-    f_ok = np.where(ok, f, np.inf)
-    at = f_ok.reshape(len(live), -1).argmin(axis=1)
-    f_lo = f_ok.reshape(len(live), -1)[np.arange(len(live)), at]
-    line_lo = f_ok.min(axis=2)
-    line_lo[np.isinf(line_lo)] = 0.0
-    # each row coordinate's smallest gap to each x or y block
-    gx_lo, gy_lo = gx.reshape(-1, n, n_i).min(axis=1), gy.reshape(-1, n, n_j).min(axis=1)
-    # the upper bound comes from the few blocks with the smallest factors
-    near = np.argsort(f_lo)[:4]
-    gx_at, gy_at = gx[kb[near] * n + at[near] // n], gy[lb[near] * n + at[near] % n]
-    per = max(1, _CHUNK // max(n * n, len(live)))  # rows per tile
-    for r0 in range(0, n_i * n_j, per):
-        i, j = np.divmod(np.arange(r0, min(r0 + per, n_i * n_j)), n_j)
-        # (block, row) and (row)
-        low = gx_lo[:, i][kb]
-        low += gy_lo[:, j][lb]
-        low *= f_lo[:, None]
-        high = gx_at[:, i]
-        high += gy_at[:, j]
-        high *= f_lo[near, None]
-        high = np.minimum.reduce(high, axis=0)
-        tile = m[r0:r0 + len(i)]
-        for b in np.flatnonzero((low <= high).any(axis=1)).tolist():
-            gxb = gx[kb[b] * n:(kb[b] + 1) * n, i]  # (line, row)
-            bound = gxb + gy_lo[lb[b], j]
-            bound *= line_lo[b][:, None]
-            need = (bound <= high).any(axis=1)
-            if not need.any():
-                continue
-            # (line, y offset, row)
-            cand = gxb[need][:, None, :] + gy[lb[b] * n:(lb[b] + 1) * n, j][None, :, :]
-            cand *= f[b][need][:, :, None]
-            cand[~ok[b][need]] = np.inf
-            np.minimum(tile, np.minimum.reduce(cand.reshape(-1, len(i)), axis=0), out=tile)
-    return m.reshape(n_i, n_j)
+    m = np.full((n_i, n_j), np.inf)
+    lines = np.flatnonzero(ok.any(axis=1))
+    if not len(lines):
+        return m
+    n_l = f.shape[1]
+    cols = np.minimum(np.arange(-(-n_l // SEGMENT) * SEGMENT), n_l - 1).reshape(-1, SEGMENT)
+    # each line's smallest admissible factor
+    f_ok = np.where(ok, f, np.inf)[lines]
+    line_lo = f_ok.min(axis=1)
+    # the upper bound of each row: F at that factor's column of its x row's
+    # best line
+    gx = gap_x[:, lines]
+    best = (gx * line_lo).argmin(axis=1)
+    k, l = lines[best], f_ok[best].argmin(axis=1)
+    high = (gx[np.arange(n_i), best][:, None] + gap_y[:, l].T) * f[k, l][:, None]
+    # the (x row, line) pairs that may reach it
+    pi, pq = np.nonzero((gx + gap_y.min()) * line_lo <= high.max(axis=1)[:, None])
+    # each segment's smallest admissible factor, 0 where it has none (0*inf
+    # would be nan; seg_ok keeps such a segment from being evaluated), and
+    # each y row's smallest gap to it
+    seg_lo = f_ok[:, cols].min(axis=2)
+    seg_ok = np.isfinite(seg_lo)
+    seg_lo[~seg_ok] = 0.0
+    gy_lo = gap_y[:, cols].min(axis=2)
+    per = max(1, _CHUNK // gy_lo.size)  # pairs per chunk
+    for p0 in range(0, len(pi), per):
+        i, q = pi[p0:p0 + per], pq[p0:p0 + per]
+        # (pair, y row, segment)
+        low = gx[i, q][:, None, None] + gy_lo
+        low *= seg_lo[q][:, None, :]
+        p, j, s = np.nonzero((low <= high[i][:, :, None]) & seg_ok[q][:, None, :])
+        i, q, c = i[p], q[p], cols[s]
+        k = lines[q][:, None]
+        cand = np.where(ok[k, c], (gx[i, q][:, None] + gap_y[j[:, None], c]) * f[k, c], np.inf)
+        np.minimum.at(m, (i, j), cand.min(axis=1))
+    return m
 
 
 def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):

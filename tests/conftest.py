@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsalloc import (Allocation, NoFeasiblePlacement, SystemParams, TAPR,
+from irsalloc import (Allocation, InfeasibleBudget, NoFeasiblePlacement, SystemParams, TAPR,
                       build_topology, dbm_to_watts, snr_closed_form)
 from irsalloc.allocation import affordable
 from irsalloc.benchmarks import (HYBRID_IRS, SINGLE_AIRS, SINGLE_PIRS,
@@ -111,13 +111,20 @@ def site_loop_benchmark(system: str, params: SystemParams, topo):
             if best is None or snr > best[0]:
                 best = (snr, site, 0, n, 1.0)
     elif system == SINGLE_AIRS:
-        n = int(affordable(m, 0.0, wa))
+        counts = np.arange(1.0, affordable(m, 0.0, wa) + 1.0)
         for site in ("A", "B"):
             da, db = site_distances(topo, site)
+            # the largest affordable count whose alpha* is >= 1
+            alphas = alpha_star(params, da, counts)
+            if not (alphas >= 1.0).any():
+                continue
+            n = int(np.flatnonzero(alphas >= 1.0)[-1]) + 1
             snr = (pt * pv * rho ** 2 * n
                    / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
             if best is None or snr > best[0]:
-                best = (snr, site, n, 0, float(alpha_star(params, da, n)))
+                best = (snr, site, n, 0, float(alphas[n - 1]))
+        if best is None:
+            raise InfeasibleBudget("no site has an active count with alpha* >= 1")
     elif system == HYBRID_IRS:
         n_act = np.arange(1.0, affordable(m, 0.0, wa) + 1.0)
         n_pas = affordable(m, wa * n_act, wp).astype(int).tolist()

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsalloc import SearchSpaceTooLarge, SystemParams, build_topology, dbm_to_watts
+from irsalloc import (InfeasibleBudget, SearchSpaceTooLarge, SystemParams, build_topology,
+                      dbm_to_watts)
 from irsalloc.benchmarks import (
     DOUBLE_PIRS, HYBRID_IRS, SINGLE_AIRS, SINGLE_PIRS, rate_double_pirs,
     rate_hybrid_irs, rate_single_airs, rate_single_pirs, run_benchmark,
 )
 from irsalloc.channel import upa_response
+from irsalloc.reflection import alpha_star
 from conftest import (baseline_params, baseline_topology, site_distances,
                       site_loop_benchmark, traced_peak)
 
@@ -111,6 +113,26 @@ def test_single_airs_low_noise_limit(topo):
     expected = (params.amp_power_budget * params.ref_gain * res.n_act
                 / (params.rx_noise_power * db ** 2))
     assert res.snr == pytest.approx(expected, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("budget", [1e12, 1e300])
+def test_single_airs_count_capped_by_amplitude(params, topo, budget):
+    # the budget affords far more elements than Pv can drive at alpha* >= 1:
+    # the count is the largest whose alpha* is still >= 1
+    res = rate_single_airs(replace(params, total_budget=budget), topo)
+    da, _ = site_distances(topo, res.site)
+    assert res.amplitude >= 1.0
+    assert res.amplitude == float(alpha_star(params, da, res.n_act))
+    assert alpha_star(params, da, res.n_act + 1.0) < 1.0
+    assert res.n_act < budget / params.cost_active
+
+
+def test_single_airs_infeasible_when_no_site_drives_one_element(params, topo):
+    # alpha* of one element is below 1 at both sites
+    low = replace(params, amp_power_budget=dbm_to_watts(-3000.0))
+    assert all(alpha_star(low, site_distances(topo, s)[0], 1.0) < 1.0 for s in "AB")
+    with pytest.raises(InfeasibleBudget):
+        rate_single_airs(low, topo)
 
 
 def test_hybrid_pure_active_split_matches_single_airs(params, topo):
@@ -248,8 +270,13 @@ def benchmark_scenarios(draw):
 
 
 def assert_matches_site_loop(system, params, topo):
+    try:
+        ref = site_loop_benchmark(system, params, topo)
+    except InfeasibleBudget:
+        with pytest.raises(InfeasibleBudget):
+            run_benchmark(system, params, topo)
+        return None
     res = run_benchmark(system, params, topo)
-    ref = site_loop_benchmark(system, params, topo)
     assert ((res.system, res.site, res.n_act, res.n_pas)
             == (ref.system, ref.site, ref.n_act, ref.n_pas))
     # numpy squares as x*x where the loop calls pow: the last bit may differ

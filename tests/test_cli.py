@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsalloc import ConfigError, SearchSpaceTooLarge, compare_schemes, load_scenario
+from irsalloc import (ConfigError, SearchSpaceTooLarge, compare_schemes, dbm_to_watts,
+                      load_scenario)
 from irsalloc.allocation import MAX_SCAN_ROWS
 from irsalloc.cli import (
     ALL_SYSTEMS, CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, main, run_placement,
@@ -104,6 +105,17 @@ def test_sweep_error_rows_do_not_abort(params, topo):
         rows = run_sweep(params, topo, spec)
         assert len(rows) == 2
         assert all("float" in r["error"] and r["rate_bps_hz"] == "" for r in rows)
+
+
+def test_sweep_quiet_at_extreme_amplifier_power(params, topo):
+    # alpha* no longer overflows at 3060 dBm: every row is a result, with an
+    # active amplitude >= 1, and nothing warns (pytest turns warnings into
+    # errors)
+    spec = SweepSpec("amp-power-dbm", 3060.0, 3060.0, 1.0, ("tapr", "tpar", "single-airs"),
+                     "optimal")
+    rows = run_sweep(params, topo, spec)
+    assert [r["error"] for r in rows] == ["", "", ""]
+    assert all(1.0 <= float(r["amplitude"]) < math.inf for r in rows)
 
 
 def test_csv_rate_snr_identity(params, topo):
@@ -292,7 +304,14 @@ def test_huge_values_print_in_exponent_form(params, topo):
     assert budget["value"] == "1e+300"
     assert budget["error"] == "2e+299 n_act rows exceed the scan bound 1000000"
     assert by_system["total-budget", "hybrid-irs"]["error"] == budget["error"]
-    assert by_system["total-budget", "single-airs"]["n_act"] == "2e+299"
+    # single-airs takes the largest count whose alpha* is >= 1, not 2e299
+    airs = by_system["total-budget", "single-airs"]
+    assert airs["n_act"] == "4871311" and float(airs["amplitude"]) >= 1.0
+    # an amplifier that drives every affordable element prints its count in
+    # exponent form
+    strong = replace(params, amp_power_budget=dbm_to_watts(200.0))
+    spec = SweepSpec("total-budget", 1e20, 1e20, 1.0, ("single-airs",), "optimal")
+    assert run_sweep(strong, topo, spec)[0]["n_act"] == "2e+19"
     tpar = by_system["amp-power-dbm", "tpar"]
     assert (tpar["n_act"], tpar["n_pas"], tpar["amplitude"]) == ("100", "1000", "1.5526e+151")
 

@@ -13,7 +13,7 @@ from irsalloc import (
     alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
-from irsalloc.placement import BLOCK_POINTS, AOIteration, _center_topology
+from irsalloc.placement import AOIteration, _center_topology
 from irsalloc.reflection import alpha_star, beta_star
 from irsalloc.snr import zeta_value
 from conftest import baseline_params, full_grid_placement, traced_peak
@@ -214,7 +214,7 @@ def same_placement(params, alloc, grid, tx, rx):
 
 @st.composite
 def placement_cases(draw):
-    """Boxes of up to 30 points per axis (several blocks each), with Pv low
+    """Boxes of up to 30 points per axis (several segments each), with Pv low
     enough for the amplitude test to remove most or all of the grid and
     d_min large enough to remove every candidate."""
     step = draw(st.floats(0.2, 3.0))
@@ -261,6 +261,33 @@ def test_row_minima_match_dense_minimum_property(case):
     f = (geo.gap_x[:, None, :, None] + geo.gap_y[None, :, None, :]) * geo.f_col
     dense = np.where(geo.far_col, f, np.inf).min(axis=(2, 3))
     assert np.array_equal(geo.m, dense)
+
+
+@st.composite
+def row_minima_inputs(draw):
+    """Random gaps, factors and masks for _row_minima: 1-point axes, y axes
+    shorter than a segment, empty, full and sparse masks, zero gaps and
+    factors near 1e-300 and 1e300."""
+    n_i, n_k, n_j, n_l = (draw(st.integers(1, 20)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaps(shape):
+        g = rng.random(shape) * draw(st.sampled_from((0.0, 1.0, 1e3)))
+        g[rng.random(shape) < draw(st.sampled_from((0.0, 0.3)))] = 0.0
+        return g
+
+    f = rng.random((n_k, n_l)) * draw(st.sampled_from((1e-300, 1e-5, 1.0, 1e300)))
+    ok = rng.random((n_k, n_l)) < draw(st.sampled_from((0.0, 0.05, 0.5, 1.0)))
+    return gaps((n_i, n_k)), gaps((n_j, n_l)), f, ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_minima_inputs())
+def test_row_minima_of_random_arrays_match_dense_minimum_property(inputs):
+    gap_x, gap_y, f, ok = inputs
+    dense = np.where(ok, (gap_x[:, None, :, None] + gap_y[None, :, None, :]) * f, np.inf)
+    assert np.array_equal(placement._row_minima(gap_x, gap_y, f, ok),
+                          dense.min(axis=(2, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,8 +337,8 @@ def test_scan_evaluates_every_row_within_cut_property(case):
 @pytest.mark.parametrize("points", [(1, 1, 1, 1), (7, 7, 7, 7), (8, 8, 8, 8), (9, 9, 9, 9),
                                     (17, 17, 17, 17), (1, 7, 9, 17), (17, 9, 7, 1)])
 def test_padded_axes_match_full_grid(params, scheme, points):
-    # (xa, ya, xb, yb) points per axis; the row minima pad every column axis
-    # but one of 8 to whole blocks, and the geometry keeps the real axes
+    # (xa, ya, xb, yb) points per axis; the row minima cut column lines into
+    # segments of 8, the last repeating the line's last column
     nxa, nya, nxb, nyb = points
     grid = PlacementGrid(xa_bounds=(10.0, 10.0 + nxa - 1), ya_bounds=(-3.0, nya - 4.0),
                          xb_bounds=(85.0, 85.0 + nxb - 1), yb_bounds=(-4.0, nyb - 5.0),
@@ -326,9 +353,9 @@ def test_padded_axes_match_full_grid(params, scheme, points):
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
 def test_tie_on_last_point_of_padded_axes(params, scheme):
-    # 9 points per axis, which the row minima pad to 16 columns with the gaps
-    # of the last; Tx beyond the A-box and Rx beyond the B-box put the
-    # optimum on the last point of every axis
+    # 9 points per axis, so a column line's second segment repeats its last
+    # column; Tx beyond the A-box and Rx beyond the B-box put the optimum on
+    # the last point of every axis
     grid = PlacementGrid(xa_bounds=(10.0, 18.0), ya_bounds=(-8.0, 0.0),
                          xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
                          step=1.0, height=10.0, d_min=1.0)
@@ -361,7 +388,7 @@ def test_pruned_scan_matches_full_grid_when_amplitude_rules_out_most(scheme, pv_
 
 
 def test_pruned_scan_nothing_feasible_across_blocks(params):
-    # 20 points per axis, so several block pairs; d_min exceeds every d2
+    # 20 points per axis, so several segments per line; d_min exceeds every d2
     grid = PlacementGrid(xa_bounds=(10.0, 29.0), ya_bounds=(0.0, 19.0),
                          xb_bounds=(30.0, 49.0), yb_bounds=(0.0, 19.0),
                          step=1.0, height=10.0, d_min=60.0)
@@ -374,9 +401,7 @@ def test_pruned_scan_nothing_feasible_across_blocks(params):
 def test_tie_across_blocks_takes_smallest_placement(params):
     # Tx, Rx and the only B-row lie on y = 0 and the surfaces at Tx height,
     # so every distance depends on |y_A| alone. d_min = 5 on d1 = |y_A|
-    # leaves y_A = -5 and y_A = 5 as exact ties; they sit in different
-    # y-blocks (-10..-3 and -2..5), and the block holding y_A = 5 has the
-    # larger bound, so it is visited first.
+    # leaves y_A = -5 and y_A = 5 as exact ties, in different rows.
     grid = PlacementGrid(xa_bounds=(0.0, 0.0), ya_bounds=(-10.0, 10.0),
                          xb_bounds=(90.0, 95.0), yb_bounds=(0.0, 0.0),
                          step=1.0, height=0.0, d_min=5.0)
@@ -425,9 +450,8 @@ def test_fine_step_memory_bounded(params, topo):
 
 def test_grid_too_large_refused_before_any_array(params, topo):
     # the baseline boxes at 0.1 mm would hold 3e10 points per surface; a
-    # 60 km strip at 1 m holds 60,001 points, 480,064 once padded to whole
-    # blocks, within the bound, but its x gaps to a parallel strip would hold
-    # 3.6e9
+    # 60 km strip at 1 m holds 60,001 points, within the bound, but its x
+    # gaps to a parallel strip would hold 3.6e9
     xa, ya, h = topo.pos_irs_a
     xb, yb, _ = topo.pos_irs_b
     fine = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
@@ -465,8 +489,9 @@ def joint_grids(params, alloc, grid, tx, rx):
 
 
 def mixed_block_pairs(ok):
-    """Block pairs of the scan that hold both a passing and a failing point."""
-    n = BLOCK_POINTS
+    """Cells of 8 points per axis of the joint grid that hold both a passing
+    and a failing point."""
+    n = 8
     blocks = [ok[i:i + n, j:j + n, k:k + n, m:m + n]
               for i in range(0, ok.shape[0], n) for j in range(0, ok.shape[1], n)
               for k in range(0, ok.shape[2], n) for m in range(0, ok.shape[3], n)]
@@ -474,7 +499,7 @@ def mixed_block_pairs(ok):
 
 
 def test_amplitude_boundary_through_block_pairs():
-    # TPAR: beta* = 1 cuts through most block pairs, and the smallest zeta
+    # TPAR: beta* = 1 cuts through most 8-point cells, and the smallest zeta
     # of the grid fails the amplitude test, so the per-candidate beta* test
     # decides the answer
     params = baseline_params(amp_power_budget=dbm_to_watts(-22.0))
@@ -491,7 +516,7 @@ def test_amplitude_boundary_through_block_pairs():
 
 
 def test_min_distance_boundary_through_block_pairs(params):
-    # overlapping x boxes at one height: d2 = d_min cuts through block pairs
+    # overlapping x boxes at one height: d2 = d_min cuts through 8-point cells
     # and the smallest zeta of the grid lies closer than d_min
     grid = PlacementGrid(xa_bounds=(20.0, 43.0), ya_bounds=(-12.0, 11.0),
                          xb_bounds=(30.0, 53.0), yb_bounds=(-12.0, 11.0),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irsalloc import Allocation, build_channels, build_topology, optimal_phases
+from irsalloc import (Allocation, build_channels, build_topology, dbm_to_watts,
+                      optimal_phases)
 from irsalloc.reflection import alpha_star, beta_star, configure, optimal_amplitude
 from conftest import (baseline_params, inter_surface_matrix, random_scenario,
                       reflection_matrices)
@@ -72,6 +73,41 @@ def test_alpha_scales_with_sqrt_power(topo):
     alloc = Allocation(50, 500, "TAPR")
     assert optimal_amplitude(quad, topo, alloc) == pytest.approx(
         2.0 * optimal_amplitude(params, topo, alloc), rel=1e-12, abs=0.0)
+
+
+def test_amplitudes_keep_plain_quotient_bits():
+    # Pv enters scaled by a power of four, which changes no bit wherever the
+    # plain quotient is finite
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        params = baseline_params(amp_power_budget=10.0 ** rng.uniform(-12.0, 3.0),
+                                 transmit_power=10.0 ** rng.uniform(-3.0, 1.0),
+                                 amp_noise_power=10.0 ** rng.uniform(-14.0, -8.0))
+        pt, pv = params.transmit_power, params.amp_power_budget
+        rho, sv2 = params.ref_gain, params.amp_noise_power
+        d1, d2 = rng.uniform(1.0, 500.0, 2)
+        x_act, x_pas = rng.integers(1, 3000, 2).astype(float)
+        assert alpha_star(params, d1, x_act) == np.sqrt(
+            pv * d1 ** 2 / (pt * rho * x_act + d1 ** 2 * sv2 * x_act))
+        assert beta_star(params, d1, d2, x_act, x_pas) == np.sqrt(
+            pv * d2 ** 2 / (pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2 + d2 ** 2 * sv2 * x_act))
+
+
+@pytest.mark.parametrize("dbm", [3060.0, 3100.0])
+def test_amplitudes_at_extreme_amplifier_power(topo, dbm):
+    # Pv*d1^2/(...) overflows from about 3060 dBm; the amplitudes stay finite,
+    # warn of nothing (pytest turns warnings into errors) and are exactly
+    # 2^500 times those at Pv/4^500
+    high = baseline_params(amp_power_budget=dbm_to_watts(dbm))
+    low = baseline_params(amp_power_budget=math.ldexp(high.amp_power_budget, -1000))
+    alpha = alpha_star(high, topo.d1, 100.0)
+    assert 1.0 < alpha < math.inf
+    assert alpha == alpha_star(low, topo.d1, 100.0) * 2.0 ** 500
+    beta = beta_star(high, topo.d1, topo.d2, 100.0, 1000.0)
+    assert 1.0 < beta < math.inf
+    assert beta == beta_star(low, topo.d1, topo.d2, 100.0, 1000.0) * 2.0 ** 500
+    # a surface on the transmitter gets alpha* = 0, quietly
+    assert alpha_star(high, np.array([0.0]), 100.0)[0] == 0.0
 
 
 def test_beta_star_pin():
