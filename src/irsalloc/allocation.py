@@ -31,10 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
+from .errors import InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
-from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme, \
-    fmt_number, is_finite_real
+from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_budget, \
+    check_positive, check_scheme, fmt_number
 from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
@@ -55,13 +55,13 @@ class Allocation:
         check_scheme(self.scheme)
         # nan fails every comparison; inf must not reach int()
         if self.continuous:
-            if not (0 < self.n_act < math.inf and 0 < self.n_pas < math.inf):
-                raise ValueError("continuous counts must be finite and > 0")
+            if not (0 < self.n_act <= MAX_ELEMENTS and 0 < self.n_pas <= MAX_ELEMENTS):
+                raise ValueError(f"continuous counts must be > 0 and at most {MAX_ELEMENTS:g}")
         else:
             for name in ("n_act", "n_pas"):
                 v = getattr(self, name)
-                if not 1 <= v < math.inf or v != int(v):
-                    raise ValueError(f"{name}={v!r} must be an integer >= 1")
+                if not 1 <= v <= MAX_ELEMENTS or v != int(v):
+                    raise ValueError(f"{name}={v!r} must be an integer in [1, {MAX_ELEMENTS:g}]")
 
     def cost(self, params: SystemParams) -> float:
         return params.cost_active * self.n_act + params.cost_passive * self.n_pas
@@ -85,24 +85,16 @@ def _solution(params: SystemParams, topo: Topology, alloc: Allocation, snr,
                               snr=snr, rate=rate_from_snr(snr), method=method)
 
 
-def _check_budget(budget) -> float:
-    """The budget after the real-number check that SystemParams applies to
-    total_budget; feasibility is left to the solver."""
-    if not is_finite_real(budget):
-        raise ConfigError(f"budget must be a finite number, got {budget!r}")
-    return float(budget)
-
-
 def _budget(params: SystemParams, budget) -> float:
-    """The total budget, or the checked override."""
-    return params.total_budget if budget is None else _check_budget(budget)
+    """The total budget, or the override after the domain's budget check."""
+    return params.total_budget if budget is None else check_budget(budget, params.cost_passive)
 
 
 def closed_form_split(budget: float, w_act: float, w_pas: float,
                       scheme: str) -> Allocation:
     """Near-optimal continuous split: a third of the budget on active elements."""
-    budget = _check_budget(budget)
     w_act, w_pas = check_positive("w_act", w_act), check_positive("w_pas", w_pas)
+    budget = check_budget(budget, min(w_act, w_pas))
     if budget <= 0:
         raise InfeasibleBudget("budget must be positive")
     return Allocation(n_act=budget / (3.0 * w_act), n_pas=2.0 * budget / (3.0 * w_pas),
@@ -156,13 +148,8 @@ def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
     # the floored root, corrected by beta* itself, is the last feasible n_pas
     pt, pv = params.transmit_power, params.amp_power_budget
     d1, d2 = topo.d1, topo.d2
-    # q overflows at extreme amplifier powers (3000 dBm on the baseline),
-    # where the cap is above 1e154 elements; an inf cap differs from it only
-    # for budgets affording more, and beta* at an inf count is 0 without a
-    # warning
-    with np.errstate(over="ignore"):
-        q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
-            pt * params.ref_gain ** 2 * n_act)
+    q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
+        pt * params.ref_gain ** 2 * n_act)
     cap = np.floor(np.sqrt(np.maximum(q, 0.0)))
     cap -= beta_star(params, d1, d2, n_act, cap) < 1.0
     cap += beta_star(params, d1, d2, n_act, cap + 1.0) >= 1.0

@@ -8,23 +8,18 @@ Single-surface systems are evaluated at both existing IRS sites (A, B) at
 once, as SNR arrays of shape (2,), or (2, n_act) for the hybrid, with -inf
 where alpha* < 1. One np.argmax picks the answer, so ties go to site A
 before B, then to the smallest n_act.
-
-Each calculator raises ConfigError where its SNR does not fit a float, as
-at budgets so large that the element counts' powers overflow.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import MAX_SCAN_ROWS, affordable
-from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
+from .errors import DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star
-from .scenario import SystemParams, Topology, fmt_number
+from .scenario import MIN_DISTANCE, SystemParams, Topology, fmt_number
 from .snr import rate_from_snr
 
 SINGLE_PIRS = "single-pirs"
@@ -47,29 +42,16 @@ class BenchmarkResult:
 
 
 def _distances(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """(Tx->site, site->Rx) distances, each of shape (2,) over _SITES."""
+    """(Tx->site, site->Rx) distances, each of shape (2,) over _SITES;
+    DistanceTooSmall where one is below MIN_DISTANCE."""
     tx, rx = np.asarray(topo.pos_tx), np.asarray(topo.pos_rx)
     a, b = np.asarray(topo.pos_irs_a), np.asarray(topo.pos_irs_b)
     # one norm per 1-D difference: an axis=1 norm can differ in the last bit
-    return (np.array([np.linalg.norm(a - tx), np.linalg.norm(b - tx)]),
-            np.array([np.linalg.norm(rx - a), np.linalg.norm(rx - b)]))
-
-
-def _finite_snr(rate):
-    """rate, raising ConfigError in place of an OverflowError or a
-    non-finite SNR."""
-    @functools.wraps(rate)
-    def checked(params: SystemParams, topo: Topology) -> BenchmarkResult:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = rate(params, topo)
-        except OverflowError:
-            result = None
-        if result is None or not math.isfinite(result.snr):
-            raise ConfigError(f"{rate.__name__}: the SNR at total budget "
-                              f"{params.total_budget:g} does not fit a float")
-        return result
-    return checked
+    da = np.array([np.linalg.norm(a - tx), np.linalg.norm(b - tx)])
+    db = np.array([np.linalg.norm(rx - a), np.linalg.norm(rx - b)])
+    if min(da.min(), db.min()) < MIN_DISTANCE:
+        raise DistanceTooSmall(f"a surface site is within {MIN_DISTANCE:g} m of Tx or Rx")
+    return da, db
 
 
 def _first_max(system: str, snr: np.ndarray, n_act, n_pas, amplitude) -> BenchmarkResult:
@@ -84,7 +66,6 @@ def _first_max(system: str, snr: np.ndarray, n_act, n_pas, amplitude) -> Benchma
                            rate=rate_from_snr(best))
 
 
-@_finite_snr
 def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One passive surface at the better site, transmit power Pt + Pv."""
     n = int(affordable(params.total_budget, 0.0, params.cost_passive))
@@ -95,7 +76,6 @@ def rate_single_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(SINGLE_PIRS, snr, 0, n, 1.0)
 
 
-@_finite_snr
 def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """One active surface at the better site, its power budget saturated."""
     pt, pv = params.transmit_power, params.amp_power_budget
@@ -116,7 +96,6 @@ def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(SINGLE_AIRS, snr, n, 0, alpha)
 
 
-@_finite_snr
 def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Co-located hybrid surface: coherent combining of an amplified active
     sub-surface and a passive one; amplification noise through the active
@@ -145,7 +124,6 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     return _first_max(HYBRID_IRS, snr, n_act, n_pas, alpha)
 
 
-@_finite_snr
 def rate_double_pirs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     """Two equal passive surfaces at the existing sites, transmit power Pt + Pv."""
     n = int(affordable(params.total_budget, 0.0, 2.0 * params.cost_passive))

@@ -25,8 +25,8 @@ beta* >= 1), which only remove candidates. Rows are evaluated whole, with
 every test, in ascending order of L, in chunks that double from one row up
 to _CHUNK candidates, until the next L exceeds the tie cut; the answer
 equals that of a scan of the joint grid. Every link distance must be at
-least d_min and above 0, as build_topology requires; with d_min = 0 the scan
-would otherwise pick coincident surfaces for TAPR, where zeta falls to P.
+least d_min and MIN_DISTANCE, as build_topology requires; with d_min = 0 the
+scan would otherwise pick coincident surfaces for TAPR, where zeta falls to P.
 
 A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
 refused before any array is built, and no temporary holds more floats than
@@ -47,8 +47,8 @@ import numpy as np
 from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star
-from .scenario import (SystemParams, TAPR, Topology, build_topology,
-                       check_min_distance, check_scheme)
+from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topology,
+                       build_topology, check_min_distance, check_position, check_scheme)
 from .snr import objective_constants
 
 # consecutive columns of one line that _row_minima bounds together
@@ -81,12 +81,14 @@ class PlacementGrid:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"grid step must be a finite number > 0, got {self.step!r}")
-        if not math.isfinite(self.height):
-            raise ConfigError(f"grid height must be finite, got {self.height!r}")
+        if not abs(self.height) <= MAX_COORDINATE:
+            raise ConfigError(f"grid height must lie within the domain's "
+                              f"+/-{MAX_COORDINATE:g} m, got {self.height!r}")
         check_min_distance(self.d_min)
         for lo, hi in (self.xa_bounds, self.ya_bounds, self.xb_bounds, self.yb_bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"grid bounds must be finite, got ({lo}, {hi})")
+            if not (abs(lo) <= MAX_COORDINATE and abs(hi) <= MAX_COORDINATE):
+                raise ConfigError(f"grid bounds must lie within the domain's "
+                                  f"+/-{MAX_COORDINATE:g} m, got ({lo}, {hi})")
             if hi < lo:
                 raise ConfigError(f"degenerate bounds ({lo}, {hi})")
 
@@ -142,7 +144,7 @@ class _Geometry:
     ya: np.ndarray
     xb: np.ndarray
     yb: np.ndarray
-    least: float  # smallest admissible link distance: d_min, and never 0
+    least: float  # smallest admissible link distance: d_min and MIN_DISTANCE
     d_row: np.ndarray  # d1 for TAPR, d3 for TPAR
     d_col: np.ndarray  # d3 for TAPR, d1 for TPAR
     f_col: np.ndarray  # d_col^2, so F = d2^2*f_col
@@ -168,8 +170,8 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
     """The allocation-free part of a scan over grid for these Tx and Rx and
     this scheme."""
     _check_size(grid)
-    tx = np.asarray(pos_tx, dtype=float)
-    rx = np.asarray(pos_rx, dtype=float)
+    tx = check_position("pos_tx", pos_tx)
+    rx = check_position("pos_rx", pos_rx)
     xa, ya, xb, yb = (grid.axis(b) for b in
                       (grid.xa_bounds, grid.ya_bounds, grid.xb_bounds, grid.yb_bounds))
     h = grid.height
@@ -179,10 +181,7 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d1, d3, (xa, ya, xb, yb)
     else:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d3, d1, (xb, yb, xa, ya)
-    # build_topology refuses a zero link distance even at d_min = 0, and
-    # math.ulp(0.0) is the smallest positive float, so d >= least is d >= d_min
-    # and d > 0
-    least = max(grid.d_min, math.ulp(0.0))
+    least = max(grid.d_min, MIN_DISTANCE)  # as build_topology requires
     gap_x = (x_col[None, :] - x_row[:, None]) ** 2
     gap_y = (y_col[None, :] - y_row[:, None]) ** 2
     f_col = d_col ** 2

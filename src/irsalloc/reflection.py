@@ -12,7 +12,6 @@ diagonal reflection, e.g. Psi = amp_first*diag(e^{j*phases_first}), as a gain ve
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +50,12 @@ def optimal_phases(channels: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
     return phases_first, phases_second
 
 
-def _root(pv: float, d_sq, den):
-    """sqrt(pv*d_sq/den) with pv as pv/4^e, in [0.25, 1), times 2^e: a large pv
-    cannot overflow it, and it is the plain root bit for bit wherever that is
-    finite, as scaling by a power of two is exact."""
-    e = math.frexp(pv)[1] // 2
-    return np.sqrt(math.ldexp(pv, -2 * e) * d_sq / den) * 2.0 ** e
-
-
 def alpha_star(params: SystemParams, d1, x_act):
     """Active-first amplification factor saturating the output-power budget;
     0 at d1 = 0. Array-friendly in d1 and x_act."""
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, sv2 = params.ref_gain, params.amp_noise_power
-    return _root(pv, d1 ** 2, pt * rho * x_act + d1 ** 2 * sv2 * x_act)
+    return np.sqrt(pv * d1 ** 2 / (pt * rho * x_act + d1 ** 2 * sv2 * x_act))
 
 
 def beta_star(params: SystemParams, d1, d2, x_act, x_pas):
@@ -72,8 +63,8 @@ def beta_star(params: SystemParams, d1, d2, x_act, x_pas):
     traversed Tx -> passive surface -> active surface. Array-friendly."""
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, sv2 = params.ref_gain, params.amp_noise_power
-    return _root(pv, d2 ** 2,
-                 pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2 + d2 ** 2 * sv2 * x_act)
+    return np.sqrt(pv * d2 ** 2 /
+                   (pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2 + d2 ** 2 * sv2 * x_act))
 
 
 def optimal_amplitude(params: SystemParams, topo: Topology, alloc) -> float:

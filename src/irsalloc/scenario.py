@@ -1,9 +1,14 @@
-"""Units, system parameters, node positions and link distances.
+"""Units, system parameters, node positions and link distances, and the
+numeric domain they must lie in.
 
 Link directions belong to the channel model (channel.py); the allocation and
 placement results depend on the geometry only through d1, d2 and d3.
 Everything downstream of this module works in linear SI units (watts,
 meters, dimensionless gains); dBm/dB appear only at the config boundary.
+
+An input outside DOMAIN and the bounds after it raises ConfigError (or
+DistanceTooSmall for a link distance). Inside them every intermediate value
+of every formula is a finite float, so no formula guards against overflow.
 """
 
 from __future__ import annotations
@@ -55,16 +60,9 @@ def linear_to_db(g):
     return 10.0 * np.log10(g)
 
 
-# from this magnitude numbers print in exponent form: past 2**53 a float's
-# integer digits are not exact, and 1e300 written out runs to 301 digits
-EXPONENT_FROM = 1e16
-
-
 def fmt_number(v, decimals: int) -> str:
-    """v with the given decimals, or from EXPONENT_FROM on in exponent form
-    with six significant digits."""
-    v = float(v)
-    return f"{v:.{decimals}f}" if abs(v) < EXPONENT_FROM else f"{v:.6g}"
+    """v in fixed form with the given decimals."""
+    return f"{float(v):.{decimals}f}"
 
 
 def free_space_ref_gain(wavelength: float) -> float:
@@ -88,6 +86,44 @@ def check_positive(name: str, value) -> float:
     return float(value)
 
 
+# ---------------------------------------------------------------- the domain
+
+# (low, high) of each SystemParams field, in linear SI units
+DOMAIN = {
+    "transmit_power": (1e-15, 1e6),     # W, -120..90 dBm
+    "amp_power_budget": (1e-15, 1e6),   # W, -120..90 dBm
+    "rx_noise_power": (1e-21, 1e-3),    # W, -180..0 dBm
+    "amp_noise_power": (1e-21, 1e-3),   # W, -180..0 dBm
+    "ref_gain": (1e-12, 1.0),           # -120..0 dB; 1 is a lossless passive channel
+    "wavelength": (1e-4, 1e2),          # m
+    "cost_active": (1e-3, 1e6),
+    "cost_passive": (1e-3, 1e3),
+    "total_budget": (2e-3, 1e12),
+}
+MAX_COST_RATIO = 1e3    # cost_active/cost_passive
+MAX_ELEMENTS = 1e9      # elements of one kind, and of a budget's cheaper kind
+MAX_COORDINATE = 1e6    # m, |c| of every node and grid coordinate
+MIN_DISTANCE = 1e-9     # m, every link distance, whatever d_min
+
+
+def check_budget(budget, cost: float) -> float:
+    """budget as a float; ConfigError unless it is a finite real affording at
+    most MAX_ELEMENTS elements of the given cost (feasibility is the solver's)."""
+    if not is_finite_real(budget) or budget > MAX_ELEMENTS * cost:
+        raise ConfigError(f"budget must be a finite number within the domain's "
+                          f"{MAX_ELEMENTS:g} elements of cost {cost:g}, got {budget!r}")
+    return float(budget)
+
+
+def check_position(label: str, pos) -> np.ndarray:
+    """pos as a float array; ConfigError unless it is three coordinates in the domain."""
+    p = np.asarray(pos, dtype=float)
+    if p.shape != (3,) or not np.all(np.abs(p) <= MAX_COORDINATE):
+        raise ConfigError(f"{label} must be three coordinates within the domain's "
+                          f"+/-{MAX_COORDINATE:g} m, got {pos!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Scenario-wide powers, noise levels and element costs (linear units).
@@ -107,16 +143,17 @@ class SystemParams:
     total_budget: float       # M, budget units
 
     def __post_init__(self):
-        for name in ("transmit_power", "amp_power_budget", "rx_noise_power",
-                     "amp_noise_power", "ref_gain", "wavelength",
-                     "cost_active", "cost_passive", "total_budget"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
-        if self.ref_gain > 1.0:
-            raise ConfigError("ref_gain must not exceed 1 (passive channel)")
-        if self.cost_active < self.cost_passive:
-            raise ConfigError("cost_active must be >= cost_passive")
+        for name, (lo, hi) in DOMAIN.items():
+            value = getattr(self, name)
+            if not (is_finite_real(value) and lo <= value <= hi):
+                raise ConfigError(f"{name} must lie in the domain [{lo:g}, {hi:g}], got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not self.cost_passive <= self.cost_active <= MAX_COST_RATIO * self.cost_passive:
+            raise ConfigError(f"cost_active/cost_passive must lie in the domain "
+                              f"[1, {MAX_COST_RATIO:g}]")
         if self.total_budget < self.cost_active + self.cost_passive:
             raise ConfigError("total_budget must afford at least one element of each kind")
+        check_budget(self.total_budget, self.cost_passive)
 
 
 @dataclass(frozen=True)
@@ -133,13 +170,6 @@ class Topology:
     d_min: float = 1.0
 
 
-def _position(label: str, pos) -> np.ndarray:
-    p = np.asarray(pos, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ConfigError(f"{label} must be three finite coordinates, got {pos!r}")
-    return p
-
-
 def check_min_distance(d_min) -> None:
     """Raise ConfigError unless d_min is a finite number >= 0."""
     if not is_finite_real(d_min) or d_min < 0:
@@ -147,21 +177,22 @@ def check_min_distance(d_min) -> None:
 
 
 def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> Topology:
-    """Check the four node positions and derive the three link distances."""
+    """Check the four node positions and derive the three link distances,
+    each at least d_min and MIN_DISTANCE."""
     check_min_distance(d_min)
-    tx = _position("pos_tx", pos_tx)
-    a = _position("pos_irs_a", pos_irs_a)
-    b = _position("pos_irs_b", pos_irs_b)
-    rx = _position("pos_rx", pos_rx)
+    tx = check_position("pos_tx", pos_tx)
+    a = check_position("pos_irs_a", pos_irs_a)
+    b = check_position("pos_irs_b", pos_irs_b)
+    rx = check_position("pos_rx", pos_rx)
     d1 = float(np.linalg.norm(a - tx))
     d2 = float(np.linalg.norm(b - a))
     d3 = float(np.linalg.norm(rx - b))
     for label, d in (("Tx<->A-IRS", d1), ("A-IRS<->B-IRS", d2), ("B-IRS<->Rx", d3)):
         if d < d_min:
             raise DistanceTooSmall(f"{label} distance {d:.6g} m < d_min {d_min:.6g} m")
-        if d == 0.0:
-            # only reachable with d_min = 0: placement and zeta divide by d
-            raise DistanceTooSmall(f"{label} distance is 0 m: the nodes coincide")
+        if d < MIN_DISTANCE:
+            raise DistanceTooSmall(f"{label} distance {d:.6g} m < the domain's "
+                                   f"{MIN_DISTANCE:g} m: the nodes coincide")
     return Topology(pos_tx=tuple(tx), pos_irs_a=tuple(a), pos_irs_b=tuple(b),
                     pos_rx=tuple(rx), d1=d1, d2=d2, d3=d3, d_min=d_min)
 

@@ -220,7 +220,7 @@ _MC_CHUNK = 2 ** 18
 _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # Blocks in flight per thread. Two keep every thread busy while the oldest
-# block's sums are collected.
+# block's sum is collected.
 _MC_WINDOW = 2
 
 
@@ -237,16 +237,18 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
                            seed: int) -> LinkBudget:
     """Sample-level SNR estimate from the received-signal model.
 
-    Unit-modulus symbols, per-element circular complex Gaussian amplification
-    noise (variance sigma_v^2) and receiver noise (sigma_0^2) are drawn
-    explicitly; signal and noise parts are tracked separately and the SNR is
-    the ratio of their sample powers.
+    The symbols have unit modulus, so every sample's signal power is
+    Pt*|cascade|^2 and no symbol is drawn: the meter checks the noise model,
+    and snr_exact_matrix carries the signal path. Per-element circular complex
+    Gaussian amplification noise (variance sigma_v^2) and receiver noise
+    (sigma_0^2) are drawn explicitly, and the SNR is the signal power over
+    the noise's sample power.
 
     The samples are cut into blocks of _MC_BLOCK. Block k builds its own
     generator when it runs, Generator(SFC64(SeedSequence(seed,
     spawn_key=(k,)))), whose stream is the same as that of
     SeedSequence(seed).spawn(n_blocks)[k], and the blocks run on a pool of
-    min(_MC_WORKERS, n_blocks) threads. The per-block sums are
+    min(_MC_WORKERS, n_blocks) threads. The per-block noise sums are
     combined in block order with math.fsum, so the result depends on the seed
     alone: the same number for any worker count and any order in which
     blocks finish. At most _MC_WINDOW blocks per thread are in flight: the
@@ -285,11 +287,10 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
 
     n_blocks = -(-num_samples // _MC_BLOCK)
 
-    def block_sums(k: int) -> tuple[float, float]:
+    def block_noise(k: int) -> float:
         m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(seed, spawn_key=(k,))))
-        symbols = np.exp(2j * math.pi * rng.random(m))
         buf = np.empty((rows, row_floats))
         received = np.empty(m, dtype=np.complex128)
         for s in range(0, m, rows):
@@ -297,8 +298,7 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
             rng.standard_normal(out=buf[:c])
             # einsum, not @: BLAS threads would spin against the pool's threads
             np.einsum("ij,j->i", buf[:c].view(np.complex128), weights, out=received[s:s + c])
-        return (float(np.sum(np.abs(cascade * symbols) ** 2)),
-                float(np.sum(np.abs(received) ** 2)))
+        return float(np.sum(np.abs(received) ** 2))
 
     workers = min(_MC_WORKERS, n_blocks)
     sums = []
@@ -307,12 +307,12 @@ def simulate_empirical_snr(params: SystemParams, topo: Topology, alloc,
         for k in range(n_blocks):
             if len(pending) == _MC_WINDOW * workers:
                 sums.append(pending.popleft().result())
-            pending.append(pool.submit(block_sums, k))
+            pending.append(pool.submit(block_noise, k))
         sums.extend(future.result() for future in pending)
 
-    signal = math.fsum(s for s, _ in sums) / num_samples * params.transmit_power
-    noise = math.fsum(n for _, n in sums) / num_samples
-    snr = math.inf if noise == 0.0 else signal / noise
+    signal = float(params.transmit_power * abs(cascade) ** 2)
+    noise = math.fsum(sums) / num_samples
+    snr = signal / noise
     return LinkBudget(scheme=alloc.scheme, snr=snr, rate=rate_from_snr(snr),
                       signal_power=signal, amp_noise_power_at_rx=None,
                       rx_noise_power=None)

@@ -103,9 +103,10 @@ def test_solve_continuous_vs_dense_grid():
 
 def test_solve_continuous_root_below_split_far_apart(params):
     # at d2 ~ 1e6 m, A/B is so small that the root lies under 5e-10 relative
-    # below u0 = 2M/(3*W_pas); the computed root must stay below u0
-    topo = build_topology((0.0, 0.0, 0.0), (15.0, 5.0, 10.0),
-                          (1e6, 5.0, 10.0), (1e6 + 2.0, 0.0, 0.0))
+    # below u0 = 2M/(3*W_pas); the computed root must stay below u0. The nodes
+    # sit about x = -5e5 and 5e5, inside the domain's +/-1e6 m coordinates
+    topo = build_topology((-5e5, 0.0, 0.0), (-5e5 + 15.0, 5.0, 10.0),
+                          (5e5, 5.0, 10.0), (5e5 + 2.0, 0.0, 0.0))
     u0 = 2.0 * params.total_budget / (3.0 * params.cost_passive)
     for scheme in ("TAPR", "TPAR"):
         n_pas = solve_continuous(params, topo, scheme).allocation.n_pas
@@ -183,9 +184,11 @@ def test_optimal_matches_brute_force_when_tpar_cap_binds():
 
 
 def test_tpar_cap_at_extreme_amplifier_power(params, topo):
-    # at 3000 dBm the cap's q overflows a float: it binds nowhere and warns
-    # of nothing (pytest turns warnings into errors)
-    p = replace(params, amp_power_budget=dbm_to_watts(3000.0))
+    # 3000 dBm is outside the domain; at its top, 90 dBm, the cap binds
+    # nowhere and warns of nothing (pytest turns warnings into errors)
+    with pytest.raises(ConfigError, match="domain"):
+        replace(params, amp_power_budget=dbm_to_watts(3000.0))
+    p = replace(params, amp_power_budget=dbm_to_watts(90.0))
     n_act = np.arange(1.0, 300.0)
     hi = affordable(p.total_budget, p.cost_active * n_act, p.cost_passive)
     assert np.array_equal(_largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget), hi)
@@ -281,6 +284,31 @@ def test_budget_override_must_be_finite_real(params, topo, budget):
     for method in ("optimal", "closed-form"):
         with pytest.raises(ConfigError):
             solve_integer(params, topo, "TPAR", method=method, budget=budget)
+
+
+def test_budget_override_within_domain(params, topo):
+    # a budget that affords more than the domain's 1e9 elements of its
+    # cheaper kind is refused as a total budget is
+    with pytest.raises(ConfigError, match="domain"):
+        closed_form_split(2e9, 5.0, 1.0, "TAPR")
+    with pytest.raises(ConfigError, match="domain"):
+        closed_form_split(2e9, 1.0, 5.0, "TAPR")
+    with pytest.raises(ConfigError, match="domain"):
+        solve_continuous(params, topo, "TAPR", budget=2e9)
+    for method in ("optimal", "closed-form", "exhaustive"):
+        with pytest.raises(ConfigError, match="domain"):
+            solve_integer(params, topo, "TPAR", method=method, budget=2e9)
+    assert closed_form_split(1e9, 5.0, 1.0, "TAPR").n_pas == pytest.approx(2e9 / 3.0,
+                                                                           rel=1e-15, abs=0.0)
+
+
+def test_allocation_counts_within_domain():
+    assert Allocation(1e9, 1e9, "TAPR").n_act == 1e9
+    for bad in (1e9 + 1.0, 1e300):
+        with pytest.raises(ValueError, match="1e\\+09"):
+            Allocation(bad, 1, "TAPR")
+        with pytest.raises(ValueError, match="1e\\+09"):
+            Allocation(1.0, bad, "TPAR", continuous=True)
 
 
 def test_infeasible_budget(params, topo):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsalloc import (InfeasibleBudget, SearchSpaceTooLarge, SystemParams, build_topology,
-                      dbm_to_watts)
+from irsalloc import (ConfigError, DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge,
+                      SystemParams, build_topology, dbm_to_watts)
 from irsalloc.benchmarks import (
     DOUBLE_PIRS, HYBRID_IRS, SINGLE_AIRS, SINGLE_PIRS, rate_double_pirs,
     rate_hybrid_irs, rate_single_airs, rate_single_pirs, run_benchmark,
@@ -105,8 +105,19 @@ def test_single_airs_matrix_oracle(params, topo):
     assert out == pytest.approx(params.amp_power_budget, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("system", [SINGLE_PIRS, SINGLE_AIRS, HYBRID_IRS])
+def test_site_on_an_end_node_is_refused(params, system):
+    # B sits on Tx: no link of the topology is short, but single-surface
+    # systems at site B would divide by its zero distance to Tx
+    topo = build_topology((0.0, 0.0, 0.0), (15.0, 5.0, 10.0), (0.0, 0.0, 0.0),
+                          (100.0, 0.0, 0.0))
+    with pytest.raises(DistanceTooSmall, match="Tx or Rx"):
+        run_benchmark(system, params, topo)
+
+
 def test_single_airs_low_noise_limit(topo):
-    params = baseline_params(amp_noise_power=1e-30)
+    # amplification noise at the domain's floor, 1e-21 W
+    params = baseline_params(amp_noise_power=1e-21)
     res = rate_single_airs(params, topo)
     da, db = min((site_distances(topo, "A"), site_distances(topo, "B")),
                  key=lambda t: t[1])
@@ -117,19 +128,22 @@ def test_single_airs_low_noise_limit(topo):
 
 @pytest.mark.parametrize("budget", [1e12, 1e300])
 def test_single_airs_count_capped_by_amplitude(params, topo, budget):
-    # the budget affords far more elements than Pv can drive at alpha* >= 1:
-    # the count is the largest whose alpha* is still >= 1
-    res = rate_single_airs(replace(params, total_budget=budget), topo)
+    # a budget beyond the domain's 1e9 elements is refused; 1e9 still affords
+    # far more elements than Pv can drive at alpha* >= 1 (4,871,311): the
+    # count is the largest whose alpha* is still >= 1
+    with pytest.raises(ConfigError, match="domain"):
+        replace(params, total_budget=budget)
+    res = rate_single_airs(replace(params, total_budget=1e9), topo)
     da, _ = site_distances(topo, res.site)
     assert res.amplitude >= 1.0
     assert res.amplitude == float(alpha_star(params, da, res.n_act))
     assert alpha_star(params, da, res.n_act + 1.0) < 1.0
-    assert res.n_act < budget / params.cost_active
+    assert res.n_act < 1e9 / params.cost_active
 
 
 def test_single_airs_infeasible_when_no_site_drives_one_element(params, topo):
     # alpha* of one element is below 1 at both sites
-    low = replace(params, amp_power_budget=dbm_to_watts(-3000.0))
+    low = replace(params, amp_power_budget=dbm_to_watts(-120.0))
     assert all(alpha_star(low, site_distances(topo, s)[0], 1.0) < 1.0 for s in "AB")
     with pytest.raises(InfeasibleBudget):
         rate_single_airs(low, topo)

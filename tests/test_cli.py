@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsalloc import (ConfigError, SearchSpaceTooLarge, compare_schemes, dbm_to_watts,
+from irsalloc import (ConfigError, LinkBudget, SearchSpaceTooLarge, compare_schemes,
                       load_scenario)
 from irsalloc.allocation import MAX_SCAN_ROWS
 from irsalloc.cli import (
@@ -97,25 +97,37 @@ def test_sweep_error_rows_do_not_abort(params, topo):
     assert len(rows) == 3
     assert rows[0]["error"] != "" and rows[0]["rate_bps_hz"] == ""
     assert rows[2]["error"] == ""
-    # values whose powers or SNRs overflow a float are error rows too
-    for spec in (SweepSpec("amp-power-dbm", 4000.0, 4000.0, 1.0, ("tapr", "single-pirs"),
-                           "optimal"),
-                 SweepSpec("total-budget", 1e300, 1e300, 1.0, ("single-pirs", "double-pirs"),
-                           "optimal")):
+    # a power that overflows a float in watts, and a budget outside the
+    # domain, are error rows too
+    for spec, cause in (
+            (SweepSpec("amp-power-dbm", 4000.0, 4000.0, 1.0, ("tapr", "single-pirs"),
+                       "optimal"), "float"),
+            (SweepSpec("total-budget", 1e300, 1e300, 1.0, ("single-pirs", "double-pirs"),
+                       "optimal"), "domain")):
         rows = run_sweep(params, topo, spec)
         assert len(rows) == 2
-        assert all("float" in r["error"] and r["rate_bps_hz"] == "" for r in rows)
+        assert all(cause in r["error"] and r["rate_bps_hz"] == "" for r in rows)
 
 
 def test_sweep_quiet_at_extreme_amplifier_power(params, topo):
-    # alpha* no longer overflows at 3060 dBm: every row is a result, with an
-    # active amplitude >= 1, and nothing warns (pytest turns warnings into
+    # at the domain's top amplifier power, 90 dBm, every row is a result, with
+    # an active amplitude >= 1, and nothing warns (pytest turns warnings into
     # errors)
-    spec = SweepSpec("amp-power-dbm", 3060.0, 3060.0, 1.0, ("tapr", "tpar", "single-airs"),
+    spec = SweepSpec("amp-power-dbm", 90.0, 90.0, 1.0, ("tapr", "tpar", "single-airs"),
                      "optimal")
     rows = run_sweep(params, topo, spec)
     assert [r["error"] for r in rows] == ["", "", ""]
     assert all(1.0 <= float(r["amplitude"]) < math.inf for r in rows)
+
+
+def test_sweep_outside_domain_names_the_domain(params, topo):
+    # 3060 dBm fits a float in watts (1e303 W) but lies outside the domain:
+    # every system gets an error row that names the domain, not an overflow
+    spec = SweepSpec("amp-power-dbm", 3060.0, 3060.0, 1.0, ALL_SYSTEMS, "optimal")
+    rows = run_sweep(params, topo, spec)
+    assert [r["system"] for r in rows] == list(ALL_SYSTEMS)
+    assert all("amp_power_budget" in r["error"] and "domain" in r["error"]
+               and "float" not in r["error"] for r in rows)
 
 
 def test_csv_rate_snr_identity(params, topo):
@@ -166,6 +178,18 @@ def test_verify_mutation_hook_fails(params, topo, monkeypatch):
     monkeypatch.setattr(cli, "snr_closed_form", perturbed)
     report = dict((name, ok) for name, ok, _ in run_verify(params, topo, seed=0))
     assert report["matrix-vs-closed-form"] is False
+
+
+def test_verify_fails_on_nan_estimate(baseline_config, monkeypatch, capsys):
+    # a NaN estimate fails its gate: max(0.0, nan) alone would pass it
+    import irsalloc.cli as cli
+
+    def nan_meter(params, topo, alloc, *args, **kwargs):
+        return LinkBudget(scheme=alloc.scheme, snr=math.nan, rate=math.nan)
+
+    monkeypatch.setattr(cli, "simulate_empirical_snr", nan_meter)
+    assert main(["verify", "--config", str(baseline_config)]) == 2
+    assert "FAIL monte-carlo-agreement: worst rel err nan" in capsys.readouterr().out
 
 
 def test_verify_deterministic(params, topo):
@@ -261,6 +285,25 @@ def test_main_config_error_exit_code(baseline_config, tmp_path, capsys):
     assert err.startswith("config error:") and "4000" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, edits", [
+    # nodes 1e-160 m apart: the distances' product underflowed to 0
+    ("sweep", (("pos_irs_a: [15, 5, 10]", "pos_irs_a: [0, 0, 1.0e-160]"),
+               ("d_min_m: 1.0", "d_min_m: 0"))),
+    # a wavelength that made both SNR oracles NaN
+    ("verify", (("wavelength_m: 0.1", "wavelength_m: 1.0e-310"),)),
+])
+def test_main_config_outside_domain(baseline_config, tmp_path, capsys, command, edits):
+    text = baseline_config.read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    cfg = tmp_path / "outside.yaml"
+    cfg.write_text(text)
+    args = ["--param", "total-budget", "--from", "500", "--to", "500", "--step", "1"]
+    assert main([command, "--config", str(cfg)] + (args if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "domain" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["compare", "verify"])
 def test_main_out_only_where_a_csv_is_written(baseline_config, command):
     with pytest.raises(SystemExit) as exc:
@@ -294,33 +337,28 @@ def test_main_sweep_writes_csv(baseline_config, tmp_path):
 
 
 def test_huge_values_print_in_exponent_form(params, topo):
-    by_system = {}
-    for param, value in (("total-budget", 1e300), ("amp-power-dbm", 3000.0)):
+    # sweep values outside the domain give error rows, whose value column
+    # prints them in exponent form; no field runs long
+    for param, value, shown in (("total-budget", 1e300, "1e+300"),
+                                ("amp-power-dbm", 3000.0, "3000")):
         spec = SweepSpec(param, value, value, 1.0, ALL_SYSTEMS, "optimal")
         for row in run_sweep(params, topo, spec):
             assert all(len(field) < 120 for field in row.values())
-            by_system[param, row["system"]] = row
-    budget = by_system["total-budget", "tapr"]
-    assert budget["value"] == "1e+300"
-    assert budget["error"] == "2e+299 n_act rows exceed the scan bound 1000000"
-    assert by_system["total-budget", "hybrid-irs"]["error"] == budget["error"]
-    # single-airs takes the largest count whose alpha* is >= 1, not 2e299
-    airs = by_system["total-budget", "single-airs"]
+            assert row["value"] == shown and "domain" in row["error"]
+    # at the domain's largest budget, single-airs takes the largest count whose
+    # alpha* is >= 1, and prints it in fixed form
+    spec = SweepSpec("total-budget", 1e9, 1e9, 1.0, ("single-airs",), "optimal")
+    airs = run_sweep(params, topo, spec)[0]
+    assert airs["value"] == "1000000000"
     assert airs["n_act"] == "4871311" and float(airs["amplitude"]) >= 1.0
-    # an amplifier that drives every affordable element prints its count in
-    # exponent form
-    strong = replace(params, amp_power_budget=dbm_to_watts(200.0))
-    spec = SweepSpec("total-budget", 1e20, 1e20, 1.0, ("single-airs",), "optimal")
-    assert run_sweep(strong, topo, spec)[0]["n_act"] == "2e+19"
-    tpar = by_system["amp-power-dbm", "tpar"]
-    assert (tpar["n_act"], tpar["n_pas"], tpar["amplitude"]) == ("100", "1000", "1.5526e+151")
 
 
 def test_ordinary_values_keep_fixed_form():
     assert fmt_number(12.3456789, 6) == "12.345679"
     assert fmt_number(9.9e15, 0) == "9900000000000000"
-    assert fmt_number(1e16, 6) == "1e+16"
-    assert fmt_number(-1e16, 0) == "-1e+16"
+    # the domain's largest count, and an amplitude above its largest (about 3e13)
+    assert fmt_number(1e9, 0) == "1000000000"
+    assert fmt_number(1e14, 6) == "100000000000000.000000"
 
 
 @pytest.mark.parametrize("step", ["0", "nan"])

@@ -84,13 +84,25 @@ def test_tie_break_lexicographic(params):
 
 @pytest.mark.parametrize("field, value", [
     ("d_min", math.nan), ("d_min", math.inf), ("d_min", -3.0),
-    ("height", math.nan), ("height", math.inf), ("height", -math.inf)])
+    ("height", math.nan), ("height", math.inf), ("height", -math.inf), ("height", 2e6)])
 def test_grid_rejects_bad_height_and_min_distance(field, value):
     kw = dict(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0), xb_bounds=(90.0, 100.0),
               yb_bounds=(0.0, 4.0), step=2.0, height=10.0, d_min=1.0)
     kw[field] = value
     with pytest.raises(ConfigError, match="d_min" if field == "d_min" else "height"):
         PlacementGrid(**kw)
+
+
+def test_placement_coordinates_within_domain(params):
+    # grid bounds and end nodes beyond the domain's +/-1e6 m are refused
+    # before any array is built
+    with pytest.raises(ConfigError, match="domain"):
+        PlacementGrid(xa_bounds=(10.0, 2e6), ya_bounds=(0.0, 4.0),
+                      xb_bounds=(90.0, 100.0), yb_bounds=(0.0, 4.0))
+    for tx, rx in ((TX, (2e6, 0.0, 0.0)), ((math.nan, 0.0, 0.0), RX)):
+        with pytest.raises(ConfigError, match="domain"):
+            optimize_placement_given_allocation(
+                params, Allocation(100, 1000, "TAPR"), small_grid(step=2.0), tx, rx)
 
 
 def test_no_feasible_placement(params):

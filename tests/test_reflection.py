@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irsalloc import (Allocation, build_channels, build_topology, dbm_to_watts,
-                      optimal_phases)
+from irsalloc import (Allocation, ConfigError, build_channels, build_topology,
+                      dbm_to_watts, optimal_phases)
 from irsalloc.reflection import alpha_star, beta_star, configure, optimal_amplitude
 from conftest import (baseline_params, inter_surface_matrix, random_scenario,
                       reflection_matrices)
@@ -95,27 +95,26 @@ def test_amplitudes_keep_plain_quotient_bits():
 
 @pytest.mark.parametrize("dbm", [3060.0, 3100.0])
 def test_amplitudes_at_extreme_amplifier_power(topo, dbm):
-    # Pv*d1^2/(...) overflows from about 3060 dBm; the amplitudes stay finite,
-    # warn of nothing (pytest turns warnings into errors) and are exactly
-    # 2^500 times those at Pv/4^500
-    high = baseline_params(amp_power_budget=dbm_to_watts(dbm))
-    low = baseline_params(amp_power_budget=math.ldexp(high.amp_power_budget, -1000))
-    alpha = alpha_star(high, topo.d1, 100.0)
-    assert 1.0 < alpha < math.inf
-    assert alpha == alpha_star(low, topo.d1, 100.0) * 2.0 ** 500
-    beta = beta_star(high, topo.d1, topo.d2, 100.0, 1000.0)
-    assert 1.0 < beta < math.inf
-    assert beta == beta_star(low, topo.d1, topo.d2, 100.0, 1000.0) * 2.0 ** 500
+    # Pv*d1^2/(...) would overflow from about 3060 dBm, which lies outside the
+    # domain; at its top, 90 dBm, the amplitudes are finite and warn of
+    # nothing (pytest turns warnings into errors)
+    with pytest.raises(ConfigError, match="domain"):
+        baseline_params(amp_power_budget=dbm_to_watts(dbm))
+    high = baseline_params(amp_power_budget=dbm_to_watts(90.0))
+    assert 1.0 < alpha_star(high, topo.d1, 100.0) < math.inf
+    assert 1.0 < beta_star(high, topo.d1, topo.d2, 100.0, 1000.0) < math.inf
     # a surface on the transmitter gets alpha* = 0, quietly
     assert alpha_star(high, np.array([0.0]), 100.0)[0] == 0.0
 
 
 def test_beta_star_pin():
+    # noise powers at the domain's top, 1e-3 W
     params = baseline_params(transmit_power=0.01, amp_power_budget=0.01,
-                             rx_noise_power=0.01, amp_noise_power=0.01)
+                             rx_noise_power=1e-3, amp_noise_power=1e-3)
     topo = build_topology((0, 0, 0), (10, 0, 0), (10, 10, 0), (20, 10, 0))
     assert topo.d1 == topo.d2 == 10.0
-    pt = pv = sv2 = 0.01
+    pt = pv = 0.01
+    sv2 = 1e-3
     rho = params.ref_gain
     expected = math.sqrt(pv * 100.0 / (pt * rho ** 2 / 100.0 + 100.0 * sv2))
     got = optimal_amplitude(params, topo, Allocation(1, 1, "TPAR"))

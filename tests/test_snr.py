@@ -67,7 +67,8 @@ def test_scalar_cascade_hand_computation(params, topo):
 
 
 def test_noiseless_amplifier_limit(topo):
-    params = baseline_params(amp_noise_power=1e-40)
+    # amplification noise at the domain's floor, 1e-21 W
+    params = baseline_params(amp_noise_power=1e-21)
     alloc = Allocation(8, 32, "TAPR")
     ch = build_channels(params, topo, alloc)
     refl = configure(params, topo, alloc, ch)
@@ -78,6 +79,13 @@ def test_noiseless_amplifier_limit(topo):
                 / (topo.d1 ** 2 * topo.d2 ** 2 * topo.d3 ** 2
                    * params.rx_noise_power))
     assert lb.snr == pytest.approx(expected, rel=1e-6, abs=0.0)
+
+
+def test_closed_form_refuses_counts_beyond_domain(params, topo):
+    # counts above the domain's 1e9 elements are refused as the allocation is
+    # built, before any arithmetic; at 1e300, zeta's x_pas**2 overflowed
+    with pytest.raises(ValueError, match="1e\\+09"):
+        snr_closed_form(params, topo, Allocation(1e300, 1e300, "TAPR"))
 
 
 def test_matrix_equals_closed_form_baseline(params, topo):
@@ -271,8 +279,9 @@ def test_monte_carlo_deterministic(params, topo):
 
 def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
     """Serial reference for simulate_empirical_snr: the same per-block
-    streams and draws, with the amplification and receiver noise assembled
-    term by term; returns (signal power, noise power)."""
+    streams and noise draws, with the amplification and receiver noise
+    assembled term by term; the unit-modulus symbols leave every sample's
+    signal power at Pt*|cascade|^2. Returns (signal power, noise power)."""
     ch = build_channels(params, topo, alloc)
     psi, phi = reflection_matrices(refl)
     through_second = ch.h.conj() @ phi
@@ -281,17 +290,15 @@ def monte_carlo_oracle(params, topo, alloc, refl, num_samples, seed):
     weights = through_both if alloc.scheme == "TAPR" else through_second
     n = weights.shape[0]
     n_blocks = math.ceil(num_samples / _MC_BLOCK)
-    signal = noise = 0.0
+    noise = 0.0
     for k, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         m = min(_MC_BLOCK, num_samples - k * _MC_BLOCK)
         rng = np.random.Generator(np.random.SFC64(stream))
-        symbols = np.exp(2j * math.pi * rng.random(m))
         g = rng.standard_normal((m, 2 * (n + 1)))
         v = math.sqrt(params.amp_noise_power / 2) * (g[:, 0:2 * n:2] + 1j * g[:, 1:2 * n:2])
         n0 = math.sqrt(params.rx_noise_power / 2) * (g[:, 2 * n] + 1j * g[:, 2 * n + 1])
-        signal += float(np.sum(np.abs(cascade * symbols) ** 2))
         noise += float(np.sum(np.abs(v @ weights + n0) ** 2))
-    return signal / num_samples * params.transmit_power, noise / num_samples
+    return params.transmit_power * abs(cascade) ** 2, noise / num_samples
 
 
 @pytest.mark.parametrize("num_samples", [1, 1000, 2 * _MC_BLOCK + 17])
