@@ -13,24 +13,29 @@ F = d1^2*d2^2.
 The geometry depends only on the grid, the Tx and Rx positions and the
 scheme; alternating_optimize builds it once per run. It holds the real grid
 axes, each surface's distances to its end node, the squared x and y gaps
-between the surfaces, and m, the smallest F of each row over the columns
-that pass the distance test, equal to a dense minimum bit for bit (see
-_row_minima).
+between the surfaces, and m, a lower bound of each row's F over the columns
+that pass the distance test (see _row_bound). For each line of columns (one
+column x) it takes the row's x gap to the line plus the row's smallest y gap,
+times the line's smallest admissible factor (d3^2 for TAPR, d1^2 for TPAR),
+and keeps the smallest over the lines. Each of those terms is at most the
+one it stands for in F, and adding and multiplying non-negative floats never
+decreases under IEEE round-to-nearest, so m is at most, bit for bit, every F
+the scan forms from an admissible column.
 
 The scan for one allocation takes L = P + C*m for every row that passes its
-own tests. Adding and multiplying non-negative floats never decreases under
-IEEE round-to-nearest, so L is, bit for bit, the smallest zeta the scan
-computes in the row before the pair tests (d2 >= d_min and, for TPAR,
-beta* >= 1), which only remove candidates. Rows are evaluated whole, with
-every test, in ascending order of L, in chunks that double from one row up
-to _CHUNK candidates, until the next L exceeds the tie cut; the answer
-equals that of a scan of the joint grid. Every link distance must be at
-least d_min and MIN_DISTANCE, as build_topology requires; with d_min = 0 the
-scan would otherwise pick coincident surfaces for TAPR, where zeta falls to P.
+own tests; by the same rounding argument L is at most, bit for bit, every
+zeta the scan computes in the row from an admissible column, whatever the
+pair tests (d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated
+whole, with every test, in ascending order of L, in chunks that double from
+one row up to _CHUNK candidates, until the next L exceeds the tie cut; the
+answer equals that of a scan of the joint grid. Every link distance must be
+at least d_min and MIN_DISTANCE, as build_topology requires; with d_min = 0
+the scan would otherwise pick coincident surfaces for TAPR, where zeta falls
+to P.
 
 A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
 refused before any array is built, and no temporary holds more floats than
-SEGMENT*_CHUNK or a geometry array, so a scan never holds the joint grid.
+_CHUNK or a geometry array, so a scan never holds the joint grid.
 
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
@@ -51,15 +56,14 @@ from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topolog
                        build_topology, check_min_distance, check_position, check_scheme)
 from .snr import objective_constants
 
-# consecutive columns of one line that _row_minima bounds together
-SEGMENT = 8
 # entries of the largest geometry array a grid may need (one surface's
 # points, or the squared gaps between two parallel axes): 4 MB per float64
-# array, and a scan's peak stays near 160 B per surface point, about 85 MB at
-# the bound; the baseline +/-15 m x +/-5 m boxes need 90,601 (the x gaps) at
-# 0.1 m and 361,201 at 0.05 m
+# array; a scan's peak stays within about 160 B per surface point
+# (tracemalloc: 62-82 MB with four 724-point axes at the bound, 15-19 MB on
+# the baseline +/-15 m x +/-5 m boxes at 0.05 m); those boxes need 90,601
+# entries (the x gaps) at 0.1 m and 361,201 at 0.05 m
 _MAX_GRID_POINTS = 2 ** 19
-# floats in one temporary of the row minima or of a chunk of scanned rows
+# floats in one temporary of the row bound or of a chunk of scanned rows
 _CHUNK = 2 ** 14
 # stopping rule of alternating_optimize
 AO_TOL = 1e-6
@@ -151,7 +155,7 @@ class _Geometry:
     far_col: np.ndarray  # d_col >= least
     gap_x: np.ndarray  # squared x gaps
     gap_y: np.ndarray  # squared y gaps
-    m: np.ndarray  # smallest F of each row over the columns in far_col; inf if none
+    m: np.ndarray  # a lower bound of each row's F over far_col (_row_bound); inf if none
 
 
 def _check_size(grid: PlacementGrid) -> None:
@@ -189,59 +193,26 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
     return _Geometry(
         grid=grid, scheme=scheme, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, least=least,
         d_row=d_row, d_col=d_col, f_col=f_col, far_col=far_col,
-        gap_x=gap_x, gap_y=gap_y, m=_row_minima(gap_x, gap_y, f_col, far_col))
+        gap_x=gap_x, gap_y=gap_y, m=_row_bound(gap_x, gap_y, f_col, far_col))
 
 
-def _row_minima(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
-                ok: np.ndarray) -> np.ndarray:
-    """m[i, j], the smallest (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
-    columns (k, l) in ok, inf where there are none.
-
-    A line is the columns of one k, cut into segments of SEGMENT l (the last
-    repeats the line's last column). A row's F over a line or a segment is at
-    least its smallest gaps to it times its smallest admissible factor. Each
-    row's upper bound is F at that factor's column of its x row's best line;
-    the (x row, line) pairs that may reach it are bounded per (y row,
-    segment), in chunks, and a segment is evaluated whole where its bound
-    reaches the upper bound. Each F is formed as the scan forms it, so m
-    equals a dense minimum bit for bit."""
-    n_i, n_j = gap_x.shape[0], gap_y.shape[0]
-    m = np.full((n_i, n_j), np.inf)
+def _row_bound(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
+               ok: np.ndarray) -> np.ndarray:
+    """low[i, j], a lower bound of (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
+    columns (k, l) in ok, inf where there are none: the smallest, over the
+    lines k with a column in ok, of (gap_x[i, k] + min_l gap_y[j, l]) times
+    the line's smallest factor in ok."""
+    low = np.full((gap_x.shape[0], gap_y.shape[0]), np.inf)
+    # a line with no column in ok has no factor; skipping it forms no 0*inf
     lines = np.flatnonzero(ok.any(axis=1))
-    if not len(lines):
-        return m
-    n_l = f.shape[1]
-    cols = np.minimum(np.arange(-(-n_l // SEGMENT) * SEGMENT), n_l - 1).reshape(-1, SEGMENT)
-    # each line's smallest admissible factor
-    f_ok = np.where(ok, f, np.inf)[lines]
-    line_lo = f_ok.min(axis=1)
-    # the upper bound of each row: F at that factor's column of its x row's
-    # best line
-    gx = gap_x[:, lines]
-    best = (gx * line_lo).argmin(axis=1)
-    k, l = lines[best], f_ok[best].argmin(axis=1)
-    high = (gx[np.arange(n_i), best][:, None] + gap_y[:, l].T) * f[k, l][:, None]
-    # the (x row, line) pairs that may reach it
-    pi, pq = np.nonzero((gx + gap_y.min()) * line_lo <= high.max(axis=1)[:, None])
-    # each segment's smallest admissible factor, 0 where it has none (0*inf
-    # would be nan; seg_ok keeps such a segment from being evaluated), and
-    # each y row's smallest gap to it
-    seg_lo = f_ok[:, cols].min(axis=2)
-    seg_ok = np.isfinite(seg_lo)
-    seg_lo[~seg_ok] = 0.0
-    gy_lo = gap_y[:, cols].min(axis=2)
-    per = max(1, _CHUNK // gy_lo.size)  # pairs per chunk
-    for p0 in range(0, len(pi), per):
-        i, q = pi[p0:p0 + per], pq[p0:p0 + per]
-        # (pair, y row, segment)
-        low = gx[i, q][:, None, None] + gy_lo
-        low *= seg_lo[q][:, None, :]
-        p, j, s = np.nonzero((low <= high[i][:, :, None]) & seg_ok[q][:, None, :])
-        i, q, c = i[p], q[p], cols[s]
-        k = lines[q][:, None]
-        cand = np.where(ok[k, c], (gx[i, q][:, None] + gap_y[j[:, None], c]) * f[k, c], np.inf)
-        np.minimum.at(m, (i, j), cand.min(axis=1))
-    return m
+    gx = gap_x[:, lines].T[:, :, None]
+    f_lo = np.where(ok, f, np.inf)[lines].min(axis=1)[:, None, None]
+    gy_lo = gap_y.min(axis=1)
+    per = max(1, _CHUNK // low.size)  # lines per chunk
+    for q in range(0, len(lines), per):
+        chunk = (gx[q:q + per] + gy_lo) * f_lo[q:q + per]
+        np.minimum(low, chunk.min(axis=0), out=low)
+    return low
 
 
 def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):
@@ -264,8 +235,10 @@ def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
     d2 = np.sqrt(g)
     feasible = (d2 >= geo.least) & geo.far_col
     if alloc.scheme != TAPR:
-        with np.errstate(divide="ignore"):  # beta* = 0 where d1 = 0 (d_min = 0)
-            feasible &= beta_star(params, geo.d_col, d2, alloc.n_act, alloc.n_pas) >= 1.0
+        # d1 as it is on far_col, which alone keeps a column; raised to least
+        # elsewhere, so d1 = 0 (a grid point on Tx with d_min = 0) divides by no 0
+        d1 = np.maximum(geo.d_col, geo.least)
+        feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
     return zeta, feasible
 
 
