@@ -14,18 +14,19 @@ The geometry depends only on the grid, the Tx and Rx positions and the
 scheme; alternating_optimize builds it once per run. It holds the real grid
 axes, each surface's distances to its end node, the squared x and y gaps
 between the surfaces, and m, a lower bound of each row's F over the columns
-that pass the distance test (see _row_bound). For each line of columns (one
-column x) it takes the row's x gap to the line plus the row's smallest y gap,
-times the line's smallest admissible factor (d3^2 for TAPR, d1^2 for TPAR),
-and keeps the smallest over the lines. Each of those terms is at most the
-one it stands for in F, and adding and multiplying non-negative floats never
-decreases under IEEE round-to-nearest, so m is at most, bit for bit, every F
-the scan forms from an admissible column.
+that pass the distance test (see _row_bound). It is separable: the smallest
+over the lines of columns (one column x) of the row's x gap to the line times
+the line's smallest admissible factor (d3^2 for TAPR, d1^2 for TPAR), plus
+the row's smallest y gap times the smallest admissible factor of all, less a
+margin for rounding. So it costs one pass over the x gaps and one over the y
+gaps, and m is at most, bit for bit, every F the scan forms from an
+admissible column.
 
 The scan for one allocation takes L = P + C*m for every row that passes its
-own tests; by the same rounding argument L is at most, bit for bit, every
-zeta the scan computes in the row from an admissible column, whatever the
-pair tests (d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated
+own tests; adding and multiplying non-negative floats never decreases under
+IEEE round-to-nearest, so L is at most, bit for bit, every zeta the scan
+computes in the row from an admissible column, whatever the pair tests
+(d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated
 whole, with every test, in ascending order of L, in chunks that double from
 one row up to _CHUNK candidates, until the next L exceeds the tie cut; the
 answer equals that of a scan of the joint grid. Every link distance must be
@@ -39,7 +40,8 @@ _CHUNK or a geometry array, so a scan never holds the joint grid.
 
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
-the one scanned last reuses that scan's placement.
+the one scanned last reuses that scan's placement, and a placement equal to
+the one solved last reuses that solve's allocation.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .snr import objective_constants
 # the baseline +/-15 m x +/-5 m boxes at 0.05 m); those boxes need 90,601
 # entries (the x gaps) at 0.1 m and 361,201 at 0.05 m
 _MAX_GRID_POINTS = 2 ** 19
-# floats in one temporary of the row bound or of a chunk of scanned rows
+# floats in one temporary of a chunk of scanned rows
 _CHUNK = 2 ** 14
 # stopping rule of alternating_optimize
 AO_TOL = 1e-6
@@ -199,20 +201,27 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
 def _row_bound(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
                ok: np.ndarray) -> np.ndarray:
     """low[i, j], a lower bound of (gap_x[i, k] + gap_y[j, l])*f[k, l] over the
-    columns (k, l) in ok, inf where there are none: the smallest, over the
-    lines k with a column in ok, of (gap_x[i, k] + min_l gap_y[j, l]) times
-    the line's smallest factor in ok."""
-    low = np.full((gap_x.shape[0], gap_y.shape[0]), np.inf)
+    columns (k, l) in ok, inf where there are none.
+
+    With f_k the smallest factor in ok on line k and f_lo the smallest of all,
+    (gx + gy)*f >= gx*f_k + gy*f_lo in real arithmetic, so low_x[i] + low_y[j]
+    bounds every column from below, with low_x[i] = min_k gap_x[i, k]*f_k over
+    the lines with a column in ok and low_y[j] = min_l gap_y[j, l]*f_lo. In
+    floats the bound can gain three roundings (a product, the sum and the
+    margin's product) and a candidate fl(fl(gx + gy)*f) can lose two, each by
+    a relative 2^-53 in the normal range: the factor 1 - 2^-50 covers them.
+    A subnormal product can round by an absolute 2^-1075, which the 2^-1070
+    subtracted covers. Subtracting and clipping at 0 raise no value, so low is
+    at most every candidate, bit for bit.
+    """
     # a line with no column in ok has no factor; skipping it forms no 0*inf
     lines = np.flatnonzero(ok.any(axis=1))
-    gx = gap_x[:, lines].T[:, :, None]
-    f_lo = np.where(ok, f, np.inf)[lines].min(axis=1)[:, None, None]
-    gy_lo = gap_y.min(axis=1)
-    per = max(1, _CHUNK // low.size)  # lines per chunk
-    for q in range(0, len(lines), per):
-        chunk = (gx[q:q + per] + gy_lo) * f_lo[q:q + per]
-        np.minimum(low, chunk.min(axis=0), out=low)
-    return low
+    if not len(lines):
+        return np.full((gap_x.shape[0], gap_y.shape[0]), np.inf)
+    f_line = np.where(ok, f, np.inf)[lines].min(axis=1)
+    low_x = (gap_x[:, lines] * f_line).min(axis=1)
+    low_y = gap_y.min(axis=1) * f_line.min()
+    return np.maximum((low_x[:, None] + low_y) * (1.0 - 2.0 ** -50) - 2.0 ** -1070, 0.0)
 
 
 def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):
@@ -318,13 +327,17 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     prev_rate = -math.inf
     converged = False
     scanned = None  # (allocation, topology) of the last placement scan
+    solved = None  # (topology, solution) of the last integer solve
     for _ in range(AO_MAX_ITERS):
         # the scan is deterministic, so an allocation scanned last time gets
         # the same placement again
         if scanned is None or scanned[0] != sol.allocation:
             scanned = (sol.allocation, _scan(params, sol.allocation, geo))
         topo = scanned[1]
-        sol = solve_integer(params, topo, scheme, method="optimal")
+        # so is the solve: a placement solved last time gets the same allocation
+        if solved is None or solved[0] != topo:
+            solved = (topo, solve_integer(params, topo, scheme, method="optimal"))
+        sol = solved[1]
         iterations.append(AOIteration(topology=topo, allocation=sol.allocation,
                                       amplitude=sol.amplitude, rate=sol.rate))
         if sol.rate - prev_rate < AO_TOL:

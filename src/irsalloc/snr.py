@@ -40,7 +40,7 @@ import numpy as np
 from .channel import ChannelTriple, build_channels
 from .errors import ConditionUndefined, ConfigError, DimensionMismatch
 from .reflection import ReflectionConfig
-from .scenario import SystemParams, TAPR, Topology, check_positive, check_scheme
+from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_positive, check_scheme
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,12 @@ class RegimeReport:
 def check_lemma1(params: SystemParams, topo: Topology, x_pas: float,
                  epsilon: float = 0.1) -> RegimeReport:
     """The regime check at x_pas passive elements; ConfigError unless x_pas
-    and epsilon are positive finite numbers."""
+    and epsilon are positive finite numbers and x_pas is at most the domain's
+    MAX_ELEMENTS."""
     x_pas = check_positive("x_pas", x_pas)
+    if x_pas > MAX_ELEMENTS:
+        raise ConfigError(f"x_pas must be within the domain's {MAX_ELEMENTS:g} elements, "
+                          f"got {x_pas!r}")
     epsilon = check_positive("epsilon", epsilon)
     pt, pv = params.transmit_power, params.amp_power_budget
     rho = params.ref_gain

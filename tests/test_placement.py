@@ -181,6 +181,29 @@ def test_ao_reuses_scan_of_repeated_allocation(params, monkeypatch):
     assert len(scanned) == 2
 
 
+def test_ao_reuses_solve_of_repeated_placement(params, monkeypatch):
+    # as in test_ao_reuses_scan_of_repeated_allocation, the third iteration
+    # reuses the second's placement, so it reuses its integer solve too
+    grid = PlacementGrid(xa_bounds=(0.0, 30.0), ya_bounds=(0.0, 10.0),
+                         xb_bounds=(83.0, 113.0), yb_bounds=(0.0, 10.0),
+                         step=0.5, height=10.0, d_min=1.0)
+    expected = ao_scanning_every_iteration(params, grid, "TPAR", TX, RX)
+    solved = []
+    solve = placement.solve_integer
+
+    def counting_solve(params, topo, scheme, method):
+        solved.append((topo, method))
+        return solve(params, topo, scheme, method=method)
+
+    monkeypatch.setattr(placement, "solve_integer", counting_solve)
+    trace = alternating_optimize(params, grid, "TPAR", TX, RX)
+    assert trace == expected
+    assert len(trace.iterations) == 3
+    assert trace.iterations[1].topology == trace.iterations[2].topology
+    assert [t for t, method in solved if method == "optimal"] == \
+        [it.topology for it in trace.iterations[:2]]
+
+
 def test_ao_builds_geometry_once(params, monkeypatch):
     grid = PlacementGrid(xa_bounds=(0.0, 30.0), ya_bounds=(0.0, 10.0),
                          xb_bounds=(83.0, 113.0), yb_bounds=(0.0, 10.0),
@@ -290,12 +313,13 @@ def test_row_minima_match_dense_minimum_property(case):
 @st.composite
 def row_minima_inputs(draw):
     """Random gaps, factors and masks for _row_bound: 1-point axes, empty,
-    full and sparse masks, zero gaps and factors near 1e-300 and 1e300."""
+    full and sparse masks, zero and subnormal gaps and factors near 1e-300 and
+    1e300."""
     n_i, n_k, n_j, n_l = (draw(st.integers(1, 20)) for _ in range(4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def gaps(shape):
-        g = rng.random(shape) * draw(st.sampled_from((0.0, 1.0, 1e3)))
+        g = rng.random(shape) * draw(st.sampled_from((0.0, 1e-310, 1.0, 1e3)))
         g[rng.random(shape) < draw(st.sampled_from((0.0, 0.3)))] = 0.0
         return g
 
@@ -369,10 +393,9 @@ def test_padded_axes_match_full_grid(params, scheme, points):
 
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
-def test_tie_on_last_point_of_padded_axes(params, scheme):
-    # 9 points per axis, so a column line's second segment repeats its last
-    # column; Tx beyond the A-box and Rx beyond the B-box put the optimum on
-    # the last point of every axis
+def test_tie_on_last_point_of_every_axis(params, scheme):
+    # 9 points per axis; Tx beyond the A-box and Rx beyond the B-box put the
+    # optimum on the last point of every axis
     grid = PlacementGrid(xa_bounds=(10.0, 18.0), ya_bounds=(-8.0, 0.0),
                          xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
                          step=1.0, height=10.0, d_min=1.0)
@@ -430,7 +453,7 @@ def test_tie_across_blocks_takes_smallest_placement(params):
         snr_closed_form(params, topo, alloc).snr
 
 
-@pytest.mark.parametrize("scheme, y, step", [("TAPR", 0.644, 3.541), ("TPAR", -0.941, 3.975)])
+@pytest.mark.parametrize("scheme, y, step", [("TAPR", -0.119, 3.909), ("TPAR", -0.134, 3.619)])
 def test_near_tie_across_rows_takes_smallest_placement(params, scheme, y, step):
     # Tx, Rx and the other surface lie on the line y; the two rows sit at
     # y -/+ step/2, so they tie in exact arithmetic, and in floats the first
@@ -471,10 +494,11 @@ def test_fine_step_memory_bounded(params, topo):
             assert peak < 64 * 2 ** 20, (step, scheme)
 
 
-@pytest.mark.parametrize("step", [0.5, 0.1])
+@pytest.mark.parametrize("step", [0.5, 0.1, 0.05])
 def test_ao_evaluates_few_rows_per_scan(params, topo, step, monkeypatch):
     # on the baseline boxes the row bound ranks the best row first or close
-    # to it: at most 8 of the 1,281 (0.5 m) or 30,401 (0.1 m) rows per scan
+    # to it: at most 8 of the 1,281 (0.5 m), 30,401 (0.1 m) or 120,801
+    # (0.05 m) rows per scan
     grid = baseline_boxes(topo, step)
     per_scan = []
     scan, evaluate = placement._scan, placement._rows

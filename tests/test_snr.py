@@ -198,10 +198,11 @@ def test_lemma1_linear_in_x_pas(params, topo):
     assert r10.lemma1_lhs == pytest.approx(10.0 * r1.lemma1_lhs, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0, True, None])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0, True, None, 1e300])
 def test_lemma1_rejects_bad_inputs(params, topo, bad):
-    with pytest.raises(ConfigError, match="epsilon"):
-        check_lemma1(params, topo, 1000.0, epsilon=bad)
+    if bad != 1e300:  # epsilon has no upper bound; x_pas has the domain's
+        with pytest.raises(ConfigError, match="epsilon"):
+            check_lemma1(params, topo, 1000.0, epsilon=bad)
     with pytest.raises(ConfigError, match="x_pas"):
         check_lemma1(params, topo, bad)
 
