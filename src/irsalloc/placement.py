@@ -10,11 +10,14 @@ C = B'(d1)/(n_act*n_pas^2) and F = d2^2*d3^2; for TPAR the rows are the
 B-surface's points, P = A(d3)/n_act, C = B'(d3)/(n_act*n_pas^2) and
 F = d1^2*d2^2.
 
-The geometry depends only on the grid, the Tx and Rx positions and the
-scheme; alternating_optimize builds it once per run. It holds the real grid
-axes, each surface's distances to its end node, the squared x and y gaps
-between the surfaces, and m, a lower bound of each row's F over the columns
-that pass the distance test (see _row_bound). It is separable: the smallest
+The geometry depends only on the system parameters, the grid, the Tx and Rx
+positions and the scheme, not on the allocation; alternating_optimize builds
+it once per run. It holds the real grid axes, each surface's distances to
+its end node, the row surface's objective constants a and b (so that
+P = a/n_act and C = b/(n_act*n_pas^2)), the squared x and y gaps between the
+surfaces, m, a lower bound of each row's F over the columns that pass the
+distance test (see _row_bound), and rows_ok, the rows that pass their own
+distance test and have such a column. The bound is separable: the smallest
 over the lines of columns (one column x) of the row's x gap to the line times
 the line's smallest admissible factor (d3^2 for TAPR, d1^2 for TPAR), plus
 the row's smallest y gap times the smallest admissible factor of all, less a
@@ -55,15 +58,16 @@ from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star
 from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topology,
-                       build_topology, check_min_distance, check_position, check_scheme)
+                       build_topology, check_min_distance, check_position, check_scheme,
+                       is_finite_real)
 from .snr import objective_constants
 
 # entries of the largest geometry array a grid may need (one surface's
 # points, or the squared gaps between two parallel axes): 4 MB per float64
-# array; a scan's peak stays within about 160 B per surface point
-# (tracemalloc: 62-82 MB with four 724-point axes at the bound, 15-19 MB on
-# the baseline +/-15 m x +/-5 m boxes at 0.05 m); those boxes need 90,601
-# entries (the x gaps) at 0.1 m and 361,201 at 0.05 m
+# array; a scan's peak stays within about 175 B per surface point
+# (tracemalloc: 66.5-81.5 MiB with four 724-point axes at the bound,
+# 16.6-20.0 MiB on the baseline +/-15 m x +/-5 m boxes at 0.05 m); those
+# boxes need 90,601 entries (the x gaps) at 0.1 m and 361,201 at 0.05 m
 _MAX_GRID_POINTS = 2 ** 19
 # floats in one temporary of a chunk of scanned rows
 _CHUNK = 2 ** 14
@@ -85,16 +89,18 @@ class PlacementGrid:
     d_min: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
+        if not (is_finite_real(self.step) and self.step > 0):
             raise ConfigError(f"grid step must be a finite number > 0, got {self.step!r}")
-        if not abs(self.height) <= MAX_COORDINATE:
-            raise ConfigError(f"grid height must lie within the domain's "
+        if not (is_finite_real(self.height) and abs(self.height) <= MAX_COORDINATE):
+            raise ConfigError(f"grid height must be a number within the domain's "
                               f"+/-{MAX_COORDINATE:g} m, got {self.height!r}")
         check_min_distance(self.d_min)
-        for lo, hi in (self.xa_bounds, self.ya_bounds, self.xb_bounds, self.yb_bounds):
-            if not (abs(lo) <= MAX_COORDINATE and abs(hi) <= MAX_COORDINATE):
-                raise ConfigError(f"grid bounds must lie within the domain's "
-                                  f"+/-{MAX_COORDINATE:g} m, got ({lo}, {hi})")
+        for bounds in (self.xa_bounds, self.ya_bounds, self.xb_bounds, self.yb_bounds):
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
+                    is_finite_real(v) and abs(v) <= MAX_COORDINATE for v in bounds)):
+                raise ConfigError(f"grid bounds must be a pair of numbers within the domain's "
+                                  f"+/-{MAX_COORDINATE:g} m, got {bounds!r}")
+            lo, hi = bounds
             if hi < lo:
                 raise ConfigError(f"degenerate bounds ({lo}, {hi})")
 
@@ -132,7 +138,7 @@ def optimize_placement_given_allocation(params: SystemParams, alloc: Allocation,
     then smallest x_B, then smallest y_A, y_B.
     """
     check_scheme(alloc.scheme)
-    return _scan(params, alloc, _geometry(grid, pos_tx, pos_rx, alloc.scheme))
+    return _scan(params, alloc, _geometry(params, grid, pos_tx, pos_rx, alloc.scheme))
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,17 @@ class _Geometry:
     yb: np.ndarray
     least: float  # smallest admissible link distance: d_min and MIN_DISTANCE
     d_row: np.ndarray  # d1 for TAPR, d3 for TPAR
-    d_col: np.ndarray  # d3 for TAPR, d1 for TPAR
-    f_col: np.ndarray  # d_col^2, so F = d2^2*f_col
+    a: np.ndarray  # the row's objective constants: P = a/n_act,
+    b: np.ndarray  # C = b/(n_act*n_pas^2)
+    # d3 for TAPR, d1 for TPAR, raised to least: far_col alone keeps a column,
+    # and beta* then divides by no d1 = 0 (a grid point on Tx with d_min = 0)
+    d_col: np.ndarray
+    f_col: np.ndarray  # the unraised d_col^2, so F = d2^2*f_col
     far_col: np.ndarray  # d_col >= least
     gap_x: np.ndarray  # squared x gaps
     gap_y: np.ndarray  # squared y gaps
     m: np.ndarray  # a lower bound of each row's F over far_col (_row_bound); inf if none
+    rows_ok: np.ndarray  # d_row >= least and a finite m
 
 
 def _check_size(grid: PlacementGrid) -> None:
@@ -172,9 +183,10 @@ def _check_size(grid: PlacementGrid) -> None:
                                   f"than {_MAX_GRID_POINTS} points")
 
 
-def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
-    """The allocation-free part of a scan over grid for these Tx and Rx and
-    this scheme."""
+def _geometry(params: SystemParams, grid: PlacementGrid, pos_tx, pos_rx,
+              scheme: str) -> _Geometry:
+    """The allocation-free part of a scan over grid for these parameters, Tx
+    and Rx and this scheme."""
     _check_size(grid)
     tx = check_position("pos_tx", pos_tx)
     rx = check_position("pos_rx", pos_rx)
@@ -183,19 +195,24 @@ def _geometry(grid: PlacementGrid, pos_tx, pos_rx, scheme: str) -> _Geometry:
     h = grid.height
     d1 = np.sqrt((xa[:, None] - tx[0]) ** 2 + (ya[None, :] - tx[1]) ** 2 + (h - tx[2]) ** 2)
     d3 = np.sqrt((rx[0] - xb[:, None]) ** 2 + (rx[1] - yb[None, :]) ** 2 + (rx[2] - h) ** 2)
+    # objective_constants gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR,
+    # A(d3) and B = d1^2*d2^2*B'(d3) for TPAR
     if scheme == TAPR:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d1, d3, (xa, ya, xb, yb)
+        a, b = objective_constants(params, scheme, d_row, 1.0, 1.0)
     else:
         d_row, d_col, (x_row, y_row, x_col, y_col) = d3, d1, (xb, yb, xa, ya)
+        a, b = objective_constants(params, scheme, 1.0, 1.0, d_row)
     least = max(grid.d_min, MIN_DISTANCE)  # as build_topology requires
     gap_x = (x_col[None, :] - x_row[:, None]) ** 2
     gap_y = (y_col[None, :] - y_row[:, None]) ** 2
     f_col = d_col ** 2
     far_col = d_col >= least
+    m = _row_bound(gap_x, gap_y, f_col, far_col)
     return _Geometry(
         grid=grid, scheme=scheme, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, least=least,
-        d_row=d_row, d_col=d_col, f_col=f_col, far_col=far_col,
-        gap_x=gap_x, gap_y=gap_y, m=_row_bound(gap_x, gap_y, f_col, far_col))
+        d_row=d_row, a=a, b=b, d_col=np.maximum(d_col, least), f_col=f_col, far_col=far_col,
+        gap_x=gap_x, gap_y=gap_y, m=m, rows_ok=(d_row >= least) & np.isfinite(m))
 
 
 def _row_bound(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
@@ -224,17 +241,6 @@ def _row_bound(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
     return np.maximum((low_x[:, None] + low_y) * (1.0 - 2.0 ** -50) - 2.0 ** -1070, 0.0)
 
 
-def _zeta_factors(params: SystemParams, alloc: Allocation, geo: _Geometry):
-    """(P, C) on the row surface, with zeta = P + C*F."""
-    # objective_constants gives A(d1) and B = d2^2*d3^2*B'(d1) for TAPR,
-    # A(d3) and B = d1^2*d2^2*B'(d3) for TPAR
-    if alloc.scheme == TAPR:
-        a, b = objective_constants(params, alloc.scheme, geo.d_row, 1.0, 1.0)
-    else:
-        a, b = objective_constants(params, alloc.scheme, 1.0, 1.0, geo.d_row)
-    return a / alloc.n_act, b / (alloc.n_act * alloc.n_pas ** 2)
-
-
 def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
     """(zeta, feasible) of every candidate in rows, flat indices of the row
     surface, each indexed (row, column x, column y)."""
@@ -244,19 +250,17 @@ def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
     d2 = np.sqrt(g)
     feasible = (d2 >= geo.least) & geo.far_col
     if alloc.scheme != TAPR:
-        # d1 as it is on far_col, which alone keeps a column; raised to least
-        # elsewhere, so d1 = 0 (a grid point on Tx with d_min = 0) divides by no 0
-        d1 = np.maximum(geo.d_col, geo.least)
-        feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
+        feasible &= beta_star(params, geo.d_col, d2, alloc.n_act, alloc.n_pas) >= 1.0
     return zeta, feasible
 
 
 def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     """The placement scan for one allocation over a built geometry."""
-    p, c = _zeta_factors(params, alloc, geo)
-    ok = (geo.d_row >= geo.least) & np.isfinite(geo.m)
+    p, c = geo.a / alloc.n_act, geo.b / (alloc.n_act * alloc.n_pas ** 2)
+    ok = geo.rows_ok
     if alloc.scheme == TAPR:
-        ok &= alpha_star(params, geo.d_row, alloc.n_act) >= 1.0
+        # never &=, which would write into the geometry
+        ok = ok & (alpha_star(params, geo.d_row, alloc.n_act) >= 1.0)
     rows = np.flatnonzero(ok)
     low = c.ravel()[rows] * geo.m.ravel()[rows] + p.ravel()[rows]
     order = np.argsort(low)
@@ -293,21 +297,14 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     tied = zeta <= cut
     i, j = np.divmod(row[tied], geo.gap_y.shape[0])
     k, l = k[tied], l[tied]
-    ixa, ixb, iya, iyb = min(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j))
+    return _place(geo, *min(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j)))
+
+
+def _place(geo: _Geometry, ixa: int, ixb: int, iya: int, iyb: int) -> Topology:
+    """The topology with the surfaces at these indices of the grid's axes."""
     h = geo.grid.height
     return build_topology(geo.tx, (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h),
                           geo.rx, d_min=geo.grid.d_min)
-
-
-def _center_topology(grid: PlacementGrid, pos_tx, pos_rx) -> Topology:
-    def center(axis):
-        return float(axis[len(axis) // 2])
-
-    return build_topology(
-        pos_tx,
-        (center(grid.axis(grid.xa_bounds)), center(grid.axis(grid.ya_bounds)), grid.height),
-        (center(grid.axis(grid.xb_bounds)), center(grid.axis(grid.yb_bounds)), grid.height),
-        pos_rx, d_min=grid.d_min)
 
 
 def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
@@ -320,9 +317,9 @@ def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,
     """
     check_scheme(scheme)
     # the geometry first: it refuses a grid too large to build
-    geo = _geometry(grid, pos_tx, pos_rx, scheme)
-    sol = solve_integer(params, _center_topology(grid, pos_tx, pos_rx), scheme,
-                        method="closed-form")
+    geo = _geometry(params, grid, pos_tx, pos_rx, scheme)
+    center = _place(geo, *(len(axis) // 2 for axis in (geo.xa, geo.xb, geo.ya, geo.yb)))
+    sol = solve_integer(params, center, scheme, method="closed-form")
     iterations: list[AOIteration] = []
     prev_rate = -math.inf
     converged = False

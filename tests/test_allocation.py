@@ -7,14 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irsalloc import (
     Allocation, ConfigError, InfeasibleBudget, SearchSpaceTooLarge, SystemParams,
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
-from irsalloc.allocation import _largest_feasible_pas, affordable
+from irsalloc.allocation import _best_row, _largest_feasible_pas, affordable
+from irsalloc.reflection import beta_star
 from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario
 
@@ -197,6 +198,48 @@ def test_tpar_cap_at_extreme_amplifier_power(params, topo):
     assert 1.0 <= sol.amplitude < math.inf
 
 
+@pytest.mark.parametrize("k, pv, off", [(35, 0.00030625001000000006, 1),
+                                        (55, 0.0007562500100000002, -1)])
+def test_tpar_cap_where_q_is_one_ulp_from_a_square(k, pv, off):
+    # with d1 = 5, d2 = 40, Pt = 1, rho = 0.1 and one active element, Pv and
+    # its two neighbouring floats put q at k^2 and one ulp either side. One
+    # ulp below, the floored root is off by off from the largest n_pas with
+    # beta* >= 1: above it for k = 35, below it for k = 55, so each of the
+    # cap's two corrections is needed once
+    topo = build_topology((0, 0, 0), (3, 0, 4), (43, 0, 4), (50, 0, 0))
+    n_act = np.array([1.0])
+    squares, offsets = [], []
+    for v in (math.nextafter(pv, -math.inf), pv, math.nextafter(pv, math.inf)):
+        p = SystemParams(transmit_power=1.0, amp_power_budget=v, rx_noise_power=1e-11,
+                         amp_noise_power=1e-11, ref_gain=0.1, wavelength=0.1,
+                         cost_active=2.0, cost_passive=1.0, total_budget=1e4)
+        q = topo.d1 ** 2 * topo.d2 ** 2 * (v - p.amp_noise_power) / (
+            p.transmit_power * p.ref_gain ** 2)
+        x = np.arange(1.0, 2.0 * k)
+        feasible = x[beta_star(p, topo.d1, topo.d2, 1.0, x) >= 1.0].max()
+        squares.append(q)
+        offsets.append(math.floor(math.sqrt(q)) - feasible)
+        assert _largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget)[0] == feasible
+    assert squares == [math.nextafter(k * k, -math.inf), k * k, math.nextafter(k * k, math.inf)]
+    assert offsets == [off, 0, 0]
+
+
+def test_exact_tie_goes_to_larger_n_pas():
+    # A is negligible against B here, so the rows (1, 6) and (4, 3) both have
+    # n_act*n_pas^2 = 36 and tie in zeta bit for bit
+    params = SystemParams(transmit_power=0.1, amp_power_budget=0.1, rx_noise_power=1e-11,
+                          amp_noise_power=1e-11, ref_gain=1e-3, wavelength=0.1,
+                          cost_active=1.0, cost_passive=1.0, total_budget=7.0)
+    topo = build_topology((0, 0, 0), (1, 0, 0), (1e5, 0, 0), (1e5, 1e5, 0))
+    rows = np.array([1.0, 4.0])
+    n_pas = _largest_feasible_pas(params, topo, "TAPR", rows, 7.0)
+    assert list(n_pas) == [6.0, 3.0]
+    zeta = zeta_value(params, "TAPR", rows, n_pas, topo.d1, topo.d2, topo.d3)
+    assert zeta[0] == zeta[1]
+    sol = _best_row(params, topo, "TAPR", rows, 7.0, method="optimal")
+    assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 6)
+
+
 @st.composite
 def small_scenarios(draw):
     """Budgets up to 60 units; the ranges reach scenarios where the TAPR
@@ -352,6 +395,10 @@ def test_rounding_never_infeasible_random():
 
 @settings(max_examples=300, deadline=None)
 @given(budget=st.floats(1.0, 1e6), spent=st.floats(0.0, 1e6), cost=st.floats(0.01, 100.0))
+# the floored quotient is one too many (330*0.01 > 3.3) and one too few
+# (0.7/0.1 floors to 6)
+@example(budget=3.3, spent=0.0, cost=0.01)
+@example(budget=1.0, spent=0.3, cost=0.1)
 def test_affordable_is_largest_count_within_budget(budget, spent, cost):
     k = affordable(budget, spent, cost)
     assert k == math.floor(k) >= 0.0

@@ -105,6 +105,23 @@ def test_single_airs_matrix_oracle(params, topo):
     assert out == pytest.approx(params.amp_power_budget, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("pv, floored, n_act", [(0.012000000030000003, 2, 3),
+                                                (0.05600000014, 14, 13)])
+def test_single_airs_count_where_alpha_square_is_one_ulp_from_an_integer(pv, floored, n_act):
+    # with Pt = 1, rho = 0.1 and site A 5 m from Tx, alpha*(1)^2 lies one ulp
+    # from an integer, and its floor is off by one from the largest count with
+    # alpha* >= 1: below it for 3, above it for 13, so each of the count's two
+    # corrections is needed once. Site B is far from both end nodes.
+    params = SystemParams(transmit_power=1.0, amp_power_budget=pv, rx_noise_power=1e-11,
+                          amp_noise_power=1e-11, ref_gain=0.1, wavelength=0.1,
+                          cost_active=2.0, cost_passive=1.0, total_budget=1e4)
+    topo = build_topology((0, 0, 0), (3, 0, 4), (1000, 1000, 4), (10, 0, 0))
+    assert math.floor(alpha_star(params, 5.0, 1.0) ** 2) == floored
+    assert alpha_star(params, 5.0, n_act) >= 1.0 > alpha_star(params, 5.0, n_act + 1)
+    res = rate_single_airs(params, topo)
+    assert (res.site, res.n_act) == ("A", n_act)
+
+
 @pytest.mark.parametrize("system", [SINGLE_PIRS, SINGLE_AIRS, HYBRID_IRS])
 def test_site_on_an_end_node_is_refused(params, system):
     # B sits on Tx: no link of the topology is short, but single-surface

@@ -13,7 +13,7 @@ from irsalloc import (
     alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
     snr_closed_form, solve_integer,
 )
-from irsalloc.placement import AOIteration, _center_topology
+from irsalloc.placement import AOIteration
 from irsalloc.reflection import alpha_star, beta_star
 from irsalloc.snr import zeta_value
 from conftest import baseline_params, full_grid_placement, traced_peak
@@ -93,6 +93,21 @@ def test_grid_rejects_bad_height_and_min_distance(field, value):
         PlacementGrid(**kw)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", "1"), ("step", True), ("step", math.inf),
+    ("height", "10"), ("height", True),
+    ("xa_bounds", (0.0,)), ("ya_bounds", (0.0, 1.0, 2.0)), ("xb_bounds", 90.0),
+    ("yb_bounds", ("0", "4")), ("xa_bounds", (True, 20.0)), ("ya_bounds", (math.nan, 4.0))])
+def test_grid_rejects_step_height_and_bounds_that_are_not_finite_numbers(field, value):
+    # strings and bounds that are not pairs reach no arithmetic, and a bool is
+    # not a number
+    kw = dict(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0), xb_bounds=(90.0, 100.0),
+              yb_bounds=(0.0, 4.0), step=2.0, height=10.0, d_min=1.0)
+    kw[field] = value
+    with pytest.raises(ConfigError, match=field if field in ("step", "height") else "bounds"):
+        PlacementGrid(**kw)
+
+
 def test_placement_coordinates_within_domain(params):
     # grid bounds and end nodes beyond the domain's +/-1e6 m are refused
     # before any array is built
@@ -142,10 +157,25 @@ def test_ao_wider_box_no_worse(params):
     assert wide.iterations[-1].rate >= narrow.iterations[-1].rate - 1e-9
 
 
+def test_ao_stops_at_first_gain_below_tolerance(params):
+    # on the +/-15 m x +/-5 m boxes around (12.036, 6.461) and (97.487, 5.962)
+    # AO's third gain is positive but below AO_TOL
+    grid = PlacementGrid(xa_bounds=(-2.964, 27.036), ya_bounds=(1.461, 11.461),
+                         xb_bounds=(82.487, 112.487), yb_bounds=(0.962, 10.962),
+                         step=0.5, height=10.0, d_min=1.0)
+    trace = alternating_optimize(params, grid, "TAPR", TX, RX)
+    gains = np.diff([it.rate for it in trace.iterations])
+    assert trace.converged
+    assert len(gains) == 3 and np.all(gains[:-1] >= placement.AO_TOL)
+    assert 0.0 < gains[-1] < placement.AO_TOL
+
+
 def ao_scanning_every_iteration(params, grid, scheme, tx, rx):
     """alternating_optimize with one placement scan per iteration, never
     reusing the last one."""
-    sol = solve_integer(params, _center_topology(grid, tx, rx), scheme, method="closed-form")
+    geo = placement._geometry(params, grid, tx, rx, scheme)
+    center = placement._place(geo, *(len(axis) // 2 for axis in (geo.xa, geo.xb, geo.ya, geo.yb)))
+    sol = solve_integer(params, center, scheme, method="closed-form")
     iterations, prev_rate = [], -math.inf
     for _ in range(placement.AO_MAX_ITERS):
         topo = optimize_placement_given_allocation(params, sol.allocation, grid, tx, rx)
@@ -280,8 +310,8 @@ def scan_inputs(case):
     """The geometry, P, C and the row bounds L of a placement case, with the
     rows that pass their own tests."""
     params, alloc, grid, tx, rx = case
-    geo = placement._geometry(grid, tx, rx, alloc.scheme)
-    p, c = placement._zeta_factors(params, alloc, geo)
+    geo = placement._geometry(params, grid, tx, rx, alloc.scheme)
+    p, c = geo.a / alloc.n_act, geo.b / (alloc.n_act * alloc.n_pas ** 2)
     ok = (geo.d_row >= geo.least) & np.isfinite(geo.m)
     if alloc.scheme == "TAPR":
         ok &= alpha_star(params, geo.d_row, alloc.n_act) >= 1.0
@@ -306,7 +336,7 @@ def geometry_dense_minima(geo):
 @given(placement_cases())
 def test_row_minima_match_dense_minimum_property(case):
     params, alloc, grid, tx, rx = case
-    geo = placement._geometry(grid, tx, rx, alloc.scheme)
+    geo = placement._geometry(params, grid, tx, rx, alloc.scheme)
     assert_row_bound(geo.m, geometry_dense_minima(geo))
 
 
@@ -386,7 +416,7 @@ def test_padded_axes_match_full_grid(params, scheme, points):
     grid = PlacementGrid(xa_bounds=(10.0, 10.0 + nxa - 1), ya_bounds=(-3.0, nya - 4.0),
                          xb_bounds=(85.0, 85.0 + nxb - 1), yb_bounds=(-4.0, nyb - 5.0),
                          step=1.0, height=10.0, d_min=1.0)
-    geo = placement._geometry(grid, TX, RX, scheme)
+    geo = placement._geometry(params, grid, TX, RX, scheme)
     assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == list(points)
     assert_row_bound(geo.m, geometry_dense_minima(geo))
     assert same_placement(params, Allocation(100, 1000, scheme), grid, TX, RX) is not None
@@ -400,7 +430,7 @@ def test_tie_on_last_point_of_every_axis(params, scheme):
                          xb_bounds=(90.0, 98.0), yb_bounds=(-8.0, 0.0),
                          step=1.0, height=10.0, d_min=1.0)
     tx, rx = (40.0, 0.0, 10.0), (120.0, 0.0, 10.0)
-    geo = placement._geometry(grid, tx, rx, scheme)
+    geo = placement._geometry(params, grid, tx, rx, scheme)
     assert [len(v) for v in (geo.xa, geo.ya, geo.xb, geo.yb)] == [9] * 4
     topo = same_placement(params, Allocation(100, 1000, scheme), grid, tx, rx)
     assert topo.pos_irs_a == (18.0, 0.0, 10.0)
@@ -465,8 +495,8 @@ def test_near_tie_across_rows_takes_smallest_placement(params, scheme, y, step):
                          xb_bounds=(90.0, 90.0), yb_bounds=other if scheme == "TAPR" else rows,
                          step=step, height=10.0, d_min=1.0)
     alloc = Allocation(100, 1000, scheme)
-    geo = placement._geometry(grid, tx, rx, scheme)
-    p, c = placement._zeta_factors(params, alloc, geo)
+    geo = placement._geometry(params, grid, tx, rx, scheme)
+    p, c = geo.a / alloc.n_act, geo.b / (alloc.n_act * alloc.n_pas ** 2)
     low = (c * geo.m + p).ravel()
     assert low[1] < low[0] <= low[1] / (1.0 - 1e-12)
     topo = same_placement(params, alloc, grid, tx, rx)
@@ -521,7 +551,8 @@ def test_ao_evaluates_few_rows_per_scan(params, topo, step, monkeypatch):
 def test_grid_too_large_refused_before_any_array(params, topo):
     # the baseline boxes at 0.1 mm would hold 3e10 points per surface; a
     # 60 km strip at 1 m holds 60,001 points, within the bound, but its x
-    # gaps to a parallel strip would hold 3.6e9
+    # gaps to a parallel strip would hold 3.6e9; two 725-point strips along y
+    # have 525,625 y gaps, just over the bound
     xa, ya, h = topo.pos_irs_a
     xb, yb, _ = topo.pos_irs_b
     fine = PlacementGrid(xa_bounds=(xa - 15.0, xa + 15.0), ya_bounds=(ya - 5.0, ya + 5.0),
@@ -530,7 +561,10 @@ def test_grid_too_large_refused_before_any_array(params, topo):
     strips = PlacementGrid(xa_bounds=(0.0, 6e4), ya_bounds=(5.0, 5.0),
                            xb_bounds=(0.0, 6e4), yb_bounds=(-5.0, -5.0),
                            step=1.0, height=h, d_min=1.0)
-    for grid in (fine, strips):
+    y_strips = PlacementGrid(xa_bounds=(xa, xa), ya_bounds=(0.0, 724.0),
+                             xb_bounds=(xb, xb), yb_bounds=(0.0, 724.0),
+                             step=1.0, height=h, d_min=1.0)
+    for grid in (fine, strips, y_strips):
         for scheme in ("TAPR", "TPAR"):
             peak = traced_peak(lambda: pytest.raises(
                 SearchSpaceTooLarge, optimize_placement_given_allocation, params,
