@@ -160,11 +160,11 @@ class _Geometry:
     d_row: np.ndarray  # d1 for TAPR, d3 for TPAR
     a: np.ndarray  # the row's objective constants: P = a/n_act,
     b: np.ndarray  # C = b/(n_act*n_pas^2)
-    # d3 for TAPR, d1 for TPAR, raised to least: far_col alone keeps a column,
-    # and beta* then divides by no d1 = 0 (a grid point on Tx with d_min = 0)
-    d_col: np.ndarray
-    f_col: np.ndarray  # the unraised d_col^2, so F = d2^2*f_col
-    far_col: np.ndarray  # d_col >= least
+    f_col: np.ndarray  # d3^2 for TAPR, d1^2 for TPAR, so F = d2^2*f_col
+    far_col: np.ndarray  # d3 (TAPR) or d1 (TPAR) >= least
+    # d1 raised to least, read by TPAR's beta* only: far_col alone keeps a
+    # column, and beta* then divides by no d1 = 0 (a grid point on Tx with d_min = 0)
+    d1_floor: np.ndarray
     gap_x: np.ndarray  # squared x gaps
     gap_y: np.ndarray  # squared y gaps
     m: np.ndarray  # a lower bound of each row's F over far_col (_row_bound); inf if none
@@ -211,7 +211,7 @@ def _geometry(params: SystemParams, grid: PlacementGrid, pos_tx, pos_rx,
     m = _row_bound(gap_x, gap_y, f_col, far_col)
     return _Geometry(
         grid=grid, scheme=scheme, tx=tx, rx=rx, xa=xa, ya=ya, xb=xb, yb=yb, least=least,
-        d_row=d_row, a=a, b=b, d_col=np.maximum(d_col, least), f_col=f_col, far_col=far_col,
+        d_row=d_row, a=a, b=b, f_col=f_col, far_col=far_col, d1_floor=np.maximum(d1, least),
         gap_x=gap_x, gap_y=gap_y, m=m, rows_ok=(d_row >= least) & np.isfinite(m))
 
 
@@ -250,7 +250,7 @@ def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
     d2 = np.sqrt(g)
     feasible = (d2 >= geo.least) & geo.far_col
     if alloc.scheme != TAPR:
-        feasible &= beta_star(params, geo.d_col, d2, alloc.n_act, alloc.n_pas) >= 1.0
+        feasible &= beta_star(params, geo.d1_floor, d2, alloc.n_act, alloc.n_pas) >= 1.0
     return zeta, feasible
 
 

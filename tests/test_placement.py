@@ -84,27 +84,19 @@ def test_tie_break_lexicographic(params):
 
 @pytest.mark.parametrize("field, value", [
     ("d_min", math.nan), ("d_min", math.inf), ("d_min", -3.0),
-    ("height", math.nan), ("height", math.inf), ("height", -math.inf), ("height", 2e6)])
-def test_grid_rejects_bad_height_and_min_distance(field, value):
-    kw = dict(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0), xb_bounds=(90.0, 100.0),
-              yb_bounds=(0.0, 4.0), step=2.0, height=10.0, d_min=1.0)
-    kw[field] = value
-    with pytest.raises(ConfigError, match="d_min" if field == "d_min" else "height"):
-        PlacementGrid(**kw)
-
-
-@pytest.mark.parametrize("field, value", [
+    ("height", math.nan), ("height", math.inf), ("height", -math.inf), ("height", 2e6),
+    # strings and bounds that are not pairs reach no arithmetic, and a bool is
+    # not a number
     ("step", "1"), ("step", True), ("step", math.inf),
     ("height", "10"), ("height", True),
     ("xa_bounds", (0.0,)), ("ya_bounds", (0.0, 1.0, 2.0)), ("xb_bounds", 90.0),
     ("yb_bounds", ("0", "4")), ("xa_bounds", (True, 20.0)), ("ya_bounds", (math.nan, 4.0))])
-def test_grid_rejects_step_height_and_bounds_that_are_not_finite_numbers(field, value):
-    # strings and bounds that are not pairs reach no arithmetic, and a bool is
-    # not a number
+def test_grid_rejects_bad_height_and_min_distance(field, value):
     kw = dict(xa_bounds=(10.0, 20.0), ya_bounds=(0.0, 4.0), xb_bounds=(90.0, 100.0),
               yb_bounds=(0.0, 4.0), step=2.0, height=10.0, d_min=1.0)
     kw[field] = value
-    with pytest.raises(ConfigError, match=field if field in ("step", "height") else "bounds"):
+    with pytest.raises(ConfigError,
+                       match=field if field in ("d_min", "step", "height") else "bounds"):
         PlacementGrid(**kw)
 
 
