@@ -86,8 +86,12 @@ def _solution(params: SystemParams, topo: Topology, alloc: Allocation, snr,
 
 
 def _budget(params: SystemParams, budget) -> float:
-    """The total budget, or the override after the domain's budget check."""
-    return params.total_budget if budget is None else check_budget(budget, params.cost_passive)
+    """The total budget, or the override after the domain's budget check;
+    InfeasibleBudget when it cannot afford one element of each kind."""
+    m = params.total_budget if budget is None else check_budget(budget, params.cost_passive)
+    if m < params.cost_active + params.cost_passive:
+        raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
+    return m
 
 
 def closed_form_split(budget: float, w_act: float, w_pas: float,
@@ -113,8 +117,6 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     check_scheme(scheme)
     m = _budget(params, budget)
     wa, wp = params.cost_active, params.cost_passive
-    if m < wa + wp:
-        raise InfeasibleBudget(f"budget {m} cannot afford one element of each kind")
     a, b = objective_constants(params, scheme, topo.d1, topo.d2, topo.d3, approx)
     u0 = 2.0 * m / (3.0 * wp)
     # the hyperbolic form of the one real root; Cardano's form loses

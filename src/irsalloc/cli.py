@@ -255,10 +255,13 @@ def run_verify(params: SystemParams, topo: Topology,
     ok, worst = _gate(gaps, 1e-8)
     report.append(("optimizer-vs-grid", ok, f"worst objective gap {worst:.3e}"))
 
-    # 4. the continuous relaxation bounds every integer optimum from above
+    # 4. the continuous relaxation bounds every integer optimum from above;
+    # checks 4 and 5 scale their budgets with the element costs, so that the
+    # smallest still affords at least one element of each kind
+    scale = max(1.0, (params.cost_active + params.cost_passive) / 20.0)
     excess = []
     for scheme in SCHEMES:
-        for m in (20.0, 100.0, 200.0):
+        for m in (20.0 * scale, 100.0 * scale, 200.0 * scale):
             integer = solve_integer(params, topo, scheme, method="optimal", budget=m)
             relaxed = solve_continuous(params, topo, scheme, budget=m)
             excess.append(integer.rate - relaxed.rate)
@@ -267,7 +270,7 @@ def run_verify(params: SystemParams, topo: Topology,
                    f"worst integer minus continuous rate {worst:.3e} bps/Hz"))
 
     # 5. SNR growth orders in the total budget
-    budgets = np.array([500.0, 1000.0, 2000.0, 4000.0])
+    budgets = np.array([500.0, 1000.0, 2000.0, 4000.0]) * scale
     ok = True
     details = []
     for scheme in SCHEMES:

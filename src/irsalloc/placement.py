@@ -29,17 +29,17 @@ The scan for one allocation takes L = P + C*m for every row that passes its
 own tests; adding and multiplying non-negative floats never decreases under
 IEEE round-to-nearest, so L is at most, bit for bit, every zeta the scan
 computes in the row from an admissible column, whatever the pair tests
-(d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated
-whole, with every test, in ascending order of L, in chunks that double from
-one row up to _CHUNK candidates, until the next L exceeds the tie cut; the
-answer equals that of a scan of the joint grid. Every link distance must be
-at least d_min and MIN_DISTANCE, as build_topology requires; with d_min = 0
-the scan would otherwise pick coincident surfaces for TAPR, where zeta falls
-to P.
+(d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated one at a
+time, whole and with every test, in ascending order of L, until the next L
+exceeds the tie cut; the answer equals that of a scan of the joint grid.
+Every link distance must be at least d_min and MIN_DISTANCE, as
+build_topology requires; with d_min = 0 the scan would otherwise pick
+coincident surfaces for TAPR, where zeta falls to P.
 
 A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
-refused before any array is built, and no temporary holds more floats than
-_CHUNK or a geometry array, so a scan never holds the joint grid.
+refused before any array is built, and no temporary holds more entries than
+a geometry array or one row's candidates (the column surface's points), each
+at most _MAX_GRID_POINTS, so a scan never holds the joint grid.
 
 The allocation step is the exact integer solver. Each step maximizes its own
 block exactly, so the rate trace is non-decreasing. An allocation equal to
@@ -63,14 +63,13 @@ from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topolog
 from .snr import objective_constants
 
 # entries of the largest geometry array a grid may need (one surface's
-# points, or the squared gaps between two parallel axes): 4 MB per float64
-# array; a scan's peak stays within about 175 B per surface point
-# (tracemalloc: 66.5-81.5 MiB with four 724-point axes at the bound,
-# 16.6-20.0 MiB on the baseline +/-15 m x +/-5 m boxes at 0.05 m); those
-# boxes need 90,601 entries (the x gaps) at 0.1 m and 361,201 at 0.05 m
+# points, so also one scanned row's candidates, or the squared gaps between
+# two parallel axes): 4 MB per float64 array; a scan's peak stays within
+# about 175 B per surface point (tracemalloc: 66.0-77.5 MiB with four
+# 724-point axes at the bound, 16.6-19.1 MiB on the baseline +/-15 m x +/-5 m
+# boxes at 0.05 m); those boxes need 90,601 entries (the x gaps) at 0.1 m and
+# 361,201 at 0.05 m
 _MAX_GRID_POINTS = 2 ** 19
-# floats in one temporary of a chunk of scanned rows
-_CHUNK = 2 ** 14
 # stopping rule of alternating_optimize
 AO_TOL = 1e-6
 AO_MAX_ITERS = 20
@@ -241,12 +240,12 @@ def _row_bound(gap_x: np.ndarray, gap_y: np.ndarray, f: np.ndarray,
     return np.maximum((low_x[:, None] + low_y) * (1.0 - 2.0 ** -50) - 2.0 ** -1070, 0.0)
 
 
-def _rows(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, rows):
-    """(zeta, feasible) of every candidate in rows, flat indices of the row
-    surface, each indexed (row, column x, column y)."""
-    i, j = np.divmod(rows, geo.gap_y.shape[0])
-    g = geo.gap_x[i][:, :, None] + geo.gap_y[j][:, None, :]
-    zeta = c.ravel()[rows, None, None] * (g * geo.f_col) + p.ravel()[rows, None, None]
+def _row(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, row):
+    """(zeta, feasible) of every candidate in row, a flat index of the row
+    surface, each indexed (column x, column y)."""
+    i, j = divmod(row, geo.gap_y.shape[0])
+    g = geo.gap_x[i][:, None] + geo.gap_y[j]
+    zeta = c.flat[row] * (g * geo.f_col) + p.flat[row]
     d2 = np.sqrt(g)
     feasible = (d2 >= geo.least) & geo.far_col
     if alloc.scheme != TAPR:
@@ -263,41 +262,27 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
         ok = ok & (alpha_star(params, geo.d_row, alloc.n_act) >= 1.0)
     rows = np.flatnonzero(ok)
     low = c.ravel()[rows] * geo.m.ravel()[rows] + p.ravel()[rows]
-    order = np.argsort(low)
-    rows, low = rows[order], low[order]
-    most = max(1, _CHUNK // geo.f_col.size)  # rows per chunk
 
     near = 1.0 - 1e-12  # relative tie tolerance
     best = math.inf
     cut = math.inf  # largest zeta within the tie tolerance of best
-    hits = []  # (zeta, row, column x, column y) arrays of the near-ties seen so far
-    start, size = 0, 1
-    while start < len(rows):
-        # the rows left past the first L above cut have no candidate within
-        # the tie tolerance of best
-        stop = start + min(size, most, int(np.searchsorted(low[start:], cut, side="right")))
-        if stop == start:
+    hits = []  # (zeta, ixa, ixb, iya, iyb) of the near-ties seen so far
+    for n in np.argsort(low):
+        row, bound = rows[n], low[n]
+        # this row and every row after it have no candidate within the tie
+        # tolerance of best
+        if bound > cut:
             break
-        chunk = rows[start:stop]
-        start, size = stop, 2 * size
-        zeta, feasible = _rows(params, alloc, geo, p, c, chunk)
-        if not feasible.any():
-            continue
-        top = float(np.min(zeta, where=feasible, initial=math.inf))
-        if top > cut:
-            continue
-        best = min(best, top)
+        zeta, feasible = _row(params, alloc, geo, p, c, row)
+        best = min(best, float(np.min(zeta, where=feasible, initial=math.inf)))
         cut = best / near
-        r, k, l = np.nonzero((zeta <= cut) & feasible)
-        hits.append((zeta[r, k, l], chunk[r], k, l))
+        i, j = divmod(int(row), geo.gap_y.shape[0])
+        ks, ls = np.nonzero((zeta <= cut) & feasible)
+        hits += [(z, i, k, j, l) if geo.scheme == TAPR else (z, k, i, l, j)
+                 for z, k, l in zip(zeta[ks, ls].tolist(), ks.tolist(), ls.tolist())]
     if not hits:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
-
-    zeta, row, k, l = (np.concatenate(col) for col in zip(*hits))
-    tied = zeta <= cut
-    i, j = np.divmod(row[tied], geo.gap_y.shape[0])
-    k, l = k[tied], l[tied]
-    return _place(geo, *min(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j)))
+    return _place(geo, *min(hit[1:] for hit in hits if hit[0] <= cut))
 
 
 def _place(geo: _Geometry, ixa: int, ixb: int, iya: int, iyb: int) -> Topology:

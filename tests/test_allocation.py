@@ -362,6 +362,11 @@ def test_infeasible_budget(params, topo):
         solve_continuous(params, topo, "TAPR", budget=4.0)
     with pytest.raises(InfeasibleBudget):
         exhaustive_search(params, topo, "TAPR", budget=4.0)
+    # below w_act + w_pas = 6, refused for the budget, not the amplitude
+    for method in ("optimal", "exhaustive", "closed-form"):
+        for budget in (4.0, 5.5):
+            with pytest.raises(InfeasibleBudget, match="cannot afford one element of each kind"):
+                solve_integer(params, topo, "TAPR", method=method, budget=budget)
 
 
 def test_solve_integer_closed_form_baseline(params, topo):

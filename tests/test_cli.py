@@ -445,3 +445,15 @@ def test_main_compare_and_verify(baseline_config, capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
     # the solver beats every dense-grid point, so the signed gap is negative
     assert "worst objective gap -" in out
+
+
+def test_main_verify_elements_costlier_than_fixed_budgets(baseline_config, tmp_path, capsys):
+    # w_act + w_pas = 26 is more than check 4's smallest budget of 20 at the
+    # baseline costs; checks 4 and 5 scale their budgets with the costs
+    cfg = tmp_path / "costly.yaml"
+    cfg.write_text(baseline_config.read_text().replace("w_act: 5", "w_act: 25"))
+    assert main(["allocate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("PASS") == 5 and "FAIL" not in out and not err

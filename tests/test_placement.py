@@ -310,6 +310,12 @@ def scan_inputs(case):
     return geo, p, c, c * geo.m + p, np.flatnonzero(ok)
 
 
+def row_top(params, alloc, geo, p, c, row):
+    """The smallest feasible zeta of one row, inf if it has none."""
+    zeta, feasible = placement._row(params, alloc, geo, p, c, row)
+    return float(np.min(zeta, where=feasible, initial=np.inf))
+
+
 def assert_row_bound(low, dense):
     """low is at most dense, inf exactly where dense is, and holds no NaN."""
     assert not np.isnan(low).any()
@@ -363,15 +369,13 @@ def test_row_minima_of_random_arrays_match_dense_minimum_property(inputs):
 def test_row_bound_below_every_candidate_property(case):
     params, alloc = case[:2]
     geo, p, c, low, rows = scan_inputs(case)
-    if not len(rows):
-        return
-    zeta, feasible = placement._rows(params, alloc, geo, p, c, rows)
-    low = low.flat[rows]
-    # every candidate of a row whose column passes its own distance test,
-    # whatever the pair tests say
-    assert np.all(np.where(geo.far_col, zeta, np.inf) >= low[:, None, None])
-    # so L is at most the row's smallest feasible zeta
-    assert np.all(np.min(zeta, axis=(1, 2), where=feasible, initial=np.inf) >= low)
+    for row in rows:
+        zeta, feasible = placement._row(params, alloc, geo, p, c, row)
+        # every candidate of a row whose column passes its own distance test,
+        # whatever the pair tests say
+        assert np.all(np.where(geo.far_col, zeta, np.inf) >= low.flat[row])
+        # so L is at most the row's smallest feasible zeta
+        assert np.min(zeta, where=feasible, initial=np.inf) >= low.flat[row]
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,21 +384,21 @@ def test_scan_evaluates_every_row_within_cut_property(case):
     # every row whose L reaches the final tie cut is evaluated
     params, alloc = case[:2]
     geo, p, c, low, rows = scan_inputs(case)
-    zeta, feasible = placement._rows(params, alloc, geo, p, c, rows)
-    if not feasible.any():
+    best = min((row_top(params, alloc, geo, p, c, row) for row in rows), default=np.inf)
+    if best == np.inf:
         with pytest.raises(NoFeasiblePlacement):
             placement._scan(params, alloc, geo)
         return
-    cut = float(np.min(zeta, where=feasible, initial=np.inf)) / (1.0 - 1e-12)
+    cut = best / (1.0 - 1e-12)
     seen = []
-    evaluate = placement._rows
+    evaluate = placement._row
 
-    def recording_rows(*args):
-        seen.extend(args[-1].tolist())
+    def recording_row(*args):
+        seen.append(int(args[-1]))
         return evaluate(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(placement, "_rows", recording_rows)
+        m.setattr(placement, "_row", recording_row)
         placement._scan(params, alloc, geo)
     assert set(rows[low.flat[rows] <= cut].tolist()) <= set(seen)
 
@@ -495,6 +499,26 @@ def test_near_tie_across_rows_takes_smallest_placement(params, scheme, y, step):
     assert (topo.pos_irs_a if scheme == "TAPR" else topo.pos_irs_b)[1] == rows[0]
 
 
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_near_tie_with_bound_above_best_takes_smallest_placement(params, scheme):
+    # as above, with the other surface 1e-10 m nearer the second row: the
+    # first row's zeta exceeds the second's, best, by about 1e-13 relative,
+    # so its bound L is above best but within the tie cut, and the scan must
+    # still evaluate it
+    rows, other = (-2.0, 2.0), (1e-10, 1e-10)
+    grid = PlacementGrid(xa_bounds=(15.0, 15.0), ya_bounds=rows if scheme == "TAPR" else other,
+                         xb_bounds=(90.0, 90.0), yb_bounds=other if scheme == "TAPR" else rows,
+                         step=4.0, height=10.0, d_min=1.0)
+    alloc = Allocation(100, 1000, scheme)
+    geo = placement._geometry(params, grid, TX, RX, scheme)
+    p, c = geo.a / alloc.n_act, geo.b / (alloc.n_act * alloc.n_pas ** 2)
+    low = (c * geo.m + p).ravel()
+    first, best = (row_top(params, alloc, geo, p, c, row) for row in (0, 1))
+    assert low[1] < best < low[0] <= first <= best / (1.0 - 1e-12)
+    topo = same_placement(params, alloc, grid, TX, RX)
+    assert (topo.pos_irs_a if scheme == "TAPR" else topo.pos_irs_b)[1] == rows[0]
+
+
 def baseline_boxes(topo, step):
     """The +/-15 m x +/-5 m boxes around the baseline surfaces."""
     xa, ya, h = topo.pos_irs_a
@@ -523,18 +547,18 @@ def test_ao_evaluates_few_rows_per_scan(params, topo, step, monkeypatch):
     # (0.05 m) rows per scan
     grid = baseline_boxes(topo, step)
     per_scan = []
-    scan, evaluate = placement._scan, placement._rows
+    scan, evaluate = placement._scan, placement._row
 
     def counting_scan(*args):
         per_scan.append(0)
         return scan(*args)
 
-    def counting_rows(*args):
-        per_scan[-1] += len(args[-1])
+    def counting_row(*args):
+        per_scan[-1] += 1
         return evaluate(*args)
 
     monkeypatch.setattr(placement, "_scan", counting_scan)
-    monkeypatch.setattr(placement, "_rows", counting_rows)
+    monkeypatch.setattr(placement, "_row", counting_row)
     for scheme in ("TAPR", "TPAR"):
         alternating_optimize(params, grid, scheme, topo.pos_tx, topo.pos_rx)
     assert per_scan and max(per_scan) <= 8, per_scan

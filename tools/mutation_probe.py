@@ -65,8 +65,12 @@ MUTANTS = [
      "near = 1.0",
      "tests/test_placement.py"),
     ("placement-tie-max", PLACEMENT,
-     "return _place(geo, *min(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j)))",
-     "return _place(geo, *max(zip(i, k, j, l) if geo.scheme == TAPR else zip(k, i, l, j)))",
+     "return _place(geo, *min(hit[1:] for hit in hits if hit[0] <= cut))",
+     "return _place(geo, *max(hit[1:] for hit in hits if hit[0] <= cut))",
+     "tests/test_placement.py"),
+    ("scan-stops-at-best", PLACEMENT,
+     "if bound > cut:",
+     "if bound > best:",
      "tests/test_placement.py"),
     ("placement-d2-strict", PLACEMENT,
      "feasible = (d2 >= geo.least) & geo.far_col",
