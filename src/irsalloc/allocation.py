@@ -16,7 +16,9 @@ Integer ("optimal" and "exhaustive", one exact solver): for a fixed n_act,
 zeta strictly decreases in n_pas, while the active amplitude does not depend
 on n_pas (TAPR) or decreases in it (TPAR). Each n_act row is therefore best
 at the largest n_pas that both the budget and the amplitude cap allow, and
-the optimum is a vectorised scan over n_act.
+the optimum is a vectorised scan over n_act. Every largest count, here and in
+benchmarks, is largest_count: a floored estimate stepped once each way by the
+count's own test, so rounding in the estimate cannot change the answer.
 
 The closed-form split (M/(3*W_act), 2*M/(3*W_pas)) is optimal for the
 approximate objective and is the same for both deployment orders; the
@@ -38,7 +40,7 @@ from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_budget, 
 from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
-# tracemalloc peak is about 50 MB (TPAR) and 32 MB (TAPR)
+# tracemalloc peak is about 33 MB (TAPR) and 48 MB (TPAR)
 MAX_SCAN_ROWS = 1_000_000
 
 
@@ -129,14 +131,22 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     return _solution(params, topo, alloc, snr_from_zeta(params, zeta), method="optimal")
 
 
+def largest_count(estimate, ok):
+    """The largest whole k >= 0 with ok(k), as a float; elementwise over an
+    array estimate. ok must hold up to that count and fail above it, and
+    floor(estimate) must miss the count by at most one."""
+    k = np.floor(estimate)
+    del estimate  # the caller's temporary: one row array fewer while ok runs
+    k -= ~ok(k)  # one down where the floor is too many
+    k += 1.0  # in place: a k + 1.0 passed to ok would hold one more row array
+    k -= ~ok(k)  # and back unless ok allows the step up
+    return np.maximum(k, 0.0)
+
+
 def affordable(budget: float, spent, cost: float):
     """The largest whole count k >= 0 with spent + cost*k <= budget, as a
     float; elementwise over an array of spent."""
-    k = np.floor((budget - spent) / cost)
-    # the floored quotient can miss the budget test by one either way
-    k -= spent + cost * k > budget
-    k += spent + cost * (k + 1.0) <= budget
-    return np.maximum(k, 0.0)
+    return largest_count((budget - spent) / cost, lambda k: spent + cost * k <= budget)
 
 
 def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
@@ -146,16 +156,13 @@ def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
     hi = affordable(budget, params.cost_active * n_act, params.cost_passive)
     if scheme == TAPR:
         return np.where(alpha_star(params, topo.d1, n_act) >= 1.0, hi, 0.0)
-    # beta* >= 1 exactly when n_pas^2 <= q; beta* decreases in n_pas, so
-    # the floored root, corrected by beta* itself, is the last feasible n_pas
+    # beta* >= 1 exactly when n_pas^2 <= q, and beta* decreases in n_pas
     pt, pv = params.transmit_power, params.amp_power_budget
     d1, d2 = topo.d1, topo.d2
     q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
         pt * params.ref_gain ** 2 * n_act)
-    cap = np.floor(np.sqrt(np.maximum(q, 0.0)))
-    cap -= beta_star(params, d1, d2, n_act, cap) < 1.0
-    cap += beta_star(params, d1, d2, n_act, cap + 1.0) >= 1.0
-    return np.maximum(np.minimum(hi, cap), 0.0)
+    return np.minimum(hi, largest_count(np.sqrt(np.maximum(q, 0.0)),
+                                        lambda k: beta_star(params, d1, d2, n_act, k) >= 1.0))
 
 
 def _best_row(params: SystemParams, topo: Topology, scheme: str, n_act: np.ndarray,
@@ -181,8 +188,9 @@ def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
     """Exact integer optimum: a scan over every affordable n_act."""
     check_scheme(scheme)
     m = _budget(params, budget)
-    # one spare row covers rounding in the quotient; unaffordable rows drop out
-    rows = max(1, math.floor((m - params.cost_passive) / params.cost_active) + 1)
+    # every n_act row that affords one passive element, tested as affordable does
+    wa, wp = params.cost_active, params.cost_passive
+    rows = largest_count((m - wp) / wa, lambda k: wa * k + wp <= m)
     if rows > MAX_SCAN_ROWS:
         raise SearchSpaceTooLarge(f"{fmt_number(rows, 0)} n_act rows exceed the scan bound "
                                   f"{MAX_SCAN_ROWS}")

@@ -2,7 +2,7 @@
 
 Fair-power convention: systems with no active surface transmit with Pt + Pv;
 systems with an active surface keep (Pt, Pv) separate. Every element count is
-the largest that the budget (allocation.affordable) and alpha* >= 1 allow.
+the largest the budget and alpha* >= 1 allow, by allocation.largest_count.
 
 Single-surface systems are evaluated at both existing IRS sites (A, B) at
 once, as SNR arrays of shape (2,), or (2, n_act) for the hybrid, with -inf
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import MAX_SCAN_ROWS, affordable
+from .allocation import MAX_SCAN_ROWS, affordable, largest_count
 from .errors import DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star
 from .scenario import MIN_DISTANCE, SystemParams, Topology, fmt_number
@@ -81,12 +81,10 @@ def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     da, db = _distances(topo)
-    # alpha* decreases in n and is >= 1 up to n = alpha*(1)^2, so the floored
-    # square, corrected by alpha* itself, is the last feasible count
+    # alpha* decreases in n and is >= 1 up to n = alpha*(1)^2
     afford = affordable(params.total_budget, 0.0, params.cost_active)
-    n = np.minimum(afford, np.floor(alpha_star(params, da, 1.0) ** 2))
-    n -= (n >= 1.0) & (alpha_star(params, da, np.maximum(n, 1.0)) < 1.0)
-    n += (n < afford) & (alpha_star(params, da, n + 1.0) >= 1.0)
+    n = largest_count(np.minimum(afford, alpha_star(params, da, 1.0) ** 2),
+                      lambda k: (k <= afford) & (alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0))
     alpha = alpha_star(params, da, np.maximum(n, 1.0))
     if not (alpha >= 1.0).any():
         raise InfeasibleBudget("no site can drive one active element at amplitude >= 1")

@@ -31,6 +31,7 @@ from .snr import check_lemma1, check_seed, compare_schemes, rate_from_snr, \
 
 SCHEME_SYSTEMS = ("tapr", "tpar")
 ALL_SYSTEMS = SCHEME_SYSTEMS + benchmarks.BENCHMARK_SYSTEMS
+METHODS = ("optimal", "closed-form", "exhaustive")
 
 CSV_COLUMNS = ("sweep_param", "value", "system", "n_act", "n_pas", "amplitude",
                "snr_db", "rate_bps_hz", "method", "error")
@@ -61,6 +62,8 @@ class SweepSpec:
         for system in self.systems:
             if system not in ALL_SYSTEMS:
                 raise ConfigError(f"unknown system {system!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown allocation method {self.method!r}")
         # values() makes floor(span) + 1 values, at most MAX_SCAN_ROWS exactly
         # when span < MAX_SCAN_ROWS; the span is compared as a float, before
         # any int or list is made, as it can overflow to inf
@@ -119,15 +122,9 @@ def _apply_sweep_value(params: SystemParams, parameter: str, value: float) -> Sy
 def run_sweep(params: SystemParams, topo: Topology, spec: SweepSpec) -> list[dict]:
     rows = []
     for value in spec.values():
-        try:
-            point = _apply_sweep_value(params, spec.parameter, value)
-        except (ConfigError, ValueError) as exc:
-            for system in spec.systems:
-                rows.append(_row(spec.parameter, value, system, 0, 0, 0, 0,
-                                 spec.method, error=str(exc)))
-            continue
         for system in spec.systems:
             try:
+                point = _apply_sweep_value(params, spec.parameter, value)
                 n_act, n_pas, amp, snr, tag = _evaluate_system(point, topo,
                                                                system, spec.method)
                 rows.append(_row(spec.parameter, value, system, n_act, n_pas,
@@ -173,27 +170,25 @@ PLACEMENT_COLUMNS = ("iteration", "xa", "ya", "xb", "yb", "n_act", "n_pas",
 # ------------------------------------------------------------------- verify
 
 def _random_verify_scenario(rng: np.random.Generator):
-    while True:
-        params = SystemParams(
-            transmit_power=dbm_to_watts(rng.uniform(10, 30)),
-            amp_power_budget=dbm_to_watts(rng.uniform(5, 25)),
-            rx_noise_power=dbm_to_watts(rng.uniform(-90, -70)),
-            amp_noise_power=dbm_to_watts(rng.uniform(-90, -70)),
-            ref_gain=10.0 ** rng.uniform(-4, -2),
-            wavelength=0.1,
-            cost_active=rng.uniform(2, 10),
-            cost_passive=1.0,
-            total_budget=1500.0,
-        )
-        try:
-            topo = build_topology(
-                (0.0, 0.0, 0.0),
-                (rng.uniform(5, 30), rng.uniform(0, 10), rng.uniform(5, 15)),
-                (rng.uniform(60, 120), rng.uniform(0, 10), rng.uniform(5, 15)),
-                (rng.uniform(125, 160), rng.uniform(0, 10), 0.0))
-        except IrsAllocError:
-            continue
-        return params, topo
+    # every draw keeps d1 >= 5 m, d2 >= 30 m and d3 >= 5 m, so the
+    # topology always passes d_min
+    params = SystemParams(
+        transmit_power=dbm_to_watts(rng.uniform(10, 30)),
+        amp_power_budget=dbm_to_watts(rng.uniform(5, 25)),
+        rx_noise_power=dbm_to_watts(rng.uniform(-90, -70)),
+        amp_noise_power=dbm_to_watts(rng.uniform(-90, -70)),
+        ref_gain=10.0 ** rng.uniform(-4, -2),
+        wavelength=0.1,
+        cost_active=rng.uniform(2, 10),
+        cost_passive=1.0,
+        total_budget=1500.0,
+    )
+    topo = build_topology(
+        (0.0, 0.0, 0.0),
+        (rng.uniform(5, 30), rng.uniform(0, 10), rng.uniform(5, 15)),
+        (rng.uniform(60, 120), rng.uniform(0, 10), rng.uniform(5, 15)),
+        (rng.uniform(125, 160), rng.uniform(0, 10), 0.0))
+    return params, topo
 
 
 def _slope(budgets, snrs) -> float:
@@ -308,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="solve one allocation problem")
     common(p, out=True)
     p.add_argument("--scheme", choices=[s.lower() for s in SCHEMES], default="tapr")
-    p.add_argument("--method", choices=["optimal", "closed-form", "exhaustive"],
-                   default="optimal")
+    p.add_argument("--method", choices=METHODS, default="optimal")
 
     p = sub.add_parser("sweep", help="parameter sweep, one CSV row per point/system")
     common(p, out=True)
@@ -320,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--systems", default=",".join(ALL_SYSTEMS),
                    help="comma-separated subset of " + ",".join(ALL_SYSTEMS))
-    p.add_argument("--method", choices=["optimal", "closed-form", "exhaustive"],
-                   default="optimal")
+    p.add_argument("--method", choices=METHODS, default="optimal")
 
     p = sub.add_parser("placement", help="alternating placement/allocation optimization")
     common(p, out=True)

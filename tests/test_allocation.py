@@ -14,10 +14,10 @@ from irsalloc import (
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
-from irsalloc.allocation import _best_row, _largest_feasible_pas, affordable
+from irsalloc.allocation import MAX_SCAN_ROWS, _best_row, _largest_feasible_pas, affordable
 from irsalloc.reflection import beta_star
 from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
-from conftest import baseline_params, brute_force_allocation, random_scenario
+from conftest import baseline_params, brute_force_allocation, random_scenario, traced_peak
 
 
 def test_closed_form_split_pins():
@@ -316,6 +316,23 @@ def test_exhaustive_guard(params, topo):
         exhaustive_search(params, topo, "TAPR", budget=1e8)
     # 2e5 rows are within the bound
     assert solve_integer(params, topo, "TAPR", budget=1e6).allocation.n_act >= 1
+
+
+@pytest.mark.parametrize("scheme, peak_mib", [("TAPR", 31.5), ("TPAR", 53.5)])
+def test_exhaustive_guard_edge(params, topo, scheme, peak_mib):
+    # with w_act 5 and w_pas 1, budgets 5,000,001 to 5,000,005 afford exactly
+    # MAX_SCAN_ROWS active counts with one passive element each, and so answer;
+    # at 5,000,005 the budget alone, without the passive element, affords one
+    # count more. Each solve at the bound holds its rows within the given peak.
+    for budget in (5_000_001.0, 5_000_005.0):
+        sols = []
+        peak = traced_peak(lambda: sols.append(solve_integer(params, topo, scheme,
+                                                             budget=budget)))
+        assert peak < peak_mib * 2 ** 20
+        a = sols[0].allocation
+        assert a.n_act <= MAX_SCAN_ROWS and a.cost(params) <= budget
+    with pytest.raises(SearchSpaceTooLarge, match="^1000001 n_act rows exceed"):
+        solve_integer(params, topo, scheme, budget=5_000_006.0)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, True])

@@ -34,6 +34,8 @@ def test_sweep_spec_validation():
         SweepSpec("frequency", 50.0, 100.0, 10.0, ("tapr",), "optimal")
     with pytest.raises(ConfigError):
         SweepSpec("total-budget", 50.0, 100.0, 10.0, ("quadruple-irs",), "optimal")
+    with pytest.raises(ConfigError, match="unknown allocation method 'bogus'"):
+        SweepSpec("total-budget", 500.0, 1000.0, 500.0, ("tapr",), "bogus")
 
 
 def test_sweep_values_cover_grid():

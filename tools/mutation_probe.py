@@ -44,17 +44,23 @@ MUTANTS = [
      "k = tied[np.lexsort((n_act[tied], n_pas[tied]))[-1]]",
      "k = tied[np.lexsort((n_act[tied], n_pas[tied]))[0]]",
      "tests/test_allocation.py"),
-    ("tpar-cap-no-down-correction", ALLOCATION,
-     "cap -= beta_star(params, d1, d2, n_act, cap) < 1.0", "",
+    ("largest-count-no-down-correction", ALLOCATION,
+     "k -= ~ok(k)  # one down where the floor is too many", "",
      "tests/test_allocation.py"),
-    ("tpar-cap-no-up-correction", ALLOCATION,
-     "cap += beta_star(params, d1, d2, n_act, cap + 1.0) >= 1.0", "",
+    ("largest-count-no-up-correction", ALLOCATION,
+     "k += 1.0  # in place: a k + 1.0 passed to ok would hold one more row array", "",
      "tests/test_allocation.py"),
-    ("affordable-no-down-correction", ALLOCATION,
-     "k -= spent + cost * k > budget", "",
+    ("affordable-strict-budget", ALLOCATION,
+     "return largest_count((budget - spent) / cost, lambda k: spent + cost * k <= budget)",
+     "return largest_count((budget - spent) / cost, lambda k: spent + cost * k < budget)",
      "tests/test_allocation.py"),
-    ("affordable-no-up-correction", ALLOCATION,
-     "k += spent + cost * (k + 1.0) <= budget", "",
+    ("tpar-cap-strict-amplitude", ALLOCATION,
+     "lambda k: beta_star(params, d1, d2, n_act, k) >= 1.0))",
+     "lambda k: beta_star(params, d1, d2, n_act, k) > 1.0))",
+     "tests/test_allocation.py"),
+    ("exhaustive-rows-no-passive-element", ALLOCATION,
+     "rows = largest_count((m - wp) / wa, lambda k: wa * k + wp <= m)",
+     "rows = largest_count((m - wp) / wa, lambda k: wa * k <= m)",
      "tests/test_allocation.py"),
     ("ao-stops-at-no-gain", PLACEMENT,
      "if sol.rate - prev_rate < AO_TOL:",
@@ -95,11 +101,9 @@ MUTANTS = [
     ("topology-no-min-distance", "src/irsalloc/scenario.py",
      "if d < d_min:", "if False:",
      "tests/test_scenario.py"),
-    ("single-airs-no-down-correction", "src/irsalloc/benchmarks.py",
-     "n -= (n >= 1.0) & (alpha_star(params, da, np.maximum(n, 1.0)) < 1.0)", "",
-     "tests/test_benchmarks.py"),
-    ("single-airs-no-up-correction", "src/irsalloc/benchmarks.py",
-     "n += (n < afford) & (alpha_star(params, da, n + 1.0) >= 1.0)", "",
+    ("single-airs-ok-no-budget", "src/irsalloc/benchmarks.py",
+     "lambda k: (k <= afford) & (alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0))",
+     "lambda k: alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0)",
      "tests/test_benchmarks.py"),
 ]
 
