@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleBudget, SearchSpaceTooLarge
+from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star, optimal_amplitude
 from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_budget, \
     check_positive, check_scheme, fmt_number
@@ -58,12 +58,12 @@ class Allocation:
         # nan fails every comparison; inf must not reach int()
         if self.continuous:
             if not (0 < self.n_act <= MAX_ELEMENTS and 0 < self.n_pas <= MAX_ELEMENTS):
-                raise ValueError(f"continuous counts must be > 0 and at most {MAX_ELEMENTS:g}")
+                raise ConfigError(f"continuous counts must be > 0 and at most {MAX_ELEMENTS:g}")
         else:
             for name in ("n_act", "n_pas"):
                 v = getattr(self, name)
                 if not 1 <= v <= MAX_ELEMENTS or v != int(v):
-                    raise ValueError(f"{name}={v!r} must be an integer in [1, {MAX_ELEMENTS:g}]")
+                    raise ConfigError(f"{name}={v!r} must be an integer in [1, {MAX_ELEMENTS:g}]")
 
     def cost(self, params: SystemParams) -> float:
         return params.cost_active * self.n_act + params.cost_passive * self.n_pas
@@ -210,4 +210,4 @@ def solve_integer(params: SystemParams, topo: Topology, scheme: str,
         split = closed_form_split(m, params.cost_active, params.cost_passive, scheme)
         row = np.array([max(1, round(split.n_act))], dtype=float)
         return _best_row(params, topo, scheme, row, m, method="closed-form")
-    raise ValueError(f"unknown allocation method {method!r}")
+    raise ConfigError(f"unknown allocation method {method!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import MAX_SCAN_ROWS, affordable, largest_count
-from .errors import DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge
+from .errors import ConfigError, DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge
 from .reflection import alpha_star
 from .scenario import MIN_DISTANCE, SystemParams, Topology, fmt_number
 from .snr import rate_from_snr
@@ -141,5 +141,5 @@ def run_benchmark(system: str, params: SystemParams, topo: Topology) -> Benchmar
         DOUBLE_PIRS: rate_double_pirs,
     }
     if system not in dispatch:
-        raise ValueError(f"unknown benchmark system {system!r}")
+        raise ConfigError(f"unknown benchmark system {system!r}")
     return dispatch[system](params, topo)

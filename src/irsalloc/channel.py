@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .scenario import SystemParams, TAPR, Topology, check_scheme
 
 SPACING_FACTOR = 1.0  # 2 * (element spacing) / wavelength with lambda/2 spacing
@@ -26,14 +26,14 @@ SPACING_FACTOR = 1.0  # 2 * (element spacing) / wavelength with lambda/2 spacing
 def steering(w: float, n: int) -> np.ndarray:
     """Linear-array steering vector: entry k = exp(-j*pi*k*w), k = 0..n-1."""
     if n < 1:
-        raise ValueError("steering vector length must be >= 1")
+        raise ConfigError("steering vector length must be >= 1")
     return np.exp(-1j * math.pi * w * np.arange(n))
 
 
 def grid_shape(n: int) -> tuple[int, int]:
     """Near-square factorization n = nx * ny with nx the largest divisor <= sqrt(n)."""
     if n < 1:
-        raise ValueError("element count must be >= 1")
+        raise ConfigError("element count must be >= 1")
     nx = 1
     for d in range(1, int(math.isqrt(n)) + 1):
         if n % d == 0:
@@ -50,7 +50,7 @@ def direction_angles(vec) -> tuple[float, float]:
     v = np.asarray(vec, dtype=float)
     r = float(np.linalg.norm(v))
     if r == 0.0:
-        raise ValueError("zero-length displacement has no direction")
+        raise ConfigError("zero-length displacement has no direction")
     azimuth = math.atan2(v[1], v[0])
     # atan2 keeps the small components that acos(z/r) loses near the poles
     elevation = math.atan2(math.hypot(v[0], v[1]), v[2])

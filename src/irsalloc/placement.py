@@ -26,15 +26,23 @@ gaps, and m is at most, bit for bit, every F the scan forms from an
 admissible column.
 
 The scan for one allocation takes L = P + C*m for every row that passes its
-own tests; adding and multiplying non-negative floats never decreases under
-IEEE round-to-nearest, so L is at most, bit for bit, every zeta the scan
-computes in the row from an admissible column, whatever the pair tests
-(d2 >= d_min and, for TPAR, beta* >= 1) say. Rows are evaluated one at a
-time, whole and with every test, in ascending order of L, until the next L
-exceeds the tie cut; the answer equals that of a scan of the joint grid.
-Every link distance must be at least d_min and MIN_DISTANCE, as
-build_topology requires; with d_min = 0 the scan would otherwise pick
-coincident surfaces for TAPR, where zeta falls to P.
+own tests, and inf for every other row; adding and multiplying non-negative
+floats never decreases under IEEE round-to-nearest, so L is at most, bit for
+bit, every zeta the scan computes in the row from an admissible column,
+whatever the pair tests (d2 >= d_min and, for TPAR, beta* >= 1) say. Rows
+are evaluated one at a time, whole and with every test: first the row of
+least L, then, in ascending order of L, the rows whose L is within the tie
+cut that row leaves (every row with a finite L while no candidate has passed
+its tests), until the next L exceeds the cut. So only the rows within the cut
+are sorted, and a row with L = inf is never evaluated. The answer equals that
+of a scan of the joint grid. Every link distance must be at least d_min and
+MIN_DISTANCE, as build_topology requires; with d_min = 0 the scan would
+otherwise pick coincident surfaces for TAPR, where zeta falls to P. The
+answer's Topology comes from build_topology's own constructor, which measures
+the three distances and applies those tests again. Tx and Rx are checked once
+per geometry and the grid's bounds by PlacementGrid, so of the domain checks
+only the chosen surface points' remain: an axis's last point can pass its
+bound by a rounding.
 
 A grid whose geometry needs an array of more than _MAX_GRID_POINTS entries is
 refused before any array is built, and no temporary holds more entries than
@@ -58,7 +66,7 @@ from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement, SearchSpaceTooLarge
 from .reflection import alpha_star, beta_star
 from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topology,
-                       build_topology, check_min_distance, check_position, check_scheme,
+                       _topology, check_min_distance, check_position, check_scheme,
                        is_finite_real)
 from .snr import objective_constants
 
@@ -260,26 +268,40 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     if alloc.scheme == TAPR:
         # never &=, which would write into the geometry
         ok = ok & (alpha_star(params, geo.d_row, alloc.n_act) >= 1.0)
-    rows = np.flatnonzero(ok)
-    low = c.ravel()[rows] * geo.m.ravel()[rows] + p.ravel()[rows]
+    # L of every row; inf marks a row that fails its own tests, and a visited one
+    low = np.where(ok, c * geo.m + p, np.inf).ravel()
 
     near = 1.0 - 1e-12  # relative tie tolerance
     best = math.inf
     cut = math.inf  # largest zeta within the tie tolerance of best
     hits = []  # (zeta, ixa, ixb, iya, iyb) of the near-ties seen so far
-    for n in np.argsort(low):
-        row, bound = rows[n], low[n]
-        # this row and every row after it have no candidate within the tie
-        # tolerance of best
-        if bound > cut:
-            break
+
+    def visit(row):
+        nonlocal best, cut
         zeta, feasible = _row(params, alloc, geo, p, c, row)
-        best = min(best, float(np.min(zeta, where=feasible, initial=math.inf)))
+        zeta = np.where(feasible, zeta, np.inf)
+        best = min(best, float(zeta.min()))
+        if best == math.inf:
+            return  # no feasible candidate yet: every zeta here is masked
         cut = best / near
-        i, j = divmod(int(row), geo.gap_y.shape[0])
-        ks, ls = np.nonzero((zeta <= cut) & feasible)
-        hits += [(z, i, k, j, l) if geo.scheme == TAPR else (z, k, i, l, j)
-                 for z, k, l in zip(zeta[ks, ls].tolist(), ks.tolist(), ls.tolist())]
+        i, j = divmod(row, geo.gap_y.shape[0])
+        ks, ls = np.nonzero(zeta <= cut)
+        hits.extend((z, i, k, j, l) if geo.scheme == TAPR else (z, k, i, l, j)
+                    for z, k, l in zip(zeta[ks, ls].tolist(), ks.tolist(), ls.tolist()))
+
+    # the row of least L first, then the other rows within its cut (every
+    # admissible row while there is no cut) in ascending L
+    first = int(np.argmin(low))
+    if low[first] < math.inf:
+        visit(first)
+        low[first] = math.inf
+        rest = np.flatnonzero(low <= cut if cut < math.inf else low < math.inf)
+        for row in rest[np.argsort(low[rest])].tolist():
+            # this row and every row after it have no candidate within the
+            # tie tolerance of best
+            if low[row] > cut:
+                break
+            visit(row)
     if not hits:
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
     return _place(geo, *min(hit[1:] for hit in hits if hit[0] <= cut))
@@ -288,8 +310,13 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
 def _place(geo: _Geometry, ixa: int, ixb: int, iya: int, iyb: int) -> Topology:
     """The topology with the surfaces at these indices of the grid's axes."""
     h = geo.grid.height
-    return build_topology(geo.tx, (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h),
-                          geo.rx, d_min=geo.grid.d_min)
+    a, b = (geo.xa[ixa], geo.ya[iya], h), (geo.xb[ixb], geo.yb[iyb], h)
+    # the grid's bounds lie in the domain, but an axis's last point can pass
+    # its bound by a rounding
+    for label, pos in (("pos_irs_a", a), ("pos_irs_b", b)):
+        if not max(map(abs, pos)) <= MAX_COORDINATE:
+            check_position(label, pos)  # raises build_topology's ConfigError
+    return _topology(geo.tx, np.array(a), np.array(b), geo.rx, geo.grid.d_min)
 
 
 def alternating_optimize(params: SystemParams, grid: PlacementGrid, scheme: str,

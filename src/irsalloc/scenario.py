@@ -180,13 +180,18 @@ def build_topology(pos_tx, pos_irs_a, pos_irs_b, pos_rx, d_min: float = 1.0) -> 
     """Check the four node positions and derive the three link distances,
     each at least d_min and MIN_DISTANCE."""
     check_min_distance(d_min)
-    tx = check_position("pos_tx", pos_tx)
-    a = check_position("pos_irs_a", pos_irs_a)
-    b = check_position("pos_irs_b", pos_irs_b)
-    rx = check_position("pos_rx", pos_rx)
-    d1 = float(np.linalg.norm(a - tx))
-    d2 = float(np.linalg.norm(b - a))
-    d3 = float(np.linalg.norm(rx - b))
+    return _topology(check_position("pos_tx", pos_tx), check_position("pos_irs_a", pos_irs_a),
+                     check_position("pos_irs_b", pos_irs_b), check_position("pos_rx", pos_rx),
+                     d_min)
+
+
+def _topology(tx: np.ndarray, a: np.ndarray, b: np.ndarray, rx: np.ndarray,
+              d_min: float) -> Topology:
+    """The topology of four checked positions (float arrays) and a checked
+    d_min; DistanceTooSmall unless each link distance is at least d_min and
+    MIN_DISTANCE."""
+    # sqrt(v.v) is np.linalg.norm of a real vector, bit for bit
+    d1, d2, d3 = (math.sqrt(v.dot(v)) for v in (a - tx, b - a, rx - b))
     for label, d in (("Tx<->A-IRS", d1), ("A-IRS<->B-IRS", d2), ("B-IRS<->Rx", d3)):
         if d < d_min:
             raise DistanceTooSmall(f"{label} distance {d:.6g} m < d_min {d_min:.6g} m")

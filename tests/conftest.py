@@ -195,10 +195,13 @@ def full_grid_placement(params: SystemParams, alloc, grid, pos_tx, pos_rx):
     # every link distance at least d_min and, as build_topology requires, > 0
     feasible = ((d1 >= grid.d_min) & (d2 >= grid.d_min) & (d3 >= grid.d_min)
                 & (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0))
-    if alloc.scheme == TAPR:
-        feasible &= alpha_star(params, d1, alloc.n_act) >= 1.0
-    else:
-        feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
+    # beta* divides by d1, which is 0 at a grid point on Tx; that point
+    # already fails d1 > 0
+    with np.errstate(divide="ignore"):
+        if alloc.scheme == TAPR:
+            feasible &= alpha_star(params, d1, alloc.n_act) >= 1.0
+        else:
+            feasible &= beta_star(params, d1, d2, alloc.n_act, alloc.n_pas) >= 1.0
     if not feasible.any():
         raise NoFeasiblePlacement("every grid point violates a distance or amplitude constraint")
 

@@ -42,19 +42,19 @@ def test_closed_form_split_budget_identity():
 
 
 def test_allocation_validation(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Allocation(0, 10, "TAPR")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Allocation(2.5, 10, "TAPR")
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Allocation(bad, 10, "TAPR")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Allocation(3, bad, "TPAR")
     for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Allocation(bad, 10.0, "TAPR", continuous=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Allocation(2.5, bad, "TPAR", continuous=True)
     cont = Allocation(2.5, 10.0, "TAPR", continuous=True)
     assert cont.cost(params) == pytest.approx(2.5 * 5.0 + 10.0, rel=1e-6, abs=0.0)
@@ -365,9 +365,9 @@ def test_budget_override_within_domain(params, topo):
 def test_allocation_counts_within_domain():
     assert Allocation(1e9, 1e9, "TAPR").n_act == 1e9
     for bad in (1e9 + 1.0, 1e300):
-        with pytest.raises(ValueError, match="1e\\+09"):
+        with pytest.raises(ConfigError, match="1e\\+09"):
             Allocation(bad, 1, "TAPR")
-        with pytest.raises(ValueError, match="1e\\+09"):
+        with pytest.raises(ConfigError, match="1e\\+09"):
             Allocation(1.0, bad, "TPAR", continuous=True)
 
 

@@ -257,7 +257,7 @@ def test_run_benchmark_dispatch(params, topo):
         res = run_benchmark(system, params, topo)
         assert res.system == system
         assert res.rate == pytest.approx(math.log2(1.0 + res.snr), rel=1e-12, abs=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_benchmark("triple-pirs", params, topo)
 
 

@@ -14,14 +14,16 @@ ranges and four geometries (2,048 drives) takes about 105 s on a 2-vCPU box.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsalloc import (Allocation, IrsAllocError, PlacementGrid, SystemParams,
+from irsalloc import (Allocation, ConfigError, IrsAllocError, PlacementGrid, SystemParams,
                       alternating_optimize, build_channels, build_topology,
                       check_lemma1, closed_form_split, compare_schemes, configure,
                       run_benchmark, simulate_empirical_snr, snr_exact_matrix,
                       solve_continuous, solve_integer)
 from irsalloc.benchmarks import BENCHMARK_SYSTEMS
+from irsalloc.channel import direction_angles, grid_shape, steering
 from irsalloc.scenario import DOMAIN, MAX_COORDINATE, MAX_COST_RATIO, MAX_ELEMENTS, \
     MIN_DISTANCE, SCHEMES
 
@@ -117,3 +119,21 @@ def drive(params: SystemParams, geometry: str) -> None:
 def test_entry_points_finite_or_typed_at_domain_corners(corner, ratio, budget_high, geometry):
     drive(corner_params(corner, ratio, budget_high), geometry)
 
+
+
+# one malformed argument per public path that raised a plain ValueError
+MALFORMED = {
+    "allocation-count": lambda params, topo: Allocation(0, 10, "TAPR"),
+    "continuous-count": lambda params, topo: Allocation(0.0, 10.0, "TPAR", continuous=True),
+    "solve-method": lambda params, topo: solve_integer(params, topo, "TAPR", method="bogus"),
+    "benchmark-system": lambda params, topo: run_benchmark("bogus", params, topo),
+    "steering-length": lambda params, topo: steering(0.5, 0),
+    "grid-shape": lambda params, topo: grid_shape(0),
+    "zero-direction": lambda params, topo: direction_angles((0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(MALFORMED))
+def test_malformed_argument_raises_config_error(params, topo, path):
+    with pytest.raises(ConfigError):
+        MALFORMED[path](params, topo)

@@ -1,17 +1,18 @@
 """Grid placement search and the alternating placement/allocation loop."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import irsalloc.placement as placement
 from irsalloc import (
-    AOTrace, Allocation, ConfigError, NoFeasiblePlacement, PlacementGrid, SearchSpaceTooLarge,
-    alternating_optimize, build_topology, dbm_to_watts, optimize_placement_given_allocation,
-    snr_closed_form, solve_integer,
+    AOTrace, Allocation, ConfigError, DistanceTooSmall, NoFeasiblePlacement, PlacementGrid,
+    SearchSpaceTooLarge, alternating_optimize, build_topology, dbm_to_watts,
+    optimize_placement_given_allocation, snr_closed_form, solve_integer,
 )
 from irsalloc.placement import AOIteration
 from irsalloc.reflection import alpha_star, beta_star
@@ -294,6 +295,11 @@ def placement_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(placement_cases())
+# a TPAR grid point on Tx: the oracle's beta* divides by d1 = 0 there
+@example((baseline_params(amp_power_budget=dbm_to_watts(0.0)), Allocation(1, 1, "TPAR"),
+          PlacementGrid(xa_bounds=(0.0, 0.0), ya_bounds=(0.0, 0.0), xb_bounds=(45.0, 45.0),
+                        yb_bounds=(0.0, 0.0), step=1.0, height=0.0, d_min=0.5),
+          TX, RX))
 def test_pruned_scan_matches_full_grid_property(case):
     same_placement(*case)
 
@@ -385,11 +391,6 @@ def test_scan_evaluates_every_row_within_cut_property(case):
     params, alloc = case[:2]
     geo, p, c, low, rows = scan_inputs(case)
     best = min((row_top(params, alloc, geo, p, c, row) for row in rows), default=np.inf)
-    if best == np.inf:
-        with pytest.raises(NoFeasiblePlacement):
-            placement._scan(params, alloc, geo)
-        return
-    cut = best / (1.0 - 1e-12)
     seen = []
     evaluate = placement._row
 
@@ -399,8 +400,90 @@ def test_scan_evaluates_every_row_within_cut_property(case):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(placement, "_row", recording_row)
-        placement._scan(params, alloc, geo)
-    assert set(rows[low.flat[rows] <= cut].tolist()) <= set(seen)
+        if best == np.inf:
+            with pytest.raises(NoFeasiblePlacement):
+                placement._scan(params, alloc, geo)
+        else:
+            placement._scan(params, alloc, geo)
+    # only rows that pass their own tests, each at most once
+    assert set(seen) <= set(rows.tolist())
+    assert len(seen) == len(set(seen))
+    if best < np.inf:
+        cut = best / (1.0 - 1e-12)
+        assert set(rows[low.flat[rows] <= cut].tolist()) <= set(seen)
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_no_feasible_pair_in_admissible_rows(params, scheme):
+    # on the line y = 0 at Tx height, d_min = 5: the row nearer its end node
+    # (d1 = 2 for TAPR, d3 = 2 for TPAR) fails its own test, and the other
+    # row's only pair has d2 = 3, so the cut stays inf; the failing row's
+    # pair (d2 = 11) passes the pair tests and must still not be visited
+    if scheme == "TAPR":
+        boxes = dict(xa_bounds=(2.0, 10.0), xb_bounds=(13.0, 13.0))
+    else:
+        boxes = dict(xa_bounds=(87.0, 87.0), xb_bounds=(90.0, 98.0))
+    grid = PlacementGrid(ya_bounds=(0.0, 0.0), yb_bounds=(0.0, 0.0), step=8.0, height=0.0,
+                         d_min=5.0, **boxes)
+    alloc = Allocation(100, 1000, scheme)
+    geo, p, c, low, rows = scan_inputs((params, alloc, grid, TX, RX))
+    masked = np.flatnonzero(~geo.rows_ok.ravel())
+    assert len(rows) == 1 and len(masked) == 1
+    assert np.isinf(row_top(params, alloc, geo, p, c, rows[0]))
+    assert np.isfinite(row_top(params, alloc, geo, p, c, masked[0]))
+    assert same_placement(params, alloc, grid, TX, RX) is None
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_place_matches_build_topology(params, scheme):
+    # every point of a grid that holds Tx, where d1 = 0 raises
+    grid = PlacementGrid(xa_bounds=(0.0, 4.0), ya_bounds=(0.0, 2.0), xb_bounds=(90.0, 96.0),
+                         yb_bounds=(-2.0, 2.0), step=2.0, height=0.0, d_min=0.0)
+    geo = placement._geometry(params, grid, TX, RX, scheme)
+    raised = 0
+    for ixa, ixb, iya, iyb in np.ndindex(len(geo.xa), len(geo.xb), len(geo.ya), len(geo.yb)):
+        a, b = (geo.xa[ixa], geo.ya[iya], 0.0), (geo.xb[ixb], geo.yb[iyb], 0.0)
+        try:
+            expected = build_topology(TX, a, b, RX, d_min=0.0)
+        except DistanceTooSmall as exc:
+            with pytest.raises(DistanceTooSmall, match=f"^{re.escape(str(exc))}$"):
+                placement._place(geo, ixa, ixb, iya, iyb)
+            raised += 1
+            continue
+        assert placement._place(geo, ixa, ixb, iya, iyb) == expected
+    assert raised == len(geo.xb) * len(geo.yb)
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_place_refuses_point_beyond_domain(params, scheme):
+    # the passive surface's x axis (B for TAPR, A for TPAR) ends at
+    # 1e6 + 5e-10, past the domain's bound by a rounding; with its end node
+    # (Rx for TAPR, Tx for TPAR) beside that point the scan picks it, and with
+    # the node 8 m short of the axis the scan picks the first point
+    edge, near = (1e6 - 1.9999999995, 1e6), (10.0, 10.0)
+    grid = PlacementGrid(xa_bounds=near if scheme == "TAPR" else edge, ya_bounds=(0.0, 0.0),
+                         xb_bounds=edge if scheme == "TAPR" else near, yb_bounds=(0.0, 0.0),
+                         step=1.0, height=10.0, d_min=1.0)
+    alloc = Allocation(100, 1000, scheme)
+    axis = grid.axis(edge)
+    assert axis[-1] == 1000000.0000000005
+
+    def nodes(x):
+        return (TX, (x, 0.0, 0.0)) if scheme == "TAPR" else ((x, 0.0, 0.0), TX)
+
+    # the point as _place forms it: axis entries and the grid height
+    picked, other = (axis[-1], np.float64(0.0), 10.0), (10.0, 0.0, 10.0)
+    label, a, b = (("pos_irs_b", other, picked) if scheme == "TAPR"
+                   else ("pos_irs_a", picked, other))
+    tx, rx = nodes(1e6)
+    with pytest.raises(ConfigError) as expected:
+        build_topology(tx, a, b, rx)
+    assert str(expected.value).startswith(label)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(expected.value))}$"):
+        optimize_placement_given_allocation(params, alloc, grid, *nodes(1e6))
+    topo = optimize_placement_given_allocation(params, alloc, grid, *nodes(999990.0))
+    pos = topo.pos_irs_b if scheme == "TAPR" else topo.pos_irs_a
+    assert pos == (999998.0000000005, 0.0, 10.0)
 
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
@@ -680,9 +763,7 @@ def test_tpar_grid_point_on_tx_without_min_distance(params):
                          xb_bounds=(90.0, 96.0), yb_bounds=(0.0, 4.0),
                          step=1.0, height=0.0, d_min=0.0)
     alloc, rx = Allocation(20, 200, "TPAR"), (100.0, 0.0, 5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        expected = full_grid_placement(params, alloc, grid, TX, rx)
+    expected = full_grid_placement(params, alloc, grid, TX, rx)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = optimize_placement_given_allocation(params, alloc, grid, TX, rx)

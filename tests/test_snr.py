@@ -84,7 +84,7 @@ def test_noiseless_amplifier_limit(topo):
 def test_closed_form_refuses_counts_beyond_domain(params, topo):
     # counts above the domain's 1e9 elements are refused as the allocation is
     # built, before any arithmetic; at 1e300, zeta's x_pas**2 overflowed
-    with pytest.raises(ValueError, match="1e\\+09"):
+    with pytest.raises(ConfigError, match="1e\\+09"):
         snr_closed_form(params, topo, Allocation(1e300, 1e300, "TAPR"))
 
 

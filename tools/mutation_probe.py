@@ -75,8 +75,19 @@ MUTANTS = [
      "return _place(geo, *max(hit[1:] for hit in hits if hit[0] <= cut))",
      "tests/test_placement.py"),
     ("scan-stops-at-best", PLACEMENT,
-     "if bound > cut:",
-     "if bound > best:",
+     "if low[row] > cut:",
+     "if low[row] > best:",
+     "tests/test_placement.py"),
+    ("scan-visits-masked-rows", PLACEMENT,
+     "rest = np.flatnonzero(low <= cut if cut < math.inf else low < math.inf)",
+     "rest = np.flatnonzero(low <= cut)",
+     "tests/test_placement.py"),
+    ("scan-revisits-first-row", PLACEMENT,
+     "low[first] = math.inf", "",
+     "tests/test_placement.py"),
+    ("scan-records-masked-zeta", PLACEMENT,
+     "if best == math.inf:",
+     "if False:",
      "tests/test_placement.py"),
     ("placement-d2-strict", PLACEMENT,
      "feasible = (d2 >= geo.least) & geo.far_col",
@@ -93,6 +104,10 @@ MUTANTS = [
     ("place-ixb-iya-swapped", PLACEMENT,
      "def _place(geo: _Geometry, ixa: int, ixb: int, iya: int, iyb: int) -> Topology:",
      "def _place(geo: _Geometry, ixa: int, iya: int, ixb: int, iyb: int) -> Topology:",
+     "tests/test_placement.py"),
+    ("place-no-domain-check", PLACEMENT,
+     "if not max(map(abs, pos)) <= MAX_COORDINATE:",
+     "if False:",
      "tests/test_placement.py"),
     ("check-size-no-y-gaps", PLACEMENT,
      "if not max(xa * ya, xb * yb, xa * xb, ya * yb) <= _MAX_GRID_POINTS:",
