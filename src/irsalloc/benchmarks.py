@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import MAX_SCAN_ROWS, affordable, largest_count
-from .errors import ConfigError, DistanceTooSmall, InfeasibleBudget, SearchSpaceTooLarge
+from .allocation import _scan_rows, affordable, largest_count
+from .errors import ConfigError, DistanceTooSmall, InfeasibleBudget
 from .reflection import alpha_star
-from .scenario import MIN_DISTANCE, SystemParams, Topology, fmt_number
+from .scenario import MIN_DISTANCE, SystemParams, Topology
 from .snr import rate_from_snr
 
 SINGLE_PIRS = "single-pirs"
@@ -102,11 +102,7 @@ def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     pt = params.transmit_power
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     m, wa, wp = params.total_budget, params.cost_active, params.cost_passive
-    rows = affordable(m, 0.0, wa)
-    if rows > MAX_SCAN_ROWS:
-        raise SearchSpaceTooLarge(f"{fmt_number(rows, 0)} n_act rows exceed the scan bound "
-                                  f"{MAX_SCAN_ROWS}")
-    n_act = np.arange(1.0, rows + 1.0)
+    n_act = np.arange(1.0, _scan_rows(affordable(m, 0.0, wa)) + 1.0)
     n_pas = affordable(m, wa * n_act, wp)
     da, db = _distances(topo)
     da, db = da[:, None], db[:, None]

@@ -27,6 +27,8 @@ def steering(w: float, n: int) -> np.ndarray:
     """Linear-array steering vector: entry k = exp(-j*pi*k*w), k = 0..n-1."""
     if n < 1:
         raise ConfigError("steering vector length must be >= 1")
+    if not math.isfinite(w):
+        raise ConfigError(f"steering argument must be finite, got {w!r}")
     return np.exp(-1j * math.pi * w * np.arange(n))
 
 
@@ -48,6 +50,8 @@ def direction_angles(vec) -> tuple[float, float]:
     +z axis, so elevation = pi/2 for a horizontal link.
     """
     v = np.asarray(vec, dtype=float)
+    if v.shape != (3,):
+        raise ConfigError(f"a displacement needs three coordinates, got {vec!r}")
     r = float(np.linalg.norm(v))
     if r == 0.0:
         raise ConfigError("zero-length displacement has no direction")
@@ -57,14 +61,21 @@ def direction_angles(vec) -> tuple[float, float]:
     return azimuth, elevation
 
 
+def _check_angles(azimuth: float, elevation: float) -> None:
+    if not (math.isfinite(azimuth) and math.isfinite(elevation)):
+        raise ConfigError(f"angles must be finite, got {azimuth!r}, {elevation!r}")
+
+
 def unit_from_angles(azimuth: float, elevation: float) -> np.ndarray:
     """Unit vector with the direction_angles convention."""
+    _check_angles(azimuth, elevation)
     se = math.sin(elevation)
     return np.array([se * math.cos(azimuth), se * math.sin(azimuth), math.cos(elevation)])
 
 
 def upa_response(azimuth: float, elevation: float, n: int) -> np.ndarray:
     """Planar-array response: x-axis steering (sin(az)sin(el)) kron y-axis (cos(el))."""
+    _check_angles(azimuth, elevation)
     nx, ny = grid_shape(n)
     wx = SPACING_FACTOR * math.sin(azimuth) * math.sin(elevation)
     wy = SPACING_FACTOR * math.cos(elevation)

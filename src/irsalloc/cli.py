@@ -211,8 +211,10 @@ def run_verify(params: SystemParams, topo: Topology,
 
     # 1. matrix oracle vs closed form on random scenarios
     diffs = []
+    scenarios = []
     for _ in range(40):
         p, t = _random_verify_scenario(rng)
+        scenarios.append((p, t))
         for scheme in SCHEMES:
             alloc = Allocation(n_act=int(rng.integers(1, 49)),
                                n_pas=int(rng.integers(1, 49)), scheme=scheme)
@@ -285,7 +287,25 @@ def run_verify(params: SystemParams, topo: Topology,
         ok &= abs(s - target) <= 0.05
         details.append(f"{system}: {s:.4f}")
     report.append(("scaling-slopes", bool(ok), "; ".join(details)))
+
+    # 6. the corner walk against the full scan on check 1's scenarios, exactly
+    # in counts, SNR, rate and amplitude, or in the error raised
+    differ = sum(_outcome(p, t, scheme, "optimal") != _outcome(p, t, scheme, "exhaustive")
+                 for p, t in scenarios for scheme in SCHEMES)
+    report.append(("optimal-vs-exhaustive", differ == 0,
+                   f"{differ} of {len(SCHEMES) * len(scenarios)} solves differ"))
     return report
+
+
+def _outcome(params: SystemParams, topo: Topology, scheme: str, method: str) -> tuple:
+    """(n_act, n_pas, snr, rate, amplitude) of one integer solve, or the
+    type and text of its error."""
+    try:
+        sol = solve_integer(params, topo, scheme, method=method)
+    except IrsAllocError as exc:
+        return type(exc).__name__, str(exc)
+    a = sol.allocation
+    return a.n_act, a.n_pas, sol.snr, sol.rate, sol.amplitude
 
 
 # ---------------------------------------------------------------------- main
@@ -351,7 +371,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         params, topo = load_scenario(args.config)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

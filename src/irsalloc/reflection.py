@@ -43,8 +43,10 @@ def optimal_phases(channels: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
     First surface: arg of the outgoing response minus arg of the incoming one
     (the outgoing response appears conjugated inside S). Second surface: arg
     of the response toward Rx minus arg of the one from the first surface
-    (h appears conjugated in the cascade).
+    (h appears conjugated in the cascade). DimensionMismatch unless the
+    channels' sizes agree.
     """
+    channels.check_dims()
     phases_first = np.mod(np.angle(channels.a_to_b) - np.angle(channels.a_from_tx), TWO_PI)
     phases_second = np.mod(np.angle(channels.b_to_rx) - np.angle(channels.b_from_a), TWO_PI)
     return phases_first, phases_second

@@ -36,8 +36,10 @@ def check_scheme(scheme: str) -> str:
 # ---------------------------------------------------------------- conversions
 
 def _from_db(value_db: float, offset_db: float, unit: str) -> float:
-    """10^((value_db - offset_db)/10); ConfigError where it overflows a
-    float."""
+    """10^((value_db - offset_db)/10); ConfigError unless value_db is a
+    finite real or where the result overflows a float."""
+    if not is_finite_real(value_db):
+        raise ConfigError(f"a level in {unit} must be a finite number, got {value_db!r}")
     try:
         return math.pow(10.0, (value_db - offset_db) / 10.0)
     except OverflowError:
@@ -49,7 +51,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def watts_to_dbm(p_watts: float) -> float:
-    return 10.0 * math.log10(p_watts) + 30.0
+    return 10.0 * math.log10(check_positive("p_watts", p_watts)) + 30.0
 
 
 def db_to_linear(g_db: float) -> float:
@@ -57,6 +59,9 @@ def db_to_linear(g_db: float) -> float:
 
 
 def linear_to_db(g):
+    """10*log10(g), elementwise; ConfigError unless every g is > 0."""
+    if not np.all(np.asarray(g) > 0):
+        raise ConfigError(f"a ratio in dB needs a value > 0, got {g!r}")
     return 10.0 * np.log10(g)
 
 
@@ -67,7 +72,7 @@ def fmt_number(v, decimals: int) -> str:
 
 def free_space_ref_gain(wavelength: float) -> float:
     """Channel power gain at 1 m for an isotropic free-space link, (lambda/4pi)^2."""
-    return (wavelength / (4.0 * math.pi)) ** 2
+    return (check_positive("wavelength", wavelength) / (4.0 * math.pi)) ** 2
 
 
 # ---------------------------------------------------------------------- types
@@ -213,8 +218,11 @@ CONFIG_KEYS = (
 
 def load_scenario(path) -> tuple[SystemParams, Topology]:
     """Read a scenario config file (YAML/JSON key-value text)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} did not parse to a mapping")
     missing = [k for k in CONFIG_KEYS if k not in raw]

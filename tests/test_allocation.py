@@ -1,8 +1,10 @@
 """Allocation solvers: continuous optimum, closed-form split and its literal
-rounding, and the exact integer scan against a brute-force oracle."""
+rounding, the exact integer scan against a brute-force oracle, and the
+corner walk against the scan."""
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,10 @@ from irsalloc import (
     build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
     solve_continuous, solve_integer,
 )
-from irsalloc.allocation import MAX_SCAN_ROWS, _best_row, _largest_feasible_pas, affordable
+import irsalloc.allocation as allocation
+from irsalloc.allocation import MAX_SCAN_ROWS, _best_row, _corner, _largest_feasible_pas, \
+    _row_pas, _row_zeta, _walk_bound, affordable
+from irsalloc.cli import _outcome
 from irsalloc.reflection import beta_star
 from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario, traced_peak
@@ -179,9 +184,10 @@ def test_optimal_matches_brute_force_when_tpar_cap_binds():
     expected = brute_force_allocation(params, topo, "TPAR", 60.0)
     n_act, n_pas = expected
     assert 2.0 * n_act + (n_pas + 1) <= 60.0  # the budget would allow more
-    sol = solve_integer(params, topo, "TPAR", method="optimal")
-    assert (sol.allocation.n_act, sol.allocation.n_pas) == expected
-    assert sol.amplitude >= 1.0
+    for method in ("optimal", "exhaustive"):
+        sol = solve_integer(params, topo, "TPAR", method=method)
+        assert (sol.allocation.n_act, sol.allocation.n_pas) == expected
+        assert sol.amplitude >= 1.0
 
 
 def test_tpar_cap_at_extreme_amplifier_power(params, topo):
@@ -220,6 +226,8 @@ def test_tpar_cap_where_q_is_one_ulp_from_a_square(k, pv, off):
         squares.append(q)
         offsets.append(math.floor(math.sqrt(q)) - feasible)
         assert _largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget)[0] == feasible
+        # the corner walk's scalar row rule takes the same two steps
+        assert _row_pas(p, "TPAR", topo.d1, topo.d2, 1.0, p.total_budget) == feasible
     assert squares == [math.nextafter(k * k, -math.inf), k * k, math.nextafter(k * k, math.inf)]
     assert offsets == [off, 0, 0]
 
@@ -238,6 +246,22 @@ def test_exact_tie_goes_to_larger_n_pas():
     assert zeta[0] == zeta[1]
     sol = _best_row(params, topo, "TAPR", rows, 7.0, method="optimal")
     assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 6)
+    # over every row: with Pv = Pt = rho = 1, sigma_v^2 = 1e-4 and d1^2*d2^2
+    # = 40, the TPAR cap allows n_pas 6, 4, 3, 3 at n_act 1..4, so the rows
+    # (1, 6) and (4, 3) tie at the optimum, again with A negligible
+    params = SystemParams(transmit_power=1.0, amp_power_budget=1.0, rx_noise_power=1e-21,
+                          amp_noise_power=1e-4, ref_gain=1.0, wavelength=0.1,
+                          cost_active=1.0, cost_passive=1.0, total_budget=7.0)
+    topo = build_topology((0, 0, 0), (2, 0, 0), (3, 3, 0), (3, 3, 1))
+    rows = np.arange(1.0, 7.0)
+    n_pas = _largest_feasible_pas(params, topo, "TPAR", rows, 7.0)
+    assert list(n_pas) == [6.0, 4.0, 3.0, 3.0, 2.0, 1.0]
+    snr = snr_from_zeta(params, zeta_value(params, "TPAR", rows, n_pas,
+                                           topo.d1, topo.d2, topo.d3))
+    assert list(np.flatnonzero(snr == snr.max())) == [0, 3]
+    for method in ("optimal", "exhaustive"):
+        sol = solve_integer(params, topo, "TPAR", method=method)
+        assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 6)
 
 
 @st.composite
@@ -427,3 +451,137 @@ def test_affordable_is_largest_count_within_budget(budget, spent, cost):
     if k > 0.0:
         assert spent + cost * k <= budget
     assert spent + cost * (k + 1.0) > budget
+
+
+@st.composite
+def walk_scenarios(draw):
+    """Near and far geometries; Pv from -40 to 40 dBm, so that either
+    amplitude cap binds or none does; cost ratios up to 20 and up to about
+    20,000 n_act rows."""
+    wp = draw(st.floats(0.5, 2.0))
+    wa = wp * draw(st.floats(1.0, 20.0))
+    params = SystemParams(
+        transmit_power=dbm_to_watts(draw(st.floats(10.0, 30.0))),
+        amp_power_budget=dbm_to_watts(draw(st.floats(-40.0, 40.0))),
+        rx_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        amp_noise_power=dbm_to_watts(draw(st.floats(-90.0, -70.0))),
+        ref_gain=10.0 ** draw(st.floats(-4.0, -1.0)),
+        wavelength=0.1, cost_active=wa, cost_passive=wp,
+        total_budget=(wa + wp) * 10.0 ** draw(st.floats(0.0, 4.0)))
+    xb = draw(st.floats(2000.0, 6000.0) if draw(st.booleans()) else st.floats(40.0, 130.0))
+    topo = build_topology(
+        (0.0, 0.0, 0.0),
+        (draw(st.floats(5.0, 30.0)), draw(st.floats(0.0, 10.0)), draw(st.floats(5.0, 15.0))),
+        (xb, draw(st.floats(0.0, 10.0)), draw(st.floats(5.0, 15.0))),
+        (xb + draw(st.floats(5.0, 40.0)), draw(st.floats(0.0, 10.0)), 0.0))
+    return params, topo
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_scenarios(), st.sampled_from(("TAPR", "TPAR")))
+def test_optimal_equals_exhaustive_bit_for_bit_property(scenario, scheme):
+    params, topo = scenario
+    assert _outcome(params, topo, scheme, "optimal") == _outcome(params, topo, scheme,
+                                                                 "exhaustive")
+    # the closed-form row through the scalar row rule, against the scan of
+    # that one row
+    m = params.total_budget
+    row = np.array([max(1, round(m / (3.0 * params.cost_active)))], dtype=float)
+    try:
+        scan = _best_row(params, topo, scheme, row, m, method="closed-form")
+    except InfeasibleBudget as exc:
+        with pytest.raises(InfeasibleBudget, match=f"^{re.escape(str(exc))}$"):
+            solve_integer(params, topo, scheme, method="closed-form")
+        return
+    assert solve_integer(params, topo, scheme, method="closed-form") == scan
+
+
+def test_optimal_visits_few_corners_on_baseline_pv_sweep(params, topo, monkeypatch):
+    # the walk evaluates zeta only at corners of the staircase, within the
+    # bound's interval around the relaxed optimum; on this sweep it needs
+    # at most about 100, where a row-by-row walk would need up to 16,000
+    visits = []
+    row_zeta = allocation._row_zeta
+
+    def counting_row_zeta(*args):
+        visits[-1] += 1
+        return row_zeta(*args)
+
+    monkeypatch.setattr(allocation, "_row_zeta", counting_row_zeta)
+    for pv_dbm in range(-40, 60):
+        p = replace(params, amp_power_budget=dbm_to_watts(float(pv_dbm)))
+        for budget in (1e4, 1e5, 1e6, 5e6):
+            for scheme in ("TAPR", "TPAR"):
+                visits.append(0)
+                try:
+                    solve_integer(p, topo, scheme, budget=budget)
+                except InfeasibleBudget:
+                    pass
+                assert visits[-1] <= 200, (pv_dbm, budget, scheme)
+    assert max(visits) > 50  # the sweep reaches long walks
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_walk_bound_holds_where_the_budget_sum_rounds_down(params, topo, scheme):
+    # at 3e8 budget units the float sum w_act*n + w_pas rounds down onto the
+    # budget, so the row affords one passive element although the real
+    # budget line gives it 1 - 1.6e-7; the bound's margin keeps it below the
+    # row's zeta
+    wa, wp = 300.0, 0.3 + 0.6 * 2.0 ** -24
+    n = 999_000.0
+    m = wa * n + wp
+    assert m - wa * n < wp
+    p = replace(params, amp_power_budget=dbm_to_watts(60.0), cost_active=wa,
+                cost_passive=wp, total_budget=m)
+    a, b = objective_constants(p, scheme, topo.d1, topo.d2, topo.d3)
+    n_pas = _row_pas(p, scheme, topo.d1, topo.d2, n, m)
+    assert n_pas == 1.0
+    zeta = _row_zeta(a, b, n, n_pas)
+    bound = _walk_bound(p, scheme, a, b, topo.d1, topo.d2, n, m)
+    assert bound <= zeta
+    assert bound / (1.0 - allocation._MARGIN) > zeta  # the margin is needed
+
+
+
+def test_walk_bound_holds_where_pv_and_amplifier_noise_cancel():
+    # at n_act = 1115, sigma_v^2*n_act is within about 1e-13 of Pv: q,
+    # rounded, falls 2e-4 short of the 4669^2 that the beta* test admits; the
+    # bound raises q's Pv by the margin and stays below the row's zeta
+    pt, pv, sv2, rho = (1.6882636515399764e-11, 8.93288790237788e-08,
+                        8.011558656841118e-11, 5.679653280788986e-09)
+    params = SystemParams(transmit_power=pt, amp_power_budget=pv, rx_noise_power=1e-11,
+                          amp_noise_power=sv2, ref_gain=rho, wavelength=0.1,
+                          cost_active=1.0, cost_passive=1.0, total_budget=1e9)
+    topo = build_topology((0, 0, 0), (3, 0, 4), (43, 0, 4), (50, 0, 0))
+    n, m = 1115.0, 1e9
+    n_pas = _row_pas(params, "TPAR", topo.d1, topo.d2, n, m)
+    assert n_pas == 4669.0
+    q = topo.d1 ** 2 * topo.d2 ** 2 * (pv - sv2 * n) / (pt * rho ** 2 * n)
+    assert n_pas * n_pas > q * (1.0 + 1e-4)
+    a, b = objective_constants(params, "TPAR", topo.d1, topo.d2, topo.d3)
+    assert _walk_bound(params, "TPAR", a, b, topo.d1, topo.d2, n, m) <= _row_zeta(a, b, n,
+                                                                                  n_pas)
+
+
+@pytest.mark.parametrize("estimate", [0.0, 3.0, 4.99, 5.0, 6.5, 40.0, -3.0])
+def test_corner_steps_from_an_estimate_either_side(estimate):
+    # n_pas = 10 - n_act: the last row with n_pas >= 5 is 5, whatever the
+    # estimate's error; rows cap the answer
+    def pas(n):
+        assert 1.0 <= n <= 20.0
+        return 10.0 - n
+
+    assert _corner(pas, estimate, 20.0, 5.0) == 5.0
+    assert _corner(pas, estimate, 4.0, 5.0) == 4.0
+    assert _corner(pas, estimate, 20.0, 10.0) == 0.0
+
+
+def test_corner_estimate_one_short(topo):
+    # (M - W_pas*p)/W_act rounds to 85.99999999999997 where the row rule
+    # allows n_act 86 at n_pas 174: the step up finds the corner
+    p = baseline_params(cost_active=0.1, cost_passive=0.1, total_budget=26.0)
+    m, wp, wa = 26.0, 0.1, 0.1
+    assert math.floor((m - wp * 174.0) / wa) == 85
+    assert _row_pas(p, "TAPR", topo.d1, topo.d2, 86.0, m) == 174.0
+    for scheme in ("TAPR", "TPAR"):
+        assert _outcome(p, topo, scheme, "optimal") == _outcome(p, topo, scheme, "exhaustive")

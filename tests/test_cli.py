@@ -166,7 +166,7 @@ def test_verify_default_seed_passes(params, topo):
     names = [name for name, _, _ in report]
     assert names == ["matrix-vs-closed-form", "monte-carlo-agreement",
                      "optimizer-vs-grid", "integer-vs-continuous",
-                     "scaling-slopes"]
+                     "scaling-slopes", "optimal-vs-exhaustive"]
 
 
 def test_verify_mutation_hook_fails(params, topo, monkeypatch):
@@ -180,6 +180,23 @@ def test_verify_mutation_hook_fails(params, topo, monkeypatch):
     monkeypatch.setattr(cli, "snr_closed_form", perturbed)
     report = dict((name, ok) for name, ok, _ in run_verify(params, topo, seed=0))
     assert report["matrix-vs-closed-form"] is False
+
+
+def test_verify_fails_when_the_walk_leaves_the_scan(params, topo, monkeypatch):
+    # a walk that stops at the closed-form row differs from the scan on some
+    # of check 1's scenarios, and the check says on how many
+    import irsalloc.cli as cli
+    solve = cli.solve_integer
+
+    def rounded(p, t, scheme, method="optimal", budget=None):
+        return solve(p, t, scheme, budget=budget,
+                     method="closed-form" if method == "optimal" else method)
+
+    monkeypatch.setattr(cli, "solve_integer", rounded)
+    report = {name: (ok, detail) for name, ok, detail in run_verify(params, topo, seed=0)}
+    ok, detail = report["optimal-vs-exhaustive"]
+    assert ok is False and detail.endswith("of 80 solves differ")
+    assert not detail.startswith("0 ")
 
 
 def test_verify_fails_on_nan_estimate(baseline_config, monkeypatch, capsys):
@@ -444,7 +461,7 @@ def test_main_compare_and_verify(baseline_config, capsys):
     assert "TAPR >= TPAR" in out
     assert main(["verify", "--config", str(baseline_config), "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert out.count("PASS") == 6 and "FAIL" not in out
     # the solver beats every dense-grid point, so the signed gap is negative
     assert "worst objective gap -" in out
 
@@ -458,4 +475,4 @@ def test_main_verify_elements_costlier_than_fixed_budgets(baseline_config, tmp_p
     capsys.readouterr()
     assert main(["verify", "--config", str(cfg), "--seed", "0"]) == 0
     out, err = capsys.readouterr()
-    assert out.count("PASS") == 5 and "FAIL" not in out and not err
+    assert out.count("PASS") == 6 and "FAIL" not in out and not err

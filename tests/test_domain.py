@@ -13,15 +13,23 @@ ranges and four geometries (2,048 drives) takes about 105 s on a 2-vCPU box.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import irsalloc
 from irsalloc import (Allocation, ConfigError, IrsAllocError, PlacementGrid, SystemParams,
                       alternating_optimize, build_channels, build_topology,
                       check_lemma1, closed_form_split, compare_schemes, configure,
-                      run_benchmark, simulate_empirical_snr, snr_exact_matrix,
-                      solve_continuous, solve_integer)
+                      db_to_linear, dbm_to_watts, exhaustive_search, free_space_ref_gain,
+                      linear_to_db, load_scenario, optimal_phases,
+                      optimize_placement_given_allocation, run_benchmark,
+                      simulate_empirical_snr, snr_approx, snr_closed_form, snr_exact_matrix,
+                      solve_continuous, solve_integer, unit_from_angles, upa_response,
+                      watts_to_dbm)
 from irsalloc.benchmarks import BENCHMARK_SYSTEMS
 from irsalloc.channel import direction_angles, grid_shape, steering
 from irsalloc.scenario import DOMAIN, MAX_COORDINATE, MAX_COST_RATIO, MAX_ELEMENTS, \
@@ -137,3 +145,77 @@ MALFORMED = {
 def test_malformed_argument_raises_config_error(params, topo, path):
     with pytest.raises(ConfigError):
         MALFORMED[path](params, topo)
+
+
+# every public callable of irsalloc with one malformed argument, the rest
+# well formed
+def _malformed_calls(params, topo):
+    alloc = Allocation(3, 5, "TAPR")
+    continuous = Allocation(2.5, 3.5, "TAPR", continuous=True)
+    channels = build_channels(params, topo, alloc)
+    refl = configure(params, topo, alloc, channels)
+    grid = PlacementGrid(xa_bounds=(0.0, 10.0), ya_bounds=(0.0, 10.0), xb_bounds=(60.0, 70.0),
+                         yb_bounds=(0.0, 10.0), step=5.0, height=5.0)
+    unknown_scheme = SimpleNamespace(n_act=3, n_pas=5, scheme="bogus")
+    tx, rx = topo.pos_tx, topo.pos_rx
+    return {
+        "Allocation": lambda: Allocation(0, 10, "TAPR"),
+        "PlacementGrid": lambda: PlacementGrid(xa_bounds=(0.0, 10.0), ya_bounds=(0.0, 10.0),
+                                               xb_bounds=(60.0, 70.0), yb_bounds=(0.0, 10.0),
+                                               step=0.0, height=5.0),
+        "SystemParams": lambda: replace(params, transmit_power=math.nan),
+        "alternating_optimize": lambda: alternating_optimize(params, grid, "bogus", tx, rx),
+        "build_channels": lambda: build_channels(params, topo, continuous),
+        "build_topology": lambda: build_topology(tx, (1.0, 2.0), (3.0, 4.0, 5.0), rx),
+        "check_lemma1": lambda: check_lemma1(params, topo, math.nan),
+        "closed_form_split": lambda: closed_form_split(100.0, 0.0, 1.0, "TAPR"),
+        "configure": lambda: configure(params, topo, continuous),
+        "db_to_linear": lambda: db_to_linear(math.nan),
+        "dbm_to_watts": lambda: dbm_to_watts(math.nan),
+        "direction_angles": lambda: direction_angles((1.0, 2.0)),
+        "exhaustive_search": lambda: exhaustive_search(params, topo, "bogus"),
+        "free_space_ref_gain": lambda: free_space_ref_gain(-0.1),
+        "linear_to_db": lambda: linear_to_db(-1.0),
+        "load_scenario": lambda: load_scenario(Path(__file__).parent / "no-such-config.yaml"),
+        "optimal_phases": lambda: optimal_phases(replace(channels, a_to_b=channels.a_to_b[:-1])),
+        "optimize_placement_given_allocation": lambda: optimize_placement_given_allocation(
+            params, alloc, grid, tx, (0.0, 0.0)),
+        "run_benchmark": lambda: run_benchmark("bogus", params, topo),
+        "simulate_empirical_snr": lambda: simulate_empirical_snr(params, topo, alloc, refl,
+                                                                 num_samples=0, seed=0),
+        "snr_approx": lambda: snr_approx(params, topo, unknown_scheme),
+        "snr_closed_form": lambda: snr_closed_form(params, topo, unknown_scheme),
+        "snr_exact_matrix": lambda: snr_exact_matrix(
+            params, topo, alloc, channels, replace(refl, phases_first=refl.phases_first[:-1])),
+        "solve_continuous": lambda: solve_continuous(params, topo, "bogus"),
+        "solve_integer": lambda: solve_integer(params, topo, "TAPR", budget=math.nan),
+        "steering": lambda: steering(math.nan, 4),
+        "unit_from_angles": lambda: unit_from_angles(math.nan, 0.0),
+        "upa_response": lambda: upa_response(0.1, math.inf, 4),
+        "watts_to_dbm": lambda: watts_to_dbm(0.0),
+    }
+
+
+# public callables that take no argument a caller could malform: the error
+# classes, the result records the library fills in, and compare_schemes,
+# whose SystemParams and Topology are checked when they are built
+NO_MALFORMED_ARGUMENT = {
+    "AOTrace", "AllocationSolution", "BenchmarkResult", "ChannelTriple", "LinkBudget",
+    "ReflectionConfig", "RegimeReport", "SchemeComparison", "Topology", "compare_schemes",
+    "ConditionUndefined", "ConfigError", "DimensionMismatch", "DistanceTooSmall",
+    "InfeasibleBudget", "IrsAllocError", "NoFeasiblePlacement", "SearchSpaceTooLarge",
+}
+
+
+def test_every_public_callable_has_a_malformed_call(params, topo):
+    public = {name for name in dir(irsalloc)
+              if not name.startswith("_") and callable(getattr(irsalloc, name))}
+    calls = _malformed_calls(params, topo)
+    assert not set(calls) & NO_MALFORMED_ARGUMENT
+    assert public == set(calls) | NO_MALFORMED_ARGUMENT
+
+
+def test_every_public_callable_raises_a_typed_error(params, topo):
+    for name, call in _malformed_calls(params, topo).items():
+        with pytest.raises(IrsAllocError):
+            call()

@@ -36,6 +36,7 @@ KNOWN_RED = ("tests/test_acceptance.py::test_criterion_8b_tpar_vs_single_airs",
              "tests/test_acceptance.py::test_criterion_8c_tapr_hybrid_crossover")
 ALLOCATION = "src/irsalloc/allocation.py"
 PLACEMENT = "src/irsalloc/placement.py"
+TIMEOUT_S = 300
 
 # (name, file, old line, new line, test selection); lines are compared with
 # their indentation stripped, and an empty new line deletes the old one
@@ -58,9 +59,52 @@ MUTANTS = [
      "lambda k: beta_star(params, d1, d2, n_act, k) >= 1.0))",
      "lambda k: beta_star(params, d1, d2, n_act, k) > 1.0))",
      "tests/test_allocation.py"),
-    ("exhaustive-rows-no-passive-element", ALLOCATION,
-     "rows = largest_count((m - wp) / wa, lambda k: wa * k + wp <= m)",
-     "rows = largest_count((m - wp) / wa, lambda k: wa * k <= m)",
+    ("scan-rows-no-passive-element", ALLOCATION,
+     "return _scan_rows(_largest((m - wp) / wa, lambda k: wa * k + wp <= m))",
+     "return _scan_rows(_largest((m - wp) / wa, lambda k: wa * k <= m))",
+     "tests/test_allocation.py"),
+    ("scan-rows-guard-inclusive", ALLOCATION,
+     "if rows > MAX_SCAN_ROWS:", "if rows >= MAX_SCAN_ROWS:",
+     "tests/test_allocation.py"),
+    ("row-rule-no-down-correction", ALLOCATION,
+     "k -= not ok(k)  # one down where the floor is too many", "",
+     "tests/test_allocation.py"),
+    ("row-rule-no-up-correction", ALLOCATION,
+     "k += 1.0", "",
+     "tests/test_allocation.py"),
+    ("row-rule-strict-tpar-cap", ALLOCATION,
+     "pv * d2 ** 2 / (pt * rho ** 2 * n * (k * k) / d1 ** 2 + d2 ** 2 * sv2 * n)) >= 1.0))",
+     "pv * d2 ** 2 / (pt * rho ** 2 * n * (k * k) / d1 ** 2 + d2 ** 2 * sv2 * n)) > 1.0))",
+     "tests/test_allocation.py"),
+    ("walk-no-margin", ALLOCATION,
+     "return (a / n + b / (n * pas2)) * (1.0 - _MARGIN)",
+     "return a / n + b / (n * pas2)",
+     "tests/test_allocation.py"),
+    ("walk-no-pv-slack", ALLOCATION,
+     "pas2 = min(pas2, d1 ** 2 * d2 ** 2 * (pv * (1.0 + _MARGIN) - sv2 * n)",
+     "pas2 = min(pas2, d1 ** 2 * d2 ** 2 * (pv - sv2 * n)",
+     "tests/test_allocation.py"),
+    ("walk-left-side-only", ALLOCATION,
+     "while (right <= rows and pas(right) >= 1.0",
+     "while (False",
+     "tests/test_allocation.py"),
+    ("walk-right-side-only", ALLOCATION,
+     "while (left := corner(p + 1.0)) >= 1.0 and \\",
+     "while False and \\",
+     "tests/test_allocation.py"),
+    ("walk-tie-to-smaller-n-pas", ALLOCATION,
+     "if best is None or key > best[0]:",
+     "if best is None or (key[0], -key[1]) > (best[0][0], -best[0][1]):",
+     "tests/test_allocation.py"),
+    ("walk-rows-not-corners", ALLOCATION,
+     "right = corner(pas(right))", "",
+     "tests/test_allocation.py"),
+    ("walk-corner-no-step-up", ALLOCATION,
+     "while n < rows and pas(n + 1.0) >= p:",
+     "while False:",
+     "tests/test_allocation.py"),
+    ("walk-seed-ignores-cap", ALLOCATION,
+     "if not capped(x):", "if True:",
      "tests/test_allocation.py"),
     ("ao-stops-at-no-gain", PLACEMENT,
      "if sol.rate - prev_rate < AO_TOL:",
@@ -149,10 +193,16 @@ def mutate(root: Path, path: str, old: str, new: str) -> None:
 
 
 def run_tests(root: Path, selection: list[str]) -> subprocess.CompletedProcess:
+    """The selection's pytest run; a run that outlasts TIMEOUT_S fails, as a
+    mutant that makes a loop endless is caught."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *selection, *(f"--deselect={t}" for t in KNOWN_RED)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(cmd, 1, f"timed out after {TIMEOUT_S} s", "")
 
 
 def summary(proc: subprocess.CompletedProcess) -> str:
