@@ -21,11 +21,10 @@ count's own test, so rounding in the estimate cannot change the answer.
 Exact ties go to the larger n_pas, then the larger n_act.
 
 "exhaustive" applies the row rule to every affordable n_act at once, as
-arrays (_best_row), and is the oracle. "optimal" is a certified walk over a
-few rows in Python floats, with the same answer bit for bit. Its row rule,
-_row_pas, makes the same IEEE operations in the same order as the array rule
-(an array's x**2 is x*x, and is written so), so every row it visits has the
-scan's n_pas and zeta. Both refuse more than MAX_SCAN_ROWS rows alike.
+arrays (_best_row), is the oracle, and refuses more than MAX_SCAN_ROWS rows.
+"optimal" walks a few rows in Python floats at any budget, with the same
+answer bit for bit: both row rules take the cap from reflection's squared
+amplitudes and zeta from snr.zeta_of, which give floats and arrays one result.
 
 - Corners. The budget, alpha* and beta* all fall in n_act, so n_pas does not
   increase in n_act (wherever largest_count's premise holds): the rows form
@@ -35,13 +34,13 @@ scan's n_pas and zeta. Both refuse more than MAX_SCAN_ROWS rows alike.
   n_act, so only the run's last row, its corner, can win. The corner of the
   rows with n_pas >= p is estimated from the budget and the cap solved for
   n_act, then made exact by steps of the row rule (_corner).
-- Bound. zeta_lb(n) = A/n + B/(n*P), with P the square of the real n_pas
-  the budget allows, ((M - W_act*n)/W_pas)^2, and for TPAR the smaller of
-  that and q = d1^2*d2^2*(Pv - sigma_v^2*n)/(Pt*rho^2*n), the square of the
-  n_pas at which beta* = 1 (_walk_bound). It is at most zeta at every row
-  n_act = n, and it is convex in n: A/n, B*W_pas^2/(n*(M - W_act*n)^2) and
-  B*Pt*rho^2/(d1^2*d2^2*(Pv - sigma_v^2*n)) are convex, and so is the larger
-  of two. So the rows whose bound is at most a given value form an interval.
+- Bound. zeta_lb(n) is zeta at n_act = n and the real n_pas the budget
+  allows, (M - W_act*n)/W_pas, or for TPAR the smaller of that and sqrt(q),
+  the n_pas at which beta* = 1 (pas_cap_sq; _walk_bound). It is at most
+  zeta at every row n_act = n, and it is convex in n: A/n,
+  B*W_pas^2/(n*(M - W_act*n)^2) and B*Pt*rho^2/(d1^2*d2^2*(Pv - sigma_v^2*n))
+  are convex, and so is the larger of two. So the rows whose bound is at
+  most a given value form an interval.
 - Walk. The seed is the row nearest the bound's own minimum
   (_relaxed_optimum): the continuous root; for TPAR, where the cap binds
   there, the minimum along the cap or where the cap crosses the budget line.
@@ -50,19 +49,20 @@ scan's n_pas and zeta. Both refuse more than MAX_SCAN_ROWS rows alike.
   each side at the first row past the span it covers whose bound, less a
   relative margin, exceeds the best zeta so far. The best row lies in that
   span and in the bound's interval, so every row past a stop row lies
-  outside the interval. On the baseline's Pv sweep (-40 to 59 dBm) at
-  budgets up to 5e6 a walk visits at most about 100 rows.
+  outside the interval. On the baseline's Pv sweep (-40 to 59 dBm) a walk
+  visits at most about 100 rows at budgets up to 5e6, and 1,500 up to 1e9.
 - Margin (the float argument). The budget test W_act*n + W_pas*k <= M,
   rounded, can admit a k up to half an ulp of M, over W_pas, above the real
   budget line: at most 2^-53*M/W_pas <= 1.2e-7 (the domain affords at most
-  1e9 elements), or 2.4e-7 of P at k >= 1. The beta* test rounds
-  sigma_v^2*n against Pv, which can be most of Pv - sigma_v^2*n where the
-  two nearly cancel, so the bound raises q's Pv by the margin, far above
-  those few ulps of Pv. What is left, the rounding of the bound, of zeta
-  and of the SNR, is a few ulps. So the bound less the margin, 1e-6, stays
-  below the zeta of every row past a stop row by more than the relative gap
-  between two zetas whose SNRs round equal: no row there reaches the best
-  row's SNR, and a row that ties it is visited.
+  1e9 elements), or 1.2e-7 of n_pas at k >= 1 and 2.4e-7 of zeta. The
+  beta* test rounds sigma_v^2*n against Pv, which can be most of
+  Pv - sigma_v^2*n where the two nearly cancel, so the bound raises q's Pv by
+  the margin, far above those few ulps of Pv. What is left, the rounding of
+  the bound (sqrt(q) among it), of zeta and of the SNR, is a few ulps. So the
+  bound less the margin, 1e-6, stays below the zeta of every row past a stop
+  row by more than the relative gap between two zetas whose SNRs round
+  equal: no row there reaches the best row's SNR, and a row that ties it is
+  visited.
 
 The closed-form split (M/(3*W_act), 2*M/(3*W_pas)) is optimal for the
 approximate objective and is the same for both deployment orders; the
@@ -78,10 +78,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleBudget, SearchSpaceTooLarge
-from .reflection import alpha_star, beta_star, optimal_amplitude
+from .reflection import alpha_sq, beta_sq, optimal_amplitude, pas_cap_sq
 from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_budget, \
     check_positive, check_scheme, fmt_number
-from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
+from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_of, zeta_value
 
 # most n_act rows one integer scan holds in memory; at this bound its
 # tracemalloc peak is about 33 MB (TAPR) and 48 MB (TPAR)
@@ -179,8 +179,8 @@ def solve_continuous(params: SystemParams, topo: Topology, scheme: str,
     a, b = objective_constants(params, scheme, topo.d1, topo.d2, topo.d3, approx)
     x_act, x_pas = _continuous_root(a, b, m, params.cost_active, params.cost_passive)
     alloc = Allocation(n_act=x_act, n_pas=x_pas, scheme=scheme, continuous=True)
-    zeta = zeta_value(params, scheme, x_act, x_pas, topo.d1, topo.d2, topo.d3, approx)
-    return _solution(params, topo, alloc, snr_from_zeta(params, zeta), method="optimal")
+    return _solution(params, topo, alloc, snr_from_zeta(params, zeta_of(a, b, x_act, x_pas)),
+                     method="optimal")
 
 
 def largest_count(estimate, ok):
@@ -207,14 +207,12 @@ def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
     active amplitude is >= 1."""
     hi = affordable(budget, params.cost_active * n_act, params.cost_passive)
     if scheme == TAPR:
-        return np.where(alpha_star(params, topo.d1, n_act) >= 1.0, hi, 0.0)
+        return np.where(alpha_sq(params, topo.d1, n_act) >= 1.0, hi, 0.0)
     # beta* >= 1 exactly when n_pas^2 <= q, and beta* decreases in n_pas
-    pt, pv = params.transmit_power, params.amp_power_budget
     d1, d2 = topo.d1, topo.d2
-    q = d1 ** 2 * d2 ** 2 * (pv - params.amp_noise_power * n_act) / (
-        pt * params.ref_gain ** 2 * n_act)
+    q = pas_cap_sq(params, d1, d2, n_act, params.amp_power_budget)
     return np.minimum(hi, largest_count(np.sqrt(np.maximum(q, 0.0)),
-                                        lambda k: beta_star(params, d1, d2, n_act, k) >= 1.0))
+                                        lambda k: beta_sq(params, d1, d2, n_act, k) >= 1.0))
 
 
 def _no_feasible_row(budget: float) -> InfeasibleBudget:
@@ -249,8 +247,7 @@ def _largest(estimate: float, ok) -> float:
 
 
 def _scan_rows(rows):
-    """rows, a count of n_act rows to scan; SearchSpaceTooLarge above
-    MAX_SCAN_ROWS."""
+    """rows, a count of n_act rows to scan; SearchSpaceTooLarge above MAX_SCAN_ROWS."""
     if rows > MAX_SCAN_ROWS:
         raise SearchSpaceTooLarge(f"{fmt_number(rows, 0)} n_act rows exceed the scan bound "
                                   f"{MAX_SCAN_ROWS}")
@@ -258,41 +255,30 @@ def _scan_rows(rows):
 
 
 def _rows(params: SystemParams, m: float) -> float:
-    """Every n_act row that affords one passive element, tested as affordable
-    does; SearchSpaceTooLarge above MAX_SCAN_ROWS."""
+    """Every n_act row that affords one passive element, as affordable tests it."""
     wa, wp = params.cost_active, params.cost_passive
-    return _scan_rows(_largest((m - wp) / wa, lambda k: wa * k + wp <= m))
+    return _largest((m - wp) / wa, lambda k: wa * k + wp <= m)
 
 
 def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
                       budget: float | None = None) -> AllocationSolution:
-    """Exact integer optimum: a scan over every affordable n_act."""
+    """Exact integer optimum: a scan over every affordable n_act, at most MAX_SCAN_ROWS."""
     check_scheme(scheme)
     m = _budget(params, budget)
-    return _best_row(params, topo, scheme, np.arange(1.0, _rows(params, m) + 1.0), m,
-                     method="exhaustive")
+    return _best_row(params, topo, scheme, np.arange(1.0, _scan_rows(_rows(params, m)) + 1.0),
+                     m, method="exhaustive")
 
 
 def _row_pas(params: SystemParams, scheme: str, d1: float, d2: float, n: float,
              m: float) -> float:
-    """_largest_feasible_pas of the one row n_act = n, in Python floats: the
-    same IEEE operations in the same order (an array's x**2 is x*x), so the
-    same count, bit for bit."""
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho, sv2 = params.ref_gain, params.amp_noise_power
+    """_largest_feasible_pas of the one row n_act = n, in Python floats, bit for bit."""
     spent, wp = params.cost_active * n, params.cost_passive
     hi = _largest((m - spent) / wp, lambda k: spent + wp * k <= m)
     if scheme == TAPR:
-        alpha = math.sqrt(pv * d1 ** 2 / (pt * rho * n + d1 ** 2 * sv2 * n))
-        return hi if alpha >= 1.0 else 0.0
-    q = d1 ** 2 * d2 ** 2 * (pv - sv2 * n) / (pt * rho ** 2 * n)
-    return min(hi, _largest(math.sqrt(max(q, 0.0)), lambda k: math.sqrt(
-        pv * d2 ** 2 / (pt * rho ** 2 * n * (k * k) / d1 ** 2 + d2 ** 2 * sv2 * n)) >= 1.0))
-
-
-def _row_zeta(a: float, b: float, n: float, p: float) -> float:
-    """zeta_value at the one row (n, p), as the scan computes it."""
-    return a / n + b / (n * (p * p))
+        return hi if alpha_sq(params, d1, n) >= 1.0 else 0.0
+    q = pas_cap_sq(params, d1, d2, n, params.amp_power_budget)
+    return min(hi, _largest(math.sqrt(max(q, 0.0)),
+                            lambda k: beta_sq(params, d1, d2, n, k) >= 1.0))
 
 
 def _walk_bound(params: SystemParams, scheme: str, a: float, b: float, d1: float,
@@ -300,15 +286,12 @@ def _walk_bound(params: SystemParams, scheme: str, a: float, b: float, d1: float
     """zeta_lb(n) of the module docstring, less the margin: zeta at the real
     n_pas the budget and, for TPAR, beta* >= 1 allow, with q's Pv raised by
     the margin."""
-    wa, wp = params.cost_active, params.cost_passive
-    pas = (m - wa * n) / wp
-    pas2 = pas * pas
+    pas = (m - params.cost_active * n) / params.cost_passive
     if scheme != TAPR:
-        pt, pv = params.transmit_power, params.amp_power_budget
-        rho, sv2 = params.ref_gain, params.amp_noise_power
-        pas2 = min(pas2, d1 ** 2 * d2 ** 2 * (pv * (1.0 + _MARGIN) - sv2 * n)
-                   / (pt * rho ** 2 * n))
-    return (a / n + b / (n * pas2)) * (1.0 - _MARGIN)
+        # q > 0 at every row the walk bounds: it affords n_pas >= 1 at the real Pv
+        pas = min(pas, math.sqrt(pas_cap_sq(params, d1, d2, n,
+                                            params.amp_power_budget * (1.0 + _MARGIN))))
+    return zeta_of(a, b, n, pas) * (1.0 - _MARGIN)
 
 
 def _relaxed_optimum(params: SystemParams, scheme: str, a: float, b: float, d1: float,
@@ -321,25 +304,22 @@ def _relaxed_optimum(params: SystemParams, scheme: str, a: float, b: float, d1: 
     x, _ = _continuous_root(a, b, m, wa, wp)
     if scheme == TAPR:
         return x
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho, sv2 = params.ref_gain, params.amp_noise_power
-    c = d1 ** 2 * d2 ** 2 / (pt * rho ** 2)  # n_pas^2 <= c*(Pv - sv2*n_act)/n_act
+    pv, sv2 = params.amp_power_budget, params.amp_noise_power
 
     def capped(n):
-        return n * max(m - wa * n, 0.0) ** 2 > c * wp * wp * (pv - sv2 * n)
+        pas = max(m - wa * n, 0.0) / wp
+        return pas * pas > pas_cap_sq(params, d1, d2, n, pv)
 
     if not capped(x):
         return x
-    # zeta = a/n + b/(c*(Pv - sv2*n)) along the cap
+    # along the cap n_pas^2 = c*(Pv - sv2*n)/n: zeta = a/n + b/(c*(Pv - sv2*n)), least at y
+    c = d1 ** 2 * d2 ** 2 / (params.transmit_power * params.ref_gain ** 2)
     y = pv / (sv2 + math.sqrt(b * sv2 / (c * a)))
     if capped(y):
         return y
     while abs(x - y) > 0.5:
         mid = 0.5 * (x + y)
-        if capped(mid):
-            x = mid
-        else:
-            y = mid
+        x, y = (mid, y) if capped(mid) else (x, mid)
     return y
 
 
@@ -362,8 +342,6 @@ def _corner_walk(params: SystemParams, topo: Topology, scheme: str,
     rows = _rows(params, m)
     d1, d2 = topo.d1, topo.d2
     a, b = objective_constants(params, scheme, d1, d2, topo.d3)
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho, sv2 = params.ref_gain, params.amp_noise_power
     wa, wp = params.cost_active, params.cost_passive
     memo = {}  # a dict, not functools.cache: that costs more to build per walk
 
@@ -372,13 +350,10 @@ def _corner_walk(params: SystemParams, topo: Topology, scheme: str,
             memo[n] = _row_pas(params, scheme, d1, d2, n, m)
         return memo[n]
 
-    # the last row with n_pas >= p: from the budget, and from alpha* >= 1
-    # (TAPR) or beta*(n_act, p) >= 1 (TPAR), solved for n_act
-    alpha_rows = pv * d1 ** 2 / (pt * rho + d1 ** 2 * sv2)
-
+    # the last row with n_pas >= p, from the budget and from the cap: alpha*^2
+    # and beta*(n_act, p)^2 fall as 1/n_act, so it is their value at n_act = 1
     def corner(p):
-        cap = alpha_rows if scheme == TAPR else pv * d2 ** 2 / (
-            pt * rho ** 2 * (p * p) / d1 ** 2 + d2 ** 2 * sv2)
+        cap = alpha_sq(params, d1, 1.0) if scheme == TAPR else beta_sq(params, d1, d2, 1.0, p)
         return _corner(pas, min((m - wp * p) / wa, cap), rows, p)
 
     best = None  # (snr, n_pas, n_act) of the best row visited, and its zeta
@@ -386,7 +361,7 @@ def _corner_walk(params: SystemParams, topo: Topology, scheme: str,
     def visit(n):
         nonlocal best
         p = pas(n)
-        zeta = _row_zeta(a, b, n, p)
+        zeta = zeta_of(a, b, n, p)
         key = (snr_from_zeta(params, zeta), p, n)
         if best is None or key > best[0]:
             best = key, zeta
@@ -433,7 +408,7 @@ def solve_integer(params: SystemParams, topo: Topology, scheme: str,
         if p < 1.0:
             raise _no_feasible_row(m)
         a, b = objective_constants(params, scheme, topo.d1, topo.d2, topo.d3)
-        snr = snr_from_zeta(params, _row_zeta(a, b, n, p))
+        snr = snr_from_zeta(params, zeta_of(a, b, n, p))
         alloc = Allocation(n_act=int(n), n_pas=int(p), scheme=scheme)
         return _solution(params, topo, alloc, snr, method="closed-form")
     raise ConfigError(f"unknown allocation method {method!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .allocation import _scan_rows, affordable, largest_count
 from .errors import ConfigError, DistanceTooSmall, InfeasibleBudget
-from .reflection import alpha_star
+from .reflection import alpha_sq, alpha_star
 from .scenario import MIN_DISTANCE, SystemParams, Topology
 from .snr import rate_from_snr
 
@@ -81,17 +81,17 @@ def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, s02, sv2 = params.ref_gain, params.rx_noise_power, params.amp_noise_power
     da, db = _distances(topo)
-    # alpha* decreases in n and is >= 1 up to n = alpha*(1)^2
+    # alpha*^2 = alpha*(1)^2/n, so alpha* >= 1 up to n = alpha*(1)^2
     afford = affordable(params.total_budget, 0.0, params.cost_active)
-    n = largest_count(np.minimum(afford, alpha_star(params, da, 1.0) ** 2),
-                      lambda k: (k <= afford) & (alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0))
-    alpha = alpha_star(params, da, np.maximum(n, 1.0))
-    if not (alpha >= 1.0).any():
+    n = largest_count(np.minimum(afford, alpha_sq(params, da, 1.0)),
+                      lambda k: (k <= afford) & (alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0))
+    feasible = alpha_sq(params, da, np.maximum(n, 1.0)) >= 1.0
+    if not feasible.any():
         raise InfeasibleBudget("no site can drive one active element at amplitude >= 1")
     snr = (pt * pv * rho ** 2 * n
            / (sv2 * rho * pv * da ** 2 + s02 * db ** 2 * (pt * rho + sv2 * da ** 2)))
-    snr[alpha < 1.0] = -np.inf
-    return _first_max(SINGLE_AIRS, snr, n, 0, alpha)
+    snr[~feasible] = -np.inf
+    return _first_max(SINGLE_AIRS, snr, n, 0, alpha_star(params, da, np.maximum(n, 1.0)))
 
 
 def rate_hybrid_irs(params: SystemParams, topo: Topology) -> BenchmarkResult:

@@ -26,10 +26,11 @@ gaps, and m is at most, bit for bit, every F the scan forms from an
 admissible column.
 
 The scan for one allocation takes L = P + C*m for every row that passes its
-own tests, and inf for every other row; adding and multiplying non-negative
-floats never decreases under IEEE round-to-nearest, so L is at most, bit for
-bit, every zeta the scan computes in the row from an admissible column,
-whatever the pair tests (d2 >= d_min and, for TPAR, beta* >= 1) say. Rows
+own tests (TAPR's alpha* >= 1 among them), and inf for every other row; adding
+and multiplying non-negative floats never decreases under round-to-nearest,
+so L is at most, bit for bit, every zeta the scan computes in the row from an
+admissible column, whatever the pair tests (d2 >= d_min and TPAR's beta* >= 1)
+say. Both amplitude tests read reflection's squares against 1. Rows
 are evaluated one at a time, whole and with every test: first the row of
 least L, then, in ascending order of L, the rows whose L is within the tie
 cut that row leaves (every row with a finite L while no candidate has passed
@@ -64,7 +65,7 @@ import numpy as np
 
 from .allocation import Allocation, solve_integer
 from .errors import ConfigError, NoFeasiblePlacement, SearchSpaceTooLarge
-from .reflection import alpha_star, beta_star
+from .reflection import alpha_sq, beta_sq
 from .scenario import (MAX_COORDINATE, MIN_DISTANCE, SystemParams, TAPR, Topology,
                        _topology, check_min_distance, check_position, check_scheme,
                        is_finite_real)
@@ -257,7 +258,7 @@ def _row(params: SystemParams, alloc: Allocation, geo: _Geometry, p, c, row):
     d2 = np.sqrt(g)
     feasible = (d2 >= geo.least) & geo.far_col
     if alloc.scheme != TAPR:
-        feasible &= beta_star(params, geo.d1_floor, d2, alloc.n_act, alloc.n_pas) >= 1.0
+        feasible &= beta_sq(params, geo.d1_floor, d2, alloc.n_act, alloc.n_pas) >= 1.0
     return zeta, feasible
 
 
@@ -267,7 +268,7 @@ def _scan(params: SystemParams, alloc: Allocation, geo: _Geometry) -> Topology:
     ok = geo.rows_ok
     if alloc.scheme == TAPR:
         # never &=, which would write into the geometry
-        ok = ok & (alpha_star(params, geo.d_row, alloc.n_act) >= 1.0)
+        ok = ok & (alpha_sq(params, geo.d_row, alloc.n_act) >= 1.0)
     # L of every row; inf marks a row that fails its own tests, and a visited one
     low = np.where(ok, c * geo.m + p, np.inf).ravel()
 

@@ -8,6 +8,12 @@ holds with equality; values below 1 are reported, never clamped.
 
 ReflectionConfig holds phases and amplitudes only; the SNR oracles apply each
 diagonal reflection, e.g. Psi = amp_first*diag(e^{j*phases_first}), as a gain vector.
+
+alpha_sq, beta_sq and pas_cap_sq are the library's one expression of the
+amplitude cap, in operators only with x_pas^2 as x_pas*x_pas (an array's
+x_pas**2), so a count as a Python float or as an array element gets the same
+bits. A test *_sq(...) >= 1.0 is exactly amplitude >= 1: sqrt is correctly
+rounded and monotone, and sqrt(1) = 1.
 """
 
 from __future__ import annotations
@@ -52,26 +58,38 @@ def optimal_phases(channels: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
     return phases_first, phases_second
 
 
-def alpha_star(params: SystemParams, d1, x_act):
-    """Active-first amplification factor saturating the output-power budget;
-    0 at d1 = 0. Array-friendly in d1 and x_act."""
+def alpha_sq(params: SystemParams, d1, x_act):
+    """alpha*^2, the squared active-first amplification factor; 0 at d1 = 0."""
     pt, pv = params.transmit_power, params.amp_power_budget
     rho, sv2 = params.ref_gain, params.amp_noise_power
-    return np.sqrt(pv * d1 ** 2 / (pt * rho * x_act + d1 ** 2 * sv2 * x_act))
+    return pv * d1 ** 2 / (pt * rho * x_act + d1 ** 2 * sv2 * x_act)
+
+
+def beta_sq(params: SystemParams, d1, d2, x_act, x_pas):
+    """beta*^2, the squared active-second amplification factor; its input has
+    already traversed Tx -> passive surface -> active surface."""
+    pt, pv = params.transmit_power, params.amp_power_budget
+    rho, sv2 = params.ref_gain, params.amp_noise_power
+    return pv * d2 ** 2 / (pt * rho ** 2 * x_act * (x_pas * x_pas) / d1 ** 2
+                           + d2 ** 2 * sv2 * x_act)
+
+
+def pas_cap_sq(params: SystemParams, d1, d2, x_act, pv):
+    """q, the squared x_pas at which beta* = 1 under the power budget pv."""
+    pt, rho, sv2 = params.transmit_power, params.ref_gain, params.amp_noise_power
+    return d1 ** 2 * d2 ** 2 * (pv - sv2 * x_act) / (pt * rho ** 2 * x_act)
+
+
+def alpha_star(params: SystemParams, d1, x_act):
+    return np.sqrt(alpha_sq(params, d1, x_act))
 
 
 def beta_star(params: SystemParams, d1, d2, x_act, x_pas):
-    """Active-second amplification factor; the input signal has already
-    traversed Tx -> passive surface -> active surface. Array-friendly."""
-    pt, pv = params.transmit_power, params.amp_power_budget
-    rho, sv2 = params.ref_gain, params.amp_noise_power
-    return np.sqrt(pv * d2 ** 2 /
-                   (pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2 + d2 ** 2 * sv2 * x_act))
+    return np.sqrt(beta_sq(params, d1, d2, x_act, x_pas))
 
 
 def optimal_amplitude(params: SystemParams, topo: Topology, alloc) -> float:
-    """The active surface's amplification factor: alpha* for TAPR, beta* for
-    TPAR."""
+    """The active surface's amplification factor: alpha* for TAPR, beta* for TPAR."""
     check_scheme(alloc.scheme)
     if alloc.scheme == TAPR:
         return float(alpha_star(params, topo.d1, alloc.n_act))
@@ -85,10 +103,7 @@ def configure(params: SystemParams, topo: Topology, alloc,
         channels = build_channels(params, topo, alloc)
     phases_first, phases_second = optimal_phases(channels)
     amp = optimal_amplitude(params, topo, alloc)
-    if alloc.scheme == TAPR:
-        amp_first, amp_second = amp, 1.0
-    else:
-        amp_first, amp_second = 1.0, amp
+    amp_first, amp_second = (amp, 1.0) if alloc.scheme == TAPR else (1.0, amp)
     return ReflectionConfig(phases_first=phases_first, phases_second=phases_second,
                             amp_first=amp_first, amp_second=amp_second,
                             scheme=alloc.scheme)

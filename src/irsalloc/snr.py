@@ -7,7 +7,7 @@ With the active surface's amplitude at its optimum, both orders share one
 closed-form denominator, zeta = A/x_act + B/(x_act*x_pas^2), with per-order
 constants from objective_constants, and snr = Pt*Pv*rho^3 / zeta. It is the
 library's only closed-form SNR: snr_closed_form, snr_approx and every
-solver take their SNR from zeta_value, so only the two oracles report the
+solver take their SNR from zeta_of, so only the two oracles report the
 signal and noise powers.
 
 Both oracles, snr_exact_matrix and the Monte-Carlo meter, take the cascade
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTriple, build_channels
+from .channel import ChannelTriple, build_channels, surface_counts
 from .errors import ConditionUndefined, ConfigError, DimensionMismatch
 from .reflection import ReflectionConfig
 from .scenario import MAX_ELEMENTS, SystemParams, TAPR, Topology, check_positive, check_scheme
@@ -83,8 +83,12 @@ def objective_constants(params: SystemParams, scheme: str, d1, d2, d3,
 def zeta_value(params: SystemParams, scheme: str, x_act, x_pas, d1, d2, d3,
                approx: bool = False):
     """Closed-form SNR denominator; array-friendly in counts and distances."""
-    a, b = objective_constants(params, scheme, d1, d2, d3, approx)
-    return a / x_act + b / (x_act * x_pas ** 2)
+    return zeta_of(*objective_constants(params, scheme, d1, d2, d3, approx), x_act, x_pas)
+
+
+def zeta_of(a, b, x_act, x_pas):
+    """zeta's one expression; x_pas^2 is x_pas*x_pas, as in reflection."""
+    return a / x_act + b / (x_act * (x_pas * x_pas))
 
 
 def snr_from_zeta(params: SystemParams, zeta):
@@ -122,8 +126,11 @@ def _cascade(channels: ChannelTriple, reflection: ReflectionConfig, scheme: str)
 
 def snr_exact_matrix(params: SystemParams, topo: Topology, alloc,
                      channels: ChannelTriple, reflection: ReflectionConfig) -> LinkBudget:
-    """Link budget from the full cascade; works for any phases/amplitudes."""
+    """Link budget from the full cascade; works for any phases/amplitudes.
+    DimensionMismatch unless the channels have alloc's element counts."""
     through_second, through_both, cascade = _cascade(channels, reflection, alloc.scheme)
+    if (channels.n_first, channels.n_second) != surface_counts(alloc):
+        raise DimensionMismatch("channel sizes do not match the allocation's counts")
     signal = params.transmit_power * abs(cascade) ** 2
     # amplification noise enters at the active surface, the first in TAPR
     noise_weights = through_both if alloc.scheme == TAPR else through_second

@@ -18,10 +18,10 @@ from irsalloc import (
 )
 import irsalloc.allocation as allocation
 from irsalloc.allocation import MAX_SCAN_ROWS, _best_row, _corner, _largest_feasible_pas, \
-    _row_pas, _row_zeta, _walk_bound, affordable
+    _row_pas, _walk_bound, affordable
 from irsalloc.cli import _outcome
 from irsalloc.reflection import beta_star
-from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_value
+from irsalloc.snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_of, zeta_value
 from conftest import baseline_params, brute_force_allocation, random_scenario, traced_peak
 
 
@@ -348,15 +348,21 @@ def test_exhaustive_guard_edge(params, topo, scheme, peak_mib):
     # MAX_SCAN_ROWS active counts with one passive element each, and so answer;
     # at 5,000,005 the budget alone, without the passive element, affords one
     # count more. Each solve at the bound holds its rows within the given peak.
+    # The guard is the scan's: the corner walk holds only the rows it visits,
+    # and answers past it.
     for budget in (5_000_001.0, 5_000_005.0):
         sols = []
-        peak = traced_peak(lambda: sols.append(solve_integer(params, topo, scheme,
-                                                             budget=budget)))
-        assert peak < peak_mib * 2 ** 20
+        for method in ("exhaustive", "optimal"):
+            peak = traced_peak(lambda: sols.append(solve_integer(
+                params, topo, scheme, method=method, budget=budget)))
+            assert peak < peak_mib * 2 ** 20
         a = sols[0].allocation
         assert a.n_act <= MAX_SCAN_ROWS and a.cost(params) <= budget
+        assert sols[1].allocation == a
     with pytest.raises(SearchSpaceTooLarge, match="^1000001 n_act rows exceed"):
-        solve_integer(params, topo, scheme, budget=5_000_006.0)
+        solve_integer(params, topo, scheme, method="exhaustive", budget=5_000_006.0)
+    a = solve_integer(params, topo, scheme, method="optimal", budget=5_000_006.0).allocation
+    assert a.cost(params) <= 5_000_006.0
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, True])
@@ -496,18 +502,25 @@ def test_optimal_equals_exhaustive_bit_for_bit_property(scenario, scheme):
     assert solve_integer(params, topo, scheme, method="closed-form") == scan
 
 
+def _count_ranked_rows(monkeypatch):
+    """A list whose last entry counts the rows the walk ranks (one SNR from
+    zeta each) from the time a 0 is appended to it."""
+    visits = []
+    snr_of = allocation.snr_from_zeta
+
+    def counting_snr_from_zeta(*args):
+        visits[-1] += 1
+        return snr_of(*args)
+
+    monkeypatch.setattr(allocation, "snr_from_zeta", counting_snr_from_zeta)
+    return visits
+
+
 def test_optimal_visits_few_corners_on_baseline_pv_sweep(params, topo, monkeypatch):
     # the walk evaluates zeta only at corners of the staircase, within the
     # bound's interval around the relaxed optimum; on this sweep it needs
     # at most about 100, where a row-by-row walk would need up to 16,000
-    visits = []
-    row_zeta = allocation._row_zeta
-
-    def counting_row_zeta(*args):
-        visits[-1] += 1
-        return row_zeta(*args)
-
-    monkeypatch.setattr(allocation, "_row_zeta", counting_row_zeta)
+    visits = _count_ranked_rows(monkeypatch)
     for pv_dbm in range(-40, 60):
         p = replace(params, amp_power_budget=dbm_to_watts(float(pv_dbm)))
         for budget in (1e4, 1e5, 1e6, 5e6):
@@ -519,6 +532,37 @@ def test_optimal_visits_few_corners_on_baseline_pv_sweep(params, topo, monkeypat
                     pass
                 assert visits[-1] <= 200, (pv_dbm, budget, scheme)
     assert max(visits) > 50  # the sweep reaches long walks
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_optimal_answers_at_the_domain_budget(params, topo, scheme):
+    # 1e9 affords 199,999,999 n_act rows, far past the scan's guard
+    sol = solve_integer(params, topo, scheme, budget=1e9)
+    assert sol.allocation.cost(params) <= 1e9
+    assert sol.amplitude >= 1.0
+    assert sol.rate <= solve_continuous(params, topo, scheme, budget=1e9).rate
+
+
+def test_optimal_visits_few_corners_past_the_scan_guard(params, topo, monkeypatch):
+    # Pv from -40 to 59 dBm at budgets of 1e7 to 1e9 elements' cost, each
+    # solve checked as at the domain budget; the longest walk measured
+    # ranks 1,475 rows (TAPR, 48 dBm, 1e9)
+    visits = _count_ranked_rows(monkeypatch)
+    solved = 0
+    for pv_dbm in range(-40, 60):
+        p = replace(params, amp_power_budget=dbm_to_watts(float(pv_dbm)))
+        for budget in (1e7, 1e8, 1e9):
+            for scheme in ("TAPR", "TPAR"):
+                visits.append(0)
+                try:
+                    sol = solve_integer(p, topo, scheme, budget=budget)
+                except InfeasibleBudget:
+                    continue
+                assert visits[-1] <= 2000, (pv_dbm, budget, scheme)
+                solved += 1
+                assert sol.allocation.cost(p) <= budget and sol.amplitude >= 1.0
+                assert sol.rate <= solve_continuous(p, topo, scheme, budget=budget).rate
+    assert solved > 500 and max(visits) > 1000  # the sweep reaches long walks
 
 
 @pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
@@ -536,7 +580,7 @@ def test_walk_bound_holds_where_the_budget_sum_rounds_down(params, topo, scheme)
     a, b = objective_constants(p, scheme, topo.d1, topo.d2, topo.d3)
     n_pas = _row_pas(p, scheme, topo.d1, topo.d2, n, m)
     assert n_pas == 1.0
-    zeta = _row_zeta(a, b, n, n_pas)
+    zeta = zeta_of(a, b, n, n_pas)
     bound = _walk_bound(p, scheme, a, b, topo.d1, topo.d2, n, m)
     assert bound <= zeta
     assert bound / (1.0 - allocation._MARGIN) > zeta  # the margin is needed
@@ -559,8 +603,7 @@ def test_walk_bound_holds_where_pv_and_amplifier_noise_cancel():
     q = topo.d1 ** 2 * topo.d2 ** 2 * (pv - sv2 * n) / (pt * rho ** 2 * n)
     assert n_pas * n_pas > q * (1.0 + 1e-4)
     a, b = objective_constants(params, "TPAR", topo.d1, topo.d2, topo.d3)
-    assert _walk_bound(params, "TPAR", a, b, topo.d1, topo.d2, n, m) <= _row_zeta(a, b, n,
-                                                                                  n_pas)
+    assert _walk_bound(params, "TPAR", a, b, topo.d1, topo.d2, n, m) <= zeta_of(a, b, n, n_pas)
 
 
 @pytest.mark.parametrize("estimate", [0.0, 3.0, 4.99, 5.0, 6.5, 40.0, -3.0])

@@ -769,3 +769,30 @@ def test_tpar_grid_point_on_tx_without_min_distance(params):
         got = optimize_placement_given_allocation(params, alloc, grid, TX, rx)
     assert got == expected
     assert got.d1 > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["TAPR", "TPAR"])
+def test_amplitude_exactly_one_is_feasible(scheme):
+    # one point per surface, 1 m from Tx and 1 m apart, one element of each
+    # kind: with Pv the rounded Pt*rho (TAPR) or Pt*rho^2 (TPAR) plus
+    # sigma_v^2, the squared amplitude is 1.0 exactly, which the cap admits;
+    # one float less of Pv and no grid point is feasible
+    pt, rho, sv2 = 0.1, 1e-3, 1e-8
+    pv = (pt * rho if scheme == "TAPR" else pt * rho ** 2) + sv2
+    grid = PlacementGrid(xa_bounds=(0.0, 0.0), ya_bounds=(0.0, 0.0),
+                         xb_bounds=(1.0, 1.0), yb_bounds=(0.0, 0.0),
+                         step=1.0, height=1.0, d_min=1.0)
+    alloc = Allocation(1, 1, scheme)
+    tx, rx = (0.0, 0.0, 0.0), (1.0, 0.0, 11.0)
+    params = baseline_params(transmit_power=pt, ref_gain=rho, amp_noise_power=sv2,
+                             amp_power_budget=pv)
+    topo = optimize_placement_given_allocation(params, alloc, grid, tx, rx)
+    assert (topo.pos_irs_a, topo.pos_irs_b, topo.d1, topo.d2) == (
+        (0.0, 0.0, 1.0), (1.0, 0.0, 1.0), 1.0, 1.0)
+    amp = (alpha_star(params, 1.0, 1) if scheme == "TAPR"
+           else beta_star(params, 1.0, 1.0, 1, 1))
+    assert amp == 1.0
+    below = baseline_params(transmit_power=pt, ref_gain=rho, amp_noise_power=sv2,
+                            amp_power_budget=math.nextafter(pv, 0.0))
+    with pytest.raises(NoFeasiblePlacement):
+        optimize_placement_given_allocation(below, alloc, grid, tx, rx)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from irsalloc import (Allocation, ConfigError, build_channels, build_topology,
+from irsalloc import (Allocation, ConfigError, SystemParams, build_channels, build_topology,
                       dbm_to_watts, optimal_phases)
-from irsalloc.reflection import alpha_star, beta_star, configure, optimal_amplitude
+from irsalloc.reflection import alpha_sq, alpha_star, beta_sq, beta_star, configure, \
+    optimal_amplitude, pas_cap_sq
 from conftest import (baseline_params, inter_surface_matrix, random_scenario,
                       reflection_matrices)
 
@@ -178,3 +180,56 @@ def test_alpha_below_one_possible(topo):
     assert alpha_star(params, topo.d1, 1e6) < 1.0
     assert optimal_amplitude(params, topo, Allocation(1e6, 10, "TAPR")) < 1.0
     assert optimal_amplitude(params, topo, Allocation(1e3, 1e6, "TPAR")) < 1.0
+
+
+def _dbm(lo, hi):
+    return st.floats(lo, hi).map(dbm_to_watts)
+
+
+# (x_act, x_pas) pairs, whole and fractional, up to the domain's 1e9, where a
+# square is no longer exact
+_count = st.floats(1.0, 1e9) | st.integers(1, 10 ** 9).map(float)
+_pairs = st.lists(st.tuples(_count, _count), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pt=_dbm(0.0, 40.0), pv=_dbm(-40.0, 90.0), sv2=_dbm(-100.0, -40.0),
+       rho=st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e), d1=st.floats(1.0, 1e4),
+       d2=st.floats(1.0, 1e4), pairs=_pairs)
+# x**2 of a Python float is pow(x, 2), which differs from x*x at these two x_pas
+@example(pt=0.1, pv=0.05, sv2=1e-11, rho=1e-3, d1=15.0, d2=83.0,
+         pairs=[(94906267.0, 447957300.0), (99999999.5, 481218386.75564545)])
+def test_squared_amplitudes_are_the_same_bits_for_floats_and_arrays(pt, pv, sv2, rho, d1,
+                                                                      d2, pairs):
+    # the corner walk evaluates one row in Python floats, the scan every row
+    # as arrays: the helpers must give both the same bits
+    params = SystemParams(transmit_power=pt, amp_power_budget=pv, rx_noise_power=1e-11,
+                          amp_noise_power=sv2, ref_gain=rho, wavelength=0.1,
+                          cost_active=1.0, cost_passive=1.0, total_budget=100.0)
+    x_act, x_pas = (np.array(v) for v in zip(*pairs))
+    pv_up = pv * (1.0 + 1e-6)
+    arrays = (alpha_sq(params, d1, x_act), beta_sq(params, d1, d2, x_act, x_pas),
+              pas_cap_sq(params, d1, d2, x_act, pv), pas_cap_sq(params, d1, d2, x_act, pv_up))
+    for i, (n, k) in enumerate(pairs):
+        floats = (alpha_sq(params, d1, n), beta_sq(params, d1, d2, n, k),
+                  pas_cap_sq(params, d1, d2, n, pv), pas_cap_sq(params, d1, d2, n, pv_up))
+        assert all(type(v) is float for v in floats)
+        assert [v.tobytes() for v in np.array(floats)] == [a[i].tobytes() for a in arrays]
+    # the amplitudes are the square roots of the squares, whatever the input
+    assert np.array_equal(alpha_star(params, d1, x_act), np.sqrt(arrays[0]))
+    assert np.array_equal(beta_star(params, d1, d2, x_act, x_pas), np.sqrt(arrays[1]))
+
+
+def test_amplitude_test_on_the_square_is_exact_at_one():
+    # sqrt is correctly rounded and monotone with sqrt(1) = 1, so testing the
+    # square against 1 is testing the amplitude against 1, also one float off
+    below, above, x = [], [], 1.0
+    for _ in range(4):
+        below.append(x := math.nextafter(x, 0.0))
+    x = 1.0
+    for _ in range(4):
+        above.append(x := math.nextafter(x, 2.0))
+    xs = below[::-1] + [1.0] + above
+    for x in xs:
+        assert (math.sqrt(x) >= 1.0) == (np.sqrt(x) >= 1.0) == (x >= 1.0)
+    assert list(np.sqrt(np.array(xs)) >= 1.0) == [x >= 1.0 for x in xs] == [False] * 4 + [True] * 5

@@ -6,17 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irsalloc import (
-    Allocation, ConditionUndefined, ConfigError, build_channels, build_topology,
-    check_lemma1, compare_schemes, simulate_empirical_snr, snr_approx,
-    snr_closed_form, snr_exact_matrix,
+    Allocation, ConditionUndefined, ConfigError, DimensionMismatch, build_channels,
+    build_topology, check_lemma1, compare_schemes, load_scenario, simulate_empirical_snr,
+    snr_approx, snr_closed_form, snr_exact_matrix,
 )
 from irsalloc.allocation import closed_form_split
 from irsalloc.reflection import ReflectionConfig, configure, optimal_phases
 from irsalloc import snr as snr_module
-from irsalloc.snr import _MC_BLOCK, _MC_CHUNK, rate_from_snr, snr_from_zeta, zeta_value
+from irsalloc.snr import _MC_BLOCK, _MC_CHUNK, rate_from_snr, snr_from_zeta, zeta_of, \
+    zeta_value
 from conftest import (baseline_params, inter_surface_matrix, random_scenario,
                       reflection_matrices, traced_peak)
 
@@ -511,6 +512,40 @@ def test_exact_matrix_rejects_mismatched_reflection(params, topo):
                            amp_first=1.5, amp_second=1.0, scheme="TAPR")
     with pytest.raises(DimensionMismatch):
         snr_exact_matrix(params, topo, alloc, ch, bad)
+
+
+def test_exact_matrix_rejects_counts_other_than_its_channels(baseline_config):
+    # the channels and the reflection hold 3 x 5 elements; the (40, 70)
+    # allocation would take their SNR, 0.423, for its own, about 1104
+    params, topo = load_scenario(baseline_config)
+    small, large = Allocation(3, 5, "TAPR"), Allocation(40, 70, "TAPR")
+    ch = build_channels(params, topo, small)
+    refl = configure(params, topo, small, ch)
+    assert snr_exact_matrix(params, topo, small, ch, refl).snr == pytest.approx(0.423, abs=1e-3)
+    assert snr_closed_form(params, topo, large).snr == pytest.approx(1104.0, abs=1.0)
+    with pytest.raises(DimensionMismatch, match="do not match the allocation's counts"):
+        snr_exact_matrix(params, topo, large, ch, refl)
+    # the same counts on the other surfaces
+    with pytest.raises(DimensionMismatch, match="do not match the allocation's counts"):
+        snr_exact_matrix(params, topo, Allocation(5, 3, "TAPR"), ch, refl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1e6), b=st.floats(1e-30, 1e6),
+       counts=st.lists(st.tuples(st.floats(1.0, 1e9), st.floats(1.0, 1e9)
+                                 | st.integers(1, 10 ** 9).map(float)),
+                       min_size=1, max_size=8))
+# x**2 of a Python float is pow(x, 2), which differs from x*x at this count
+# and so changes zeta where a is 0
+@example(a=0.0, b=1.0, counts=[(1.0, 627341109.3836149)])
+def test_zeta_of_is_the_same_bits_for_floats_and_arrays(a, b, counts):
+    # the corner walk ranks one row in Python floats, the scan every row as
+    # arrays; zeta_value is zeta_of of the objective constants
+    x_act, x_pas = (np.array(v) for v in zip(*counts))
+    zeta = zeta_of(a, b, x_act, x_pas)
+    floats = [zeta_of(a, b, n, k) for n, k in counts]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == zeta.tobytes()
 
 
 # TPAR's first surface is its passive one, so Allocation(9, 4, "TPAR") has the

@@ -36,6 +36,8 @@ KNOWN_RED = ("tests/test_acceptance.py::test_criterion_8b_tpar_vs_single_airs",
              "tests/test_acceptance.py::test_criterion_8c_tapr_hybrid_crossover")
 ALLOCATION = "src/irsalloc/allocation.py"
 PLACEMENT = "src/irsalloc/placement.py"
+REFLECTION = "src/irsalloc/reflection.py"
+SNR = "src/irsalloc/snr.py"
 TIMEOUT_S = 300
 
 # (name, file, old line, new line, test selection); lines are compared with
@@ -56,12 +58,12 @@ MUTANTS = [
      "return largest_count((budget - spent) / cost, lambda k: spent + cost * k < budget)",
      "tests/test_allocation.py"),
     ("tpar-cap-strict-amplitude", ALLOCATION,
-     "lambda k: beta_star(params, d1, d2, n_act, k) >= 1.0))",
-     "lambda k: beta_star(params, d1, d2, n_act, k) > 1.0))",
+     "lambda k: beta_sq(params, d1, d2, n_act, k) >= 1.0))",
+     "lambda k: beta_sq(params, d1, d2, n_act, k) > 1.0))",
      "tests/test_allocation.py"),
     ("scan-rows-no-passive-element", ALLOCATION,
-     "return _scan_rows(_largest((m - wp) / wa, lambda k: wa * k + wp <= m))",
-     "return _scan_rows(_largest((m - wp) / wa, lambda k: wa * k <= m))",
+     "return _largest((m - wp) / wa, lambda k: wa * k + wp <= m)",
+     "return _largest((m - wp) / wa, lambda k: wa * k <= m)",
      "tests/test_allocation.py"),
     ("scan-rows-guard-inclusive", ALLOCATION,
      "if rows > MAX_SCAN_ROWS:", "if rows >= MAX_SCAN_ROWS:",
@@ -73,16 +75,16 @@ MUTANTS = [
      "k += 1.0", "",
      "tests/test_allocation.py"),
     ("row-rule-strict-tpar-cap", ALLOCATION,
-     "pv * d2 ** 2 / (pt * rho ** 2 * n * (k * k) / d1 ** 2 + d2 ** 2 * sv2 * n)) >= 1.0))",
-     "pv * d2 ** 2 / (pt * rho ** 2 * n * (k * k) / d1 ** 2 + d2 ** 2 * sv2 * n)) > 1.0))",
+     "lambda k: beta_sq(params, d1, d2, n, k) >= 1.0))",
+     "lambda k: beta_sq(params, d1, d2, n, k) > 1.0))",
      "tests/test_allocation.py"),
     ("walk-no-margin", ALLOCATION,
-     "return (a / n + b / (n * pas2)) * (1.0 - _MARGIN)",
-     "return a / n + b / (n * pas2)",
+     "return zeta_of(a, b, n, pas) * (1.0 - _MARGIN)",
+     "return zeta_of(a, b, n, pas)",
      "tests/test_allocation.py"),
     ("walk-no-pv-slack", ALLOCATION,
-     "pas2 = min(pas2, d1 ** 2 * d2 ** 2 * (pv * (1.0 + _MARGIN) - sv2 * n)",
-     "pas2 = min(pas2, d1 ** 2 * d2 ** 2 * (pv - sv2 * n)",
+     "params.amp_power_budget * (1.0 + _MARGIN))))",
+     "params.amp_power_budget)))",
      "tests/test_allocation.py"),
     ("walk-left-side-only", ALLOCATION,
      "while (right <= rows and pas(right) >= 1.0",
@@ -160,9 +162,29 @@ MUTANTS = [
     ("topology-no-min-distance", "src/irsalloc/scenario.py",
      "if d < d_min:", "if False:",
      "tests/test_scenario.py"),
+    ("placement-tapr-cap-strict", PLACEMENT,
+     "ok = ok & (alpha_sq(params, geo.d_row, alloc.n_act) >= 1.0)",
+     "ok = ok & (alpha_sq(params, geo.d_row, alloc.n_act) > 1.0)",
+     "tests/test_placement.py"),
+    ("placement-tpar-cap-strict", PLACEMENT,
+     "feasible &= beta_sq(params, geo.d1_floor, d2, alloc.n_act, alloc.n_pas) >= 1.0",
+     "feasible &= beta_sq(params, geo.d1_floor, d2, alloc.n_act, alloc.n_pas) > 1.0",
+     "tests/test_placement.py"),
+    ("beta-sq-pow-square", REFLECTION,
+     "return pv * d2 ** 2 / (pt * rho ** 2 * x_act * (x_pas * x_pas) / d1 ** 2",
+     "return pv * d2 ** 2 / (pt * rho ** 2 * x_act * x_pas ** 2 / d1 ** 2",
+     "tests/test_reflection.py"),
+    ("zeta-of-pow-square", SNR,
+     "return a / x_act + b / (x_act * (x_pas * x_pas))",
+     "return a / x_act + b / (x_act * x_pas ** 2)",
+     "tests/test_snr.py"),
+    ("exact-matrix-no-count-check", SNR,
+     "if (channels.n_first, channels.n_second) != surface_counts(alloc):",
+     "if False:",
+     "tests/test_snr.py"),
     ("single-airs-ok-no-budget", "src/irsalloc/benchmarks.py",
-     "lambda k: (k <= afford) & (alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0))",
-     "lambda k: alpha_star(params, da, np.maximum(k, 1.0)) >= 1.0)",
+     "lambda k: (k <= afford) & (alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0))",
+     "lambda k: alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0)",
      "tests/test_benchmarks.py"),
 ]
 
