@@ -2,7 +2,7 @@
 active/passive intelligent reflecting surfaces."""
 
 from .allocation import Allocation, AllocationSolution, closed_form_split, \
-    exhaustive_search, solve_continuous, solve_integer
+    solve_continuous, solve_integer
 from .benchmarks import BenchmarkResult, run_benchmark
 from .channel import ChannelTriple, build_channels, direction_angles, steering, \
     unit_from_angles, upa_response

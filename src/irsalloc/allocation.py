@@ -20,11 +20,15 @@ benchmarks, is largest_count: a floored estimate stepped once each way by the
 count's own test, so rounding in the estimate cannot change the answer.
 Exact ties go to the larger n_pas, then the larger n_act.
 
-"exhaustive" applies the row rule to every affordable n_act at once, as
-arrays (_best_row), is the oracle, and refuses more than MAX_SCAN_ROWS rows.
-"optimal" walks a few rows in Python floats at any budget, with the same
-answer bit for bit: both row rules take the cap from reflection's squared
-amplitudes and zeta from snr.zeta_of, which give floats and arrays one result.
+solve_integer checks its inputs, hands the topology's distances (d1, d2,
+d3) to its method's kernel, which returns (snr, n_act, n_pas), and builds
+the answer. "exhaustive" applies the row rule to every affordable n_act at
+once, as arrays (_best_row), is the oracle, and refuses more than
+MAX_SCAN_ROWS rows. "optimal" walks a few rows in Python floats at any
+budget (_corner_walk), with the same answer bit for bit: both row rules take
+the cap from reflection's squared amplitudes and zeta from snr.zeta_of,
+which give a count as a float or as an array element one result. Not so a
+distance (see reflection), so the kernels take Python-float distances.
 
 - Corners. The budget, alpha* and beta* all fall in n_act, so n_pas does not
   increase in n_act (wherever largest_count's premise holds): the rows form
@@ -88,6 +92,7 @@ from .snr import objective_constants, rate_from_snr, snr_from_zeta, zeta_of, zet
 MAX_SCAN_ROWS = 1_000_000
 # the corner walk's relative bound margin (see the module docstring)
 _MARGIN = 1e-6
+METHODS = ("optimal", "closed-form", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -201,15 +206,14 @@ def affordable(budget: float, spent, cost: float):
     return largest_count((budget - spent) / cost, lambda k: spent + cost * k <= budget)
 
 
-def _largest_feasible_pas(params: SystemParams, topo: Topology, scheme: str,
+def _largest_feasible_pas(params: SystemParams, scheme: str, d1: float, d2: float,
                           n_act: np.ndarray, budget: float) -> np.ndarray:
     """Per n_act row, the largest n_pas (0 if none) within the budget whose
     active amplitude is >= 1."""
     hi = affordable(budget, params.cost_active * n_act, params.cost_passive)
     if scheme == TAPR:
-        return np.where(alpha_sq(params, topo.d1, n_act) >= 1.0, hi, 0.0)
+        return np.where(alpha_sq(params, d1, n_act) >= 1.0, hi, 0.0)
     # beta* >= 1 exactly when n_pas^2 <= q, and beta* decreases in n_pas
-    d1, d2 = topo.d1, topo.d2
     q = pas_cap_sq(params, d1, d2, n_act, params.amp_power_budget)
     return np.minimum(hi, largest_count(np.sqrt(np.maximum(q, 0.0)),
                                         lambda k: beta_sq(params, d1, d2, n_act, k) >= 1.0))
@@ -220,21 +224,20 @@ def _no_feasible_row(budget: float) -> InfeasibleBudget:
         f"no integer allocation within budget {budget} has an active amplitude >= 1")
 
 
-def _best_row(params: SystemParams, topo: Topology, scheme: str, n_act: np.ndarray,
-              budget: float, method: str) -> AllocationSolution:
-    """Max-rate pair over the given n_act rows, each at its largest feasible
-    n_pas; exact ties go to the larger n_pas, then the larger n_act."""
-    n_pas = _largest_feasible_pas(params, topo, scheme, n_act, budget)
+def _best_row(params: SystemParams, scheme: str, d1: float, d2: float, d3: float,
+              n_act: np.ndarray, budget: float) -> tuple:
+    """(snr, n_act, n_pas) of the max-rate pair over the given n_act rows,
+    each at its largest feasible n_pas; exact ties go to the larger n_pas,
+    then the larger n_act."""
+    n_pas = _largest_feasible_pas(params, scheme, d1, d2, n_act, budget)
     keep = n_pas >= 1.0
     if not keep.any():
         raise _no_feasible_row(budget)
     n_act, n_pas = n_act[keep], n_pas[keep]
-    snr = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas,
-                                           topo.d1, topo.d2, topo.d3))
+    snr = snr_from_zeta(params, zeta_value(params, scheme, n_act, n_pas, d1, d2, d3))
     tied = np.flatnonzero(snr == snr.max())
     k = tied[np.lexsort((n_act[tied], n_pas[tied]))[-1]]
-    alloc = Allocation(n_act=int(n_act[k]), n_pas=int(n_pas[k]), scheme=scheme)
-    return _solution(params, topo, alloc, snr[k], method=method)
+    return snr[k], n_act[k], n_pas[k]
 
 
 def _largest(estimate: float, ok) -> float:
@@ -258,15 +261,6 @@ def _rows(params: SystemParams, m: float) -> float:
     """Every n_act row that affords one passive element, as affordable tests it."""
     wa, wp = params.cost_active, params.cost_passive
     return _largest((m - wp) / wa, lambda k: wa * k + wp <= m)
-
-
-def exhaustive_search(params: SystemParams, topo: Topology, scheme: str,
-                      budget: float | None = None) -> AllocationSolution:
-    """Exact integer optimum: a scan over every affordable n_act, at most MAX_SCAN_ROWS."""
-    check_scheme(scheme)
-    m = _budget(params, budget)
-    return _best_row(params, topo, scheme, np.arange(1.0, _scan_rows(_rows(params, m)) + 1.0),
-                     m, method="exhaustive")
 
 
 def _row_pas(params: SystemParams, scheme: str, d1: float, d2: float, n: float,
@@ -335,13 +329,13 @@ def _corner(pas, estimate: float, rows: float, p: float) -> float:
     return n
 
 
-def _corner_walk(params: SystemParams, topo: Topology, scheme: str,
-                 m: float) -> AllocationSolution:
-    """The exact integer optimum, by the certified corner walk of the module
-    docstring; the same answer as exhaustive_search, bit for bit."""
+def _corner_walk(params: SystemParams, scheme: str, d1: float, d2: float, d3: float,
+                 m: float) -> tuple:
+    """(snr, n_act, n_pas) of the exact integer optimum, by the certified
+    corner walk of the module docstring; solve_integer's scan gives the same,
+    bit for bit."""
     rows = _rows(params, m)
-    d1, d2 = topo.d1, topo.d2
-    a, b = objective_constants(params, scheme, d1, d2, topo.d3)
+    a, b = objective_constants(params, scheme, d1, d2, d3)
     wa, wp = params.cost_active, params.cost_passive
     memo = {}  # a dict, not functools.cache: that costs more to build per walk
 
@@ -386,29 +380,30 @@ def _corner_walk(params: SystemParams, topo: Topology, scheme: str,
         visit(left)
         p = pas(left)
     snr, p, n = best[0]
-    alloc = Allocation(n_act=int(n), n_pas=int(p), scheme=scheme)
-    return _solution(params, topo, alloc, snr, method="optimal")
+    return snr, n, p
 
 
 def solve_integer(params: SystemParams, topo: Topology, scheme: str,
                   method: str = "optimal", budget: float | None = None) -> AllocationSolution:
     """Integer allocation: the exact corner walk ("optimal"), the exact scan
     ("exhaustive") or the literal rounding of the closed-form split
-    ("closed-form")."""
+    ("closed-form"), one of METHODS."""
     m = _budget(params, budget)
+    if method not in METHODS:
+        raise ConfigError(f"unknown allocation method {method!r}")
+    check_scheme(scheme)
+    d1, d2, d3 = topo.d1, topo.d2, topo.d3
     if method == "optimal":
-        check_scheme(scheme)
-        return _corner_walk(params, topo, scheme, m)
-    if method == "exhaustive":
-        return exhaustive_search(params, topo, scheme, budget=m)
-    if method == "closed-form":
+        snr, n, p = _corner_walk(params, scheme, d1, d2, d3, m)
+    elif method == "exhaustive":
+        n_act = np.arange(1.0, _scan_rows(_rows(params, m)) + 1.0)
+        snr, n, p = _best_row(params, scheme, d1, d2, d3, n_act, m)
+    else:
         split = closed_form_split(m, params.cost_active, params.cost_passive, scheme)
         n = float(max(1, round(split.n_act)))
-        p = _row_pas(params, scheme, topo.d1, topo.d2, n, m)
+        p = _row_pas(params, scheme, d1, d2, n, m)
         if p < 1.0:
             raise _no_feasible_row(m)
-        a, b = objective_constants(params, scheme, topo.d1, topo.d2, topo.d3)
-        snr = snr_from_zeta(params, zeta_of(a, b, n, p))
-        alloc = Allocation(n_act=int(n), n_pas=int(p), scheme=scheme)
-        return _solution(params, topo, alloc, snr, method="closed-form")
-    raise ConfigError(f"unknown allocation method {method!r}")
+        snr = snr_from_zeta(params, zeta_value(params, scheme, n, p, d1, d2, d3))
+    alloc = Allocation(n_act=int(n), n_pas=int(p), scheme=scheme)
+    return _solution(params, topo, alloc, snr, method=method)

@@ -83,9 +83,9 @@ def rate_single_airs(params: SystemParams, topo: Topology) -> BenchmarkResult:
     da, db = _distances(topo)
     # alpha*^2 = alpha*(1)^2/n, so alpha* >= 1 up to n = alpha*(1)^2
     afford = affordable(params.total_budget, 0.0, params.cost_active)
-    n = largest_count(np.minimum(afford, alpha_sq(params, da, 1.0)),
-                      lambda k: (k <= afford) & (alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0))
-    feasible = alpha_sq(params, da, np.maximum(n, 1.0)) >= 1.0
+    n = np.minimum(afford, largest_count(
+        alpha_sq(params, da, 1.0), lambda k: alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0))
+    feasible = n >= 1.0
     if not feasible.any():
         raise InfeasibleBudget("no site can drive one active element at amplitude >= 1")
     snr = (pt * pv * rho ** 2 * n

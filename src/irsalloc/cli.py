@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import benchmarks
-from .allocation import MAX_SCAN_ROWS, Allocation, closed_form_split, \
+from .allocation import MAX_SCAN_ROWS, METHODS, Allocation, closed_form_split, \
     solve_continuous, solve_integer
 from .channel import build_channels
 from .errors import ConfigError, IrsAllocError, SearchSpaceTooLarge
@@ -31,7 +31,6 @@ from .snr import check_lemma1, check_seed, compare_schemes, rate_from_snr, \
 
 SCHEME_SYSTEMS = ("tapr", "tpar")
 ALL_SYSTEMS = SCHEME_SYSTEMS + benchmarks.BENCHMARK_SYSTEMS
-METHODS = ("optimal", "closed-form", "exhaustive")
 
 CSV_COLUMNS = ("sweep_param", "value", "system", "n_act", "n_pas", "amplitude",
                "snr_db", "rate_bps_hz", "method", "error")
@@ -47,7 +46,7 @@ class SweepSpec:
     stop: float
     step: float
     systems: tuple[str, ...]
-    method: str               # optimal | closed-form | exhaustive
+    method: str               # one of allocation.METHODS
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):

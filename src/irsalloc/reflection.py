@@ -12,6 +12,10 @@ diagonal reflection, e.g. Psi = amp_first*diag(e^{j*phases_first}), as a gain ve
 alpha_sq, beta_sq and pas_cap_sq are the library's one expression of the
 amplitude cap, in operators only with x_pas^2 as x_pas*x_pas (an array's
 x_pas**2), so a count as a Python float or as an array element gets the same
+bits. A distance does not: d**2 is libm's pow for a Python float or a numpy
+scalar and d*d for an array element, which differ by an ulp for some
+distances. So the allocation kernels take Python-float distances, and a
+caller with distance arrays must square them the same way to get the same
 bits. A test *_sq(...) >= 1.0 is exactly amplitude >= 1: sqrt is correctly
 rounded and monotone, and sqrt(1) = 1.
 """

@@ -22,7 +22,7 @@ import pytest
 from irsalloc import (
     Allocation, ConditionUndefined, PlacementGrid, alternating_optimize,
     build_channels, build_topology, check_lemma1, closed_form_split,
-    compare_schemes, dbm_to_watts, exhaustive_search, simulate_empirical_snr,
+    compare_schemes, dbm_to_watts, simulate_empirical_snr,
     snr_approx, snr_closed_form, snr_exact_matrix, solve_continuous,
     solve_integer,
 )
@@ -221,7 +221,7 @@ def test_criterion_6_integer_optimality_gap():
         for m in (20.0, 50.0, 100.0, 200.0, 500.0):
             rounded = solve_integer(params, topo, scheme, method="optimal",
                                     budget=m)
-            exact = exhaustive_search(params, topo, scheme, budget=m)
+            exact = solve_integer(params, topo, scheme, method="exhaustive", budget=m)
             worst = max(worst, exact.rate - rounded.rate)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-2 and elapsed < 60.0

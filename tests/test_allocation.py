@@ -13,8 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from irsalloc import (
     Allocation, ConfigError, InfeasibleBudget, SearchSpaceTooLarge, SystemParams,
-    build_topology, closed_form_split, dbm_to_watts, exhaustive_search,
-    solve_continuous, solve_integer,
+    build_topology, closed_form_split, dbm_to_watts, solve_continuous, solve_integer,
 )
 import irsalloc.allocation as allocation
 from irsalloc.allocation import MAX_SCAN_ROWS, _best_row, _corner, _largest_feasible_pas, \
@@ -198,7 +197,8 @@ def test_tpar_cap_at_extreme_amplifier_power(params, topo):
     p = replace(params, amp_power_budget=dbm_to_watts(90.0))
     n_act = np.arange(1.0, 300.0)
     hi = affordable(p.total_budget, p.cost_active * n_act, p.cost_passive)
-    assert np.array_equal(_largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget), hi)
+    assert np.array_equal(_largest_feasible_pas(p, "TPAR", topo.d1, topo.d2, n_act,
+                                                p.total_budget), hi)
     sol = solve_integer(p, topo, "TPAR")
     assert (sol.allocation.n_act, sol.allocation.n_pas) == (100, 1000)
     assert 1.0 <= sol.amplitude < math.inf
@@ -225,7 +225,8 @@ def test_tpar_cap_where_q_is_one_ulp_from_a_square(k, pv, off):
         feasible = x[beta_star(p, topo.d1, topo.d2, 1.0, x) >= 1.0].max()
         squares.append(q)
         offsets.append(math.floor(math.sqrt(q)) - feasible)
-        assert _largest_feasible_pas(p, topo, "TPAR", n_act, p.total_budget)[0] == feasible
+        assert _largest_feasible_pas(p, "TPAR", topo.d1, topo.d2, n_act,
+                                     p.total_budget)[0] == feasible
         # the corner walk's scalar row rule takes the same two steps
         assert _row_pas(p, "TPAR", topo.d1, topo.d2, 1.0, p.total_budget) == feasible
     assert squares == [math.nextafter(k * k, -math.inf), k * k, math.nextafter(k * k, math.inf)]
@@ -240,12 +241,12 @@ def test_exact_tie_goes_to_larger_n_pas():
                           cost_active=1.0, cost_passive=1.0, total_budget=7.0)
     topo = build_topology((0, 0, 0), (1, 0, 0), (1e5, 0, 0), (1e5, 1e5, 0))
     rows = np.array([1.0, 4.0])
-    n_pas = _largest_feasible_pas(params, topo, "TAPR", rows, 7.0)
+    n_pas = _largest_feasible_pas(params, "TAPR", topo.d1, topo.d2, rows, 7.0)
     assert list(n_pas) == [6.0, 3.0]
     zeta = zeta_value(params, "TAPR", rows, n_pas, topo.d1, topo.d2, topo.d3)
     assert zeta[0] == zeta[1]
-    sol = _best_row(params, topo, "TAPR", rows, 7.0, method="optimal")
-    assert (sol.allocation.n_act, sol.allocation.n_pas) == (1, 6)
+    _, n_act, n_pas = _best_row(params, "TAPR", topo.d1, topo.d2, topo.d3, rows, 7.0)
+    assert (n_act, n_pas) == (1, 6)
     # over every row: with Pv = Pt = rho = 1, sigma_v^2 = 1e-4 and d1^2*d2^2
     # = 40, the TPAR cap allows n_pas 6, 4, 3, 3 at n_act 1..4, so the rows
     # (1, 6) and (4, 3) tie at the optimum, again with A negligible
@@ -254,7 +255,7 @@ def test_exact_tie_goes_to_larger_n_pas():
                           cost_active=1.0, cost_passive=1.0, total_budget=7.0)
     topo = build_topology((0, 0, 0), (2, 0, 0), (3, 3, 0), (3, 3, 1))
     rows = np.arange(1.0, 7.0)
-    n_pas = _largest_feasible_pas(params, topo, "TPAR", rows, 7.0)
+    n_pas = _largest_feasible_pas(params, "TPAR", topo.d1, topo.d2, rows, 7.0)
     assert list(n_pas) == [6.0, 4.0, 3.0, 3.0, 2.0, 1.0]
     snr = snr_from_zeta(params, zeta_value(params, "TPAR", rows, n_pas,
                                            topo.d1, topo.d2, topo.d3))
@@ -302,7 +303,7 @@ def test_optimal_matches_brute_force_property(scenario, scheme):
 def test_exhaustive_oracle_and_rounding_gap(params, topo):
     for scheme in ("TAPR", "TPAR"):
         for m in (30.0, 100.0, 500.0):
-            ex = exhaustive_search(params, topo, scheme, budget=m)
+            ex = solve_integer(params, topo, scheme, method="exhaustive", budget=m)
             ro = solve_integer(params, topo, scheme, method="closed-form", budget=m)
             assert ex.rate >= ro.rate
             assert ex.rate - ro.rate <= 1e-2
@@ -337,7 +338,7 @@ def test_solutions_report_the_snr_they_ranked():
 
 def test_exhaustive_guard(params, topo):
     with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_search(params, topo, "TAPR", budget=1e8)
+        solve_integer(params, topo, "TAPR", method="exhaustive", budget=1e8)
     # 2e5 rows are within the bound
     assert solve_integer(params, topo, "TAPR", budget=1e6).allocation.n_act >= 1
 
@@ -408,7 +409,7 @@ def test_infeasible_budget(params, topo):
     with pytest.raises(InfeasibleBudget):
         solve_continuous(params, topo, "TAPR", budget=4.0)
     with pytest.raises(InfeasibleBudget):
-        exhaustive_search(params, topo, "TAPR", budget=4.0)
+        solve_integer(params, topo, "TAPR", method="exhaustive", budget=4.0)
     # below w_act + w_pas = 6, refused for the budget, not the amplitude
     for method in ("optimal", "exhaustive", "closed-form"):
         for budget in (4.0, 5.5):
@@ -494,12 +495,13 @@ def test_optimal_equals_exhaustive_bit_for_bit_property(scenario, scheme):
     m = params.total_budget
     row = np.array([max(1, round(m / (3.0 * params.cost_active)))], dtype=float)
     try:
-        scan = _best_row(params, topo, scheme, row, m, method="closed-form")
+        scan = _best_row(params, scheme, topo.d1, topo.d2, topo.d3, row, m)
     except InfeasibleBudget as exc:
         with pytest.raises(InfeasibleBudget, match=f"^{re.escape(str(exc))}$"):
             solve_integer(params, topo, scheme, method="closed-form")
         return
-    assert solve_integer(params, topo, scheme, method="closed-form") == scan
+    sol = solve_integer(params, topo, scheme, method="closed-form")
+    assert (sol.snr, sol.allocation.n_act, sol.allocation.n_pas) == scan
 
 
 def _count_ranked_rows(monkeypatch):

@@ -1,5 +1,6 @@
 """CLI driver: sweeps, CSV contract, verification suite and exit codes."""
 
+import argparse
 import csv
 import io
 import math
@@ -7,11 +8,12 @@ from dataclasses import replace
 
 import pytest
 
-from irsalloc import ConfigError, LinkBudget, SearchSpaceTooLarge, compare_schemes
-from irsalloc.allocation import MAX_SCAN_ROWS
+from irsalloc import ConfigError, LinkBudget, SearchSpaceTooLarge, compare_schemes, \
+    solve_integer
+from irsalloc.allocation import MAX_SCAN_ROWS, METHODS
 from irsalloc.cli import (
-    ALL_SYSTEMS, CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, main, run_placement,
-    run_sweep, run_verify, write_csv,
+    ALL_SYSTEMS, CSV_COLUMNS, PLACEMENT_COLUMNS, SweepSpec, _build_parser, main,
+    run_placement, run_sweep, run_verify, write_csv,
 )
 from irsalloc.scenario import fmt_number
 from conftest import traced_peak
@@ -34,6 +36,23 @@ def test_sweep_spec_validation():
         SweepSpec("total-budget", 50.0, 100.0, 10.0, ("quadruple-irs",), "optimal")
     with pytest.raises(ConfigError, match="unknown allocation method 'bogus'"):
         SweepSpec("total-budget", 500.0, 1000.0, 500.0, ("tapr",), "bogus")
+
+
+def test_one_method_list(params, topo):
+    # the solver's METHODS is what a sweep spec and both --method options
+    # take; the solver answers each, echoing it, and refuses any other
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("allocate", "sweep"):
+        method = next(a for a in sub.choices[command]._actions if a.dest == "method")
+        assert tuple(method.choices) == METHODS
+    for method in METHODS:
+        assert SweepSpec("total-budget", 500.0, 1000.0, 500.0, ("tapr",), method).method == method
+        assert solve_integer(params, topo, "TAPR", method=method).method == method
+    for bogus in ("bogus", "Optimal", "", None):
+        with pytest.raises(ConfigError, match=f"^unknown allocation method {bogus!r}$"):
+            solve_integer(params, topo, "TAPR", method=bogus)
+        with pytest.raises(ConfigError, match=f"^unknown allocation method {bogus!r}$"):
+            SweepSpec("total-budget", 500.0, 1000.0, 500.0, ("tapr",), bogus)
 
 
 def test_sweep_values_cover_grid():

@@ -24,7 +24,7 @@ import irsalloc
 from irsalloc import (Allocation, ConfigError, IrsAllocError, PlacementGrid, SystemParams,
                       alternating_optimize, build_channels, build_topology,
                       check_lemma1, closed_form_split, compare_schemes, configure,
-                      db_to_linear, dbm_to_watts, exhaustive_search, free_space_ref_gain,
+                      db_to_linear, dbm_to_watts, free_space_ref_gain,
                       linear_to_db, load_scenario, optimal_phases,
                       optimize_placement_given_allocation, run_benchmark,
                       simulate_empirical_snr, snr_approx, snr_closed_form, snr_exact_matrix,
@@ -173,7 +173,6 @@ def _malformed_calls(params, topo):
         "db_to_linear": lambda: db_to_linear(math.nan),
         "dbm_to_watts": lambda: dbm_to_watts(math.nan),
         "direction_angles": lambda: direction_angles((1.0, 2.0)),
-        "exhaustive_search": lambda: exhaustive_search(params, topo, "bogus"),
         "free_space_ref_gain": lambda: free_space_ref_gain(-0.1),
         "linear_to_db": lambda: linear_to_db(-1.0),
         "load_scenario": lambda: load_scenario(Path(__file__).parent / "no-such-config.yaml"),

@@ -182,10 +182,17 @@ MUTANTS = [
      "if (channels.n_first, channels.n_second) != surface_counts(alloc):",
      "if False:",
      "tests/test_snr.py"),
-    ("single-airs-ok-no-budget", "src/irsalloc/benchmarks.py",
-     "lambda k: (k <= afford) & (alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0))",
-     "lambda k: alpha_sq(params, da, np.maximum(k, 1.0)) >= 1.0)",
+    ("single-airs-no-budget-clip", "src/irsalloc/benchmarks.py",
+     "afford = affordable(params.total_budget, 0.0, params.cost_active)",
+     "afford = np.inf",
      "tests/test_benchmarks.py"),
+    ("exhaustive-runs-the-walk", ALLOCATION,
+     'if method == "optimal":', 'if method != "closed-form":',
+     "tests/test_allocation.py"),
+    ("answer-method-label", ALLOCATION,
+     "return _solution(params, topo, alloc, snr, method=method)",
+     'return _solution(params, topo, alloc, snr, method="optimal")',
+     "tests/test_allocation.py"),
 ]
 
 # (name, file, old line, new line, why no test can tell it apart)
